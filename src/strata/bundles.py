@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .partitions import Partition, SegreSymbol, enumerate_double_partitions, mu_string
+from .subspaces import _power_ranks
 
 
 def codimension(s: SegreSymbol) -> int:
@@ -217,19 +218,13 @@ def transitive_reduction(nv: int, edges: list[tuple[int, int]]) -> list[tuple[in
     return kept
 
 
-def _numerical_rank(M: np.ndarray, tol: float) -> int:
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
-
-
 @dataclass
 class ClassificationResult:
     symbol: SegreSymbol
     eigenvalues: list[complex]        # one cluster center per member, same order
     ill_conditioned: bool
-    cluster_gap: float                # smallest distance between cluster centers
+    cluster_gap: float | None         # smallest distance between cluster centers;
+                                      # None when there is only one cluster
 
 
 def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
@@ -276,12 +271,7 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
     members = []
     for center, comp in zip(centers, clusters):
         mult = len(comp)
-        shifted = A - center * np.eye(n)
-        ranks = [n]
-        P = np.eye(n, dtype=complex)
-        for _k in range(1, mult + 1):
-            P = P @ shifted
-            ranks.append(_numerical_rank(P, tol))
+        ranks = _power_ranks(A - center * np.eye(n), mult, tol)
         counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
         # counts[k-1] = number of blocks of size >= k; enforce monotone
         for k in range(1, len(counts)):
@@ -310,7 +300,7 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
         symbol=symbol,
         eigenvalues=ordered_centers,
         ill_conditioned=ill,
-        cluster_gap=gap,
+        cluster_gap=gap if len(centers) > 1 else None,
     )
 
 

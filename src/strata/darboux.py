@@ -35,11 +35,10 @@ from .errors import (
     ValidationError,
 )
 from .polynomials import Poly
-from .scalars import ComplexRational, scalar_abs2, to_complex, to_exact
+from .scalars import ComplexRational, nonzero_int, scalar_abs2, to_complex, to_exact
 from .series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
 
 _NEAR_COALESCENT = 1e-6
-_RESONANCE_TOL = 1e-8
 
 
 def _bump(e: tuple, a: int, k: int = 1) -> tuple:
@@ -60,16 +59,36 @@ def _sub_e(e: tuple, f: tuple) -> tuple:
     return tuple(x - y for x, y in zip(e, f))
 
 
-def _is_nonzero_int(v, exact: bool):
-    """The integer m with v == m != 0, or None."""
+def _fscale(values) -> float:
+    """max(1, |v|) over branch values: the scale of coalescence tolerances."""
+    return max([1.0] + [scalar_abs2(v) ** 0.5 for v in values])
+
+
+def _coalescent_pairs(values, b, exact: bool, tol: float):
+    """Coalescent ordered pairs of branch values and the PNR violations.
+
+    (i, j) is coalescent when values i and j agree: exactly in exact mode,
+    within tol * _fscale(values) in floating mode.  Returns the sorted
+    tuple of pairs and the list of (i, j, m) for the coalescent pairs
+    whose b_i - b_j is a nonzero integer m.
+    """
+    n = len(values)
     if exact:
-        if v.im != 0 or v.re.denominator != 1 or v.re == 0:
-            return None
-        return int(v.re)
-    m = round(v.real)
-    if abs(v.imag) > _RESONANCE_TOL or abs(v.real - m) > _RESONANCE_TOL or m == 0:
-        return None
-    return int(m)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and values[i] == values[j]]
+    else:
+        thr = tol * _fscale(values)
+        pairs = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if i != j and abs(values[i] - values[j]) <= thr
+        ]
+    violations = []
+    for i, j in pairs:
+        m = nonzero_int(b[i] - b[j], exact)
+        if m is not None:
+            violations.append((i, j, m))
+    return tuple(pairs), violations
 
 
 class DEProblem:
@@ -78,8 +97,8 @@ class DEProblem:
     f entries are Poly (any mode) or TruncatedSeries centered at x_o.
     Exact mode is used when every ingredient converts exactly; otherwise
     everything is coerced to complex floating point.  Pair routing
-    (coalescent vs regular) is decided by exact equality of the f values
-    at x_o in exact mode and by |difference| < tol in floating mode.
+    (coalescent vs regular) is decided by _coalescent_pairs on the f values
+    at x_o.
     """
 
     def __init__(self, d: int, n: int, x0, f, b, tol: float = 1e-10):
@@ -145,21 +164,18 @@ class DEProblem:
             grads.append(g)
         self.f_values = tuple(vals)
         self.f_gradients = tuple(tuple(g) for g in grads)
-        fscale = max(1.0, max(scalar_abs2(v) ** 0.5 for v in vals))
+        pairs, self.pnr_violations = _coalescent_pairs(vals, self.b, self.exact, self.tol)
+        self.coalescent = set(pairs)
+        fscale = _fscale(vals)
         gscale = max(1.0, max(scalar_abs2(g) ** 0.5 for gr in grads for g in gr))
-        self.coalescent: set = set()
-        self.pnr_violations: list = []
         for k in range(self.n):
             for h in range(k + 1, self.n):
-                dv = vals[h] - vals[k]
                 dg = [grads[h][a] - grads[k][a] for a in range(self.d)]
                 if self.exact:
-                    coal = dv == 0
                     degenerate = all(g == 0 for g in dg)
                 else:
-                    mag = abs(dv)
-                    coal = mag <= self.tol * fscale
-                    if not coal and mag < _NEAR_COALESCENT * fscale:
+                    mag = abs(vals[h] - vals[k])
+                    if (k, h) not in self.coalescent and mag < _NEAR_COALESCENT * fscale:
                         warnings.warn(
                             f"pair ({k},{h}) is near-coalescent at the base point "
                             f"(|f[{h}]-f[{k}]| = {mag:.3e}); treating it as regular",
@@ -170,23 +186,17 @@ class DEProblem:
                     raise GenericityError(
                         f"functions {k} and {h} have equal differentials at the base point"
                     )
-                if coal:
-                    self.coalescent.add((k, h))
-                    self.coalescent.add((h, k))
-                    m = _is_nonzero_int(self.b[h] - self.b[k], self.exact)
-                    if m is not None:
-                        self.pnr_violations.append((k, h, m))
 
     def is_coalescent(self, k: int, h: int) -> bool:
         return (k, h) in self.coalescent
 
-    def f_coefficients(self, ring: SeriesRing) -> list:
-        """Taylor coefficient dicts of each f_i about x_o, through ring.K."""
+    def f_series(self, ring: SeriesRing) -> list:
+        """Taylor series of each f_i about x_o in ring, through ring.K."""
         out = []
         for i, fi in enumerate(self.f):
             if isinstance(fi, Poly):
                 src = fi if ring.exact or not fi.exact else fi.to_float()
-                out.append(dict(ring.from_poly(src).coeffs))
+                out.append(ring.from_poly(src))
                 continue
             if fi.ring.K < ring.K or fi.valid < ring.K:
                 raise ValidationError(
@@ -200,9 +210,7 @@ class DEProblem:
             if not center_ok:
                 raise ValidationError(f"f[{i}] series is centered away from the base point")
             conv = to_exact if ring.exact else to_complex
-            out.append(
-                {e: conv(c) for e, c in fi.coeffs.items() if sum(e) <= ring.K and c != 0}
-            )
+            out.append(TruncatedSeries(ring, {e: conv(c) for e, c in fi.coeffs.items()}))
         return out
 
 
@@ -297,10 +305,8 @@ class _Engine:
         self.d, self.n = problem.d, problem.n
         self.zero = ComplexRational(0) if exact else 0j
         self.ring = SeriesRing(problem.d, self.K, problem.x0, exact)
-        self.fc = problem.f_coefficients(self.ring)
-        self.dfc = [
-            [self._ddict(self.fc[i], a) for a in range(self.d)] for i in range(self.n)
-        ]
+        self.fc = problem.f_series(self.ring)
+        self.dfc = [[f.diff(a) for a in range(self.d)] for f in self.fc]
         conv = to_exact if exact else to_complex
         self.b = [conv(v) for v in problem.b]
         self.pairs = [(k, h) for k in range(self.n) for h in range(self.n) if k != h]
@@ -309,8 +315,8 @@ class _Engine:
         one = ComplexRational(1) if exact else 1.0 + 0j
         for kh in self.pairs:
             k, h = kh
-            self.delta[kh] = self._dsub(self.fc[h], self.fc[k])
-            self.ddelta[kh] = [self._dsub(self.dfc[h][a], self.dfc[k][a]) for a in range(self.d)]
+            self.delta[kh] = (self.fc[h] - self.fc[k]).coeffs
+            self.ddelta[kh] = [(self.dfc[h][a] - self.dfc[k][a]).coeffs for a in range(self.d)]
             zexp = (0,) * self.d
             D = [dd.get(zexp, self.zero) for dd in self.ddelta[kh]]
             self.D[kh] = D
@@ -336,76 +342,32 @@ class _Engine:
             self.C[kh] = {} if v == 0 else {(0,) * self.d: v}
         self._w_cache, self._p1_cache, self._p2_cache = {}, {}, {}
 
-    # -- coefficient dictionaries -------------------------------------------------
-
-    def _ddict(self, A: dict, a: int) -> dict:
-        out = {}
-        for e, c in A.items():
-            if e[a]:
-                out[_bump(e, a, -1)] = c * e[a]
-        return out
-
-    def _dsub(self, A: dict, B: dict) -> dict:
-        out = dict(A)
-        for e, c in B.items():
-            s = out.get(e, self.zero) - c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return out
-
-    def _dmul(self, A: dict, B: dict) -> dict:
-        out = {}
-        for e1, c1 in A.items():
-            d1 = sum(e1)
-            for e2, c2 in B.items():
-                if d1 + sum(e2) > self.K:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, self.zero) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
+    # -- coefficient products of the quadratic terms ------------------------------
 
     def _w(self, i: int, j: int, l: int, k: int, h: int) -> dict:
         key = (i, j, l, k, h)
         got = self._w_cache.get(key)
         if got is None:
-            t1 = self._dmul(
-                self._dsub(self.dfc[l][i], self.dfc[k][i]),
-                self._dsub(self.dfc[h][j], self.dfc[l][j]),
-            )
-            t2 = self._dmul(
-                self._dsub(self.dfc[l][j], self.dfc[k][j]),
-                self._dsub(self.dfc[h][i], self.dfc[l][i]),
-            )
-            got = self._dsub(t1, t2)
-            self._w_cache[key] = got
+            df = self.dfc
+            w = (df[l][i] - df[k][i]) * (df[h][j] - df[l][j])
+            w = w - (df[l][j] - df[k][j]) * (df[h][i] - df[l][i])
+            got = self._w_cache[key] = w.coeffs
         return got
 
     def _p1(self, i: int, l: int, k: int, h: int) -> dict:
         key = (i, l, k, h)
         got = self._p1_cache.get(key)
         if got is None:
-            got = self._dmul(
-                self._dsub(self.dfc[l][i], self.dfc[k][i]),
-                self._dsub(self.fc[h], self.fc[l]),
-            )
-            self._p1_cache[key] = got
+            p = (self.dfc[l][i] - self.dfc[k][i]) * (self.fc[h] - self.fc[l])
+            got = self._p1_cache[key] = p.coeffs
         return got
 
     def _p2(self, i: int, l: int, k: int, h: int) -> dict:
         key = (i, l, k, h)
         got = self._p2_cache.get(key)
         if got is None:
-            got = self._dmul(
-                self._dsub(self.fc[l], self.fc[k]),
-                self._dsub(self.dfc[h][i], self.dfc[l][i]),
-            )
-            self._p2_cache[key] = got
+            p = (self.fc[l] - self.fc[k]) * (self.dfc[h][i] - self.dfc[l][i])
+            got = self._p2_cache[key] = p.coeffs
         return got
 
     # -- single-coefficient evaluators ---------------------------------------------
@@ -506,14 +468,9 @@ class _Engine:
             self.C[kh][alpha] = value
 
     def _resonance_guard(self, kh, level: int):
-        k, h = kh
         target = level + 1
-        bd = self.bdiff[kh]
-        if self.exact:
-            hit = bd == target
-        else:
-            hit = abs(bd - target) < _RESONANCE_TOL
-        if hit:
+        if nonzero_int(self.bdiff[kh], self.exact) == target:
+            k, h = kh
             raise ResonanceError(
                 f"pair ({k},{h}) is resonant at degree {level}: b[{h}]-b[{k}] = {target}"
             )
@@ -592,20 +549,8 @@ class _Engine:
             if s[0] == 0 or s[-1] < 1e-12 * s[0]:
                 return None
             return list(np.linalg.solve(A, b))
-        m = [list(r) + [v] for r, v in zip(rows, rhs)]
-        size = len(rows)
-        for colj in range(size):
-            piv = next((r for r in range(colj, size) if m[r][colj] != 0), None)
-            if piv is None:
-                return None
-            m[colj], m[piv] = m[piv], m[colj]
-            inv = ComplexRational(1) / m[colj][colj]
-            m[colj] = [v * inv for v in m[colj]]
-            for r in range(size):
-                if r != colj and m[r][colj] != 0:
-                    factor = m[r][colj]
-                    m[r] = [v - factor * w for v, w in zip(m[r], m[colj])]
-        return [m[r][size] for r in range(size)]
+        sol = _exact_eliminate(rows, rhs, len(rows))
+        return None if isinstance(sol, str) else sol
 
     def to_jet(self) -> DEJet:
         entries = []
@@ -653,8 +598,7 @@ def de_residual(problem: DEProblem, jet, order: int) -> DEResidualReport:
     if not center_ok:
         raise ValidationError("jet is centered away from the problem base point")
 
-    fdicts = problem.f_coefficients(ring)
-    fs = [TruncatedSeries(ring, dct) for dct in fdicts]
+    fs = problem.f_series(ring)
     dfs = [[s.diff(a) for a in range(problem.d)] for s in fs]
     conv = to_exact if exact else to_complex
     b = [conv(v) for v in problem.b]
@@ -742,8 +686,8 @@ def de_closed_form_n2(problem: DEProblem, F0, K: int) -> DEJet:
     K = int(K)
     F0s, exact = _coerce_initial(problem, F0)
     ring = SeriesRing(problem.d, K, problem.x0, exact)
-    fdicts = problem.f_coefficients(ring)
-    delta = TruncatedSeries(ring, fdicts[1]) - TruncatedSeries(ring, fdicts[0])
+    fs = problem.f_series(ring)
+    delta = fs[1] - fs[0]
     u = delta / delta.constant_term() - ring.one()
 
     conv = to_exact if exact else to_complex
@@ -765,13 +709,39 @@ def de_closed_form_n2(problem: DEProblem, F0, K: int) -> DEJet:
     return DEJet(SeriesMatrix([[z, f01], [f10, z]]))
 
 
+def _exact_eliminate(rows, rhs, ncols: int):
+    """Exact Gauss-Jordan solve of rows * x = rhs in ncols unknowns.
+
+    rows is a list of coefficient lists of length ncols, possibly more
+    rows than unknowns; the pivot is the first nonzero entry at or below
+    the diagonal.  Returns the values list, "singular" when some unknown
+    has no pivot, or "inconsistent" when a row reduced to zero keeps a
+    nonzero right-hand side.
+    """
+    m = [list(r) + [v] for r, v in zip(rows, rhs)]
+    for colj in range(ncols):
+        piv = next((r for r in range(colj, len(m)) if m[r][colj] != 0), None)
+        if piv is None:
+            return "singular"
+        m[colj], m[piv] = m[piv], m[colj]
+        inv = ComplexRational(1) / m[colj][colj]
+        m[colj] = [v * inv for v in m[colj]]
+        for r in range(len(m)):
+            if r != colj and m[r][colj] != 0:
+                factor = m[r][colj]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[colj])]
+    if any(row[-1] != 0 for row in m[ncols:]):
+        return "inconsistent"
+    return [row[-1] for row in m[:ncols]]
+
+
 def _exact_sparse_solve(rows, ncols: int):
     """Solve sum(coeff * u) + const = 0 rows exactly.
 
     rows: list of (dict col->ComplexRational, const).  Returns the values
     list, or the strings "singular" / "inconsistent".  Unit rows are
     propagated first, which resolves regular-pair blocks immediately and
-    leaves only small coupled cores for elimination.
+    leaves only small coupled cores for _exact_eliminate.
     """
     rows = [(dict(e), c) for e, c in rows]
     values = [None] * ncols
@@ -780,27 +750,15 @@ def _exact_sparse_solve(rows, ncols: int):
         for colj in entries:
             col_rows.setdefault(colj, set()).add(rid)
 
-    def substitute(rid):
-        entries, const = rows[rid]
-        if not entries:
-            return const == 0
-        return True
-
     queue = [rid for rid, (e, _) in enumerate(rows) if len(e) == 1]
-    seen_empty = []
     while queue:
         rid = queue.pop()
         entries, const = rows[rid]
         if len(entries) != 1:
             continue
+        # colj has no value yet: assigning one removes it from every row
         colj, coeff = next(iter(entries.items()))
         val = -const / coeff
-        if values[colj] is not None:
-            if values[colj] != val:
-                return "inconsistent"
-            entries.clear()
-            rows[rid] = (entries, ComplexRational(0))
-            continue
         values[colj] = val
         for other in list(col_rows.get(colj, ())):
             oe, oc = rows[other]
@@ -809,51 +767,27 @@ def _exact_sparse_solve(rows, ncols: int):
                 rows[other] = (oe, oc)
                 if len(oe) == 1:
                     queue.append(other)
-                elif not oe:
-                    seen_empty.append(other)
         col_rows.pop(colj, None)
-    for rid in seen_empty:
-        if not substitute(rid):
-            return "inconsistent"
+    if any(not entries and const != 0 for entries, const in rows):
+        return "inconsistent"
+    # every row holding an unknown was reached when that unknown got its
+    # value, so the rows left with entries involve only live columns
     live_cols = [c for c in range(ncols) if values[c] is None]
-    live_rows = [rid for rid, (e, _) in enumerate(rows) if e]
     if live_cols:
         index = {c: i for i, c in enumerate(live_cols)}
-        dense = []
-        for rid in live_rows:
-            entries, const = rows[rid]
-            row = [ComplexRational(0)] * len(live_cols)
-            for colj, coeff in entries.items():
-                row[index[colj]] = coeff
-            dense.append(row + [const])
-        rank = 0
-        for colj in range(len(live_cols)):
-            piv = next((r for r in range(rank, len(dense)) if dense[r][colj] != 0), None)
-            if piv is None:
-                return "singular"
-            dense[rank], dense[piv] = dense[piv], dense[rank]
-            inv = ComplexRational(1) / dense[rank][colj]
-            dense[rank] = [v * inv for v in dense[rank]]
-            for r in range(len(dense)):
-                if r != rank and dense[r][colj] != 0:
-                    factor = dense[r][colj]
-                    dense[r] = [v - factor * w for v, w in zip(dense[r], dense[rank])]
-            rank += 1
-        for r in range(rank, len(dense)):
-            if dense[r][-1] != 0:
-                return "inconsistent"
-        for i, colj in enumerate(live_cols):
-            values[colj] = -dense[i][-1]
-    else:
-        for rid in live_rows:
-            entries, const = rows[rid]
-            if entries or const != 0:
-                return "inconsistent"
-    for rid, (entries, const) in enumerate(rows):
-        if not entries and const != 0:
-            return "inconsistent"
-    if any(v is None for v in values):
-        return "singular"
+        dense, rhs = [], []
+        for entries, const in rows:
+            if entries:
+                row = [ComplexRational(0)] * len(live_cols)
+                for colj, coeff in entries.items():
+                    row[index[colj]] = coeff
+                dense.append(row)
+                rhs.append(-const)
+        sol = _exact_eliminate(dense, rhs, len(live_cols))
+        if isinstance(sol, str):
+            return sol
+        for colj, v in zip(live_cols, sol):
+            values[colj] = v
     return values
 
 
@@ -940,13 +874,7 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
             if isinstance(sol, str):
                 for kh in eng.pairs:
                     if eng.coalescent[kh]:
-                        hit = eng.bdiff[kh] == m + 1
-                        if hit:
-                            k, h = kh
-                            raise ResonanceError(
-                                f"pair ({k},{h}) is resonant at degree {m}: "
-                                f"b[{h}]-b[{k}] = {m + 1}"
-                            )
+                        eng._resonance_guard(kh, m)
                 raise OracleError(f"{sol} linear system at degree {m}")
             for (kh, a), v in zip(cols, sol):
                 if v != 0:

@@ -30,9 +30,10 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+from .partitions import Partition
 from .polynomials import Poly
-from .scalars import ComplexRational, to_complex, to_exact
-from .subspaces import Subspace, gap_distance, generalized_eigenspace
+from .scalars import to_complex, to_exact
+from .subspaces import Subspace, _numerical_rank, _power_ranks, _root_space, gap_distance
 
 DEFAULT_SEP_TOL = 1e-12
 # deepest sample 2^-30: small enough for gap-Cauchy tests at 1e-8, large
@@ -40,13 +41,6 @@ DEFAULT_SEP_TOL = 1e-12
 DEEP_SAMPLES = tuple(2.0 ** -j for j in range(6, 31))
 SHALLOW_SAMPLES = tuple(2.0 ** -j for j in range(3, 13))
 PATH_RANK_TOL = 1e-12
-
-
-def _numerical_rank(m: np.ndarray, tol: float) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    if len(s) == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
 
 
 class MatrixFamily:
@@ -190,29 +184,15 @@ def segre_at_eigenvalue(a: np.ndarray, mu: complex, multiplicity: int | None = N
     scale = np.linalg.norm(m, 2)
     if scale > 0:
         m = m / scale
-    ranks = [n]
-    power = np.eye(n, dtype=complex)
-    for _ in range(n):
-        power = power @ m
-        ranks.append(_numerical_rank(power, tol))
-    drops = []
-    for k in range(1, n + 1):
-        drops.append(ranks[k - 1] - ranks[k])
-    for k in range(1, len(drops)):
-        if drops[k] > drops[k - 1]:
-            return None
-    if any(dk < 0 for dk in drops):
-        return None
-    parts = []
+    ranks = _power_ranks(m, n, tol)
     # drops[k-1] counts blocks of size >= k; conjugate to block sizes
-    for k in range(len(drops), 0, -1):
-        count_ge_k = drops[k - 1]
-        count_ge_k1 = drops[k] if k < len(drops) else 0
-        parts.extend([k] * (count_ge_k - count_ge_k1))
-    parts.sort(reverse=True)
+    drops = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
+    if any(dk < 0 for dk in drops) or any(drops[k] > drops[k - 1] for k in range(1, n)):
+        return None
+    parts = Partition([dk for dk in drops if dk > 0]).conjugate().parts
     if multiplicity is not None and sum(parts) != multiplicity:
         return None
-    return tuple(parts)
+    return parts
 
 
 def multiunion(partitions: list) -> tuple:
@@ -358,29 +338,6 @@ def _point_on_path(curves: list, t: float) -> list:
     return [complex(c.to_float().eval([t])) for c in curves]
 
 
-def _gen_eigenspace_with_noise(a: np.ndarray, mu: complex, rank_tol: float):
-    """Generalized eigenspace plus a first-order angular noise estimate.
-
-    The estimate eps * sigma_max / sigma_r bounds the rotation of the
-    computed kernel caused by SVD backward error; it grows as the rank
-    gap of the powered matrix closes, which is exactly the regime where
-    consecutive path samples stop being comparable at fixed tolerance.
-    """
-    n = a.shape[0]
-    m = a - complex(mu) * np.eye(n)
-    scale = np.linalg.norm(m, 2)
-    if scale > 0:
-        m = m / scale
-    p = np.linalg.matrix_power(m, n)
-    _, s, vh = np.linalg.svd(p)
-    smax = s[0] if len(s) else 0.0
-    thr = rank_tol * smax if smax > 0 else rank_tol
-    r = int(np.sum(s > thr))
-    basis = vh[r:, :].conj().T
-    noise = float(np.finfo(float).eps * smax / s[r - 1]) if r > 0 else 0.0
-    return Subspace(basis), noise
-
-
 def _probe_path(
     family: MatrixFamily,
     branch_index: int,
@@ -417,9 +374,13 @@ def _probe_path(
             raise CoalescencePathError(f"sample t={t!r} lies on the coalescence locus")
         a = family.eval(pt)
         mu = family.branch_values(pt)[branch_index]
-        sp, nu = _gen_eigenspace_with_noise(a, mu, rank_tol)
+        sp, s, r = _root_space(a, mu, rank_tol)
         spaces.append(sp)
-        noises.append(nu)
+        # eps * sigma_max / sigma_r bounds the rotation of the computed
+        # kernel caused by SVD backward error; it grows as the rank gap of
+        # the powered matrix closes, which is exactly the regime where
+        # consecutive samples stop being comparable at fixed tolerance
+        noises.append(float(np.finfo(float).eps * s[0] / s[r - 1]) if r > 0 else 0.0)
         if len(spaces) >= 2:
             g = gap_distance(spaces[-2], spaces[-1])
             gaps.append(g)

@@ -42,25 +42,11 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .scalars import ComplexRational, scalar_abs2, to_complex, to_exact
-from .series import SeriesMatrix, SeriesRing, TruncatedSeries
+from .darboux import _coalescent_pairs
+from .scalars import nonzero_int, scalar_abs2, to_complex, to_exact
+from .series import SeriesMatrix
 
-_RESONANCE_TOL = 1e-8
 _HOLCON_FLOOR = 1e-8
-
-
-def _nonzero_int(v, exact: bool):
-    """The value of v as a nonzero integer, or None."""
-    if exact:
-        v = to_exact(v)
-        if v.im != 0 or v.re.denominator != 1 or v.re == 0:
-            return None
-        return int(v.re)
-    v = to_complex(v)
-    m = round(v.real)
-    if abs(v.imag) > _RESONANCE_TOL or abs(v.real - m) > _RESONANCE_TOL or m == 0:
-        return None
-    return m
 
 
 class FramedConnection:
@@ -112,31 +98,10 @@ class FramedConnection:
         self.B = self.bdiag_matrix + L.commutator(delta0)
         self.omega = [delta0.diff(a).commutator(L) for a in range(self.d)]
 
-        self._classify_pairs()
-
-    def _classify_pairs(self):
         fvals = [f.constant_term() for f in self.f]
-        if self.exact:
-            coal = [
-                (i, j)
-                for i in range(self.n)
-                for j in range(self.n)
-                if i != j and fvals[i] == fvals[j]
-            ]
-        else:
-            fscale = max([1.0] + [abs(v) for v in fvals])
-            coal = [
-                (i, j)
-                for i in range(self.n)
-                for j in range(self.n)
-                if i != j and abs(fvals[i] - fvals[j]) <= self.tol * fscale
-            ]
-        self.coalescent_pairs = tuple(sorted(coal))
-        self.pnr_violations = []
-        for (i, j) in self.coalescent_pairs:
-            m = _nonzero_int(self.b[i] - self.b[j], self.exact)
-            if m is not None:
-                self.pnr_violations.append((i, j, m))
+        self.coalescent_pairs, self.pnr_violations = _coalescent_pairs(
+            fvals, self.b, self.exact, self.tol
+        )
         self._pivots: dict = {}
 
     def is_coalescent(self, i: int, j: int) -> bool:
@@ -179,11 +144,11 @@ def connection_from_de(problem, jet, tol: float | None = None) -> FramedConnecti
     matrix itself.
     """
     ring = jet.F.ring
-    fcs = problem.f_coefficients(ring)
+    fs = problem.f_series(ring)
     n = problem.n
     rows = [[ring.zero() for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        rows[i][i] = TruncatedSeries(ring, fcs[i])
+        rows[i][i] = fs[i]
     delta0 = SeriesMatrix(rows)
     return FramedConnection(delta0, list(problem.b), jet.F, tol=problem.tol if tol is None else tol)
 
@@ -221,12 +186,7 @@ def _resonance_guard(conn: FramedConnection, k: int):
     # division by b_i - b_j + k + 1 pins the coalescent entries of F_{k+1}
     target = -(k + 1)
     for (i, j) in conn.coalescent_pairs:
-        bd = conn.b[i] - conn.b[j]
-        if conn.exact:
-            hit = bd == target
-        else:
-            hit = abs(to_complex(bd) - target) < _RESONANCE_TOL
-        if hit:
+        if nonzero_int(conn.b[i] - conn.b[j], conn.exact) == target:
             raise ResonanceError(
                 f"coalescent pair ({i},{j}) is resonant at gauge order {k + 1}: "
                 f"b[{i}]-b[{j}] = {target}"

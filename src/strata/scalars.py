@@ -11,6 +11,9 @@ from fractions import Fraction
 
 from .errors import ExactnessError
 
+# floating-mode slack when deciding that a value is a nonzero integer
+RESONANCE_TOL = 1e-8
+
 
 class ComplexRational:
     """A Gaussian rational a + b*i with Fraction components."""
@@ -122,10 +125,6 @@ def _coerce(x):
     return NotImplemented
 
 
-CR_ZERO = ComplexRational(0, 0)
-CR_ONE = ComplexRational(1, 0)
-
-
 def is_exact_scalar(x) -> bool:
     return isinstance(x, (ComplexRational, int, Fraction))
 
@@ -155,17 +154,7 @@ def to_exact(x) -> ComplexRational:
 
 
 def to_complex(x) -> complex:
-    if isinstance(x, ComplexRational):
-        return complex(x)
     return complex(x)
-
-
-def scalar_zero(exact: bool):
-    return CR_ZERO if exact else 0j
-
-
-def scalar_one(exact: bool):
-    return CR_ONE if exact else 1 + 0j
 
 
 def scalar_abs2(x):
@@ -174,3 +163,21 @@ def scalar_abs2(x):
         return x.abs2()
     z = complex(x)
     return z.real * z.real + z.imag * z.imag
+
+
+def nonzero_int(v, exact: bool):
+    """The integer m with v == m != 0, or None.
+
+    Exact mode demands equality; floating mode accepts the closed box
+    |Re v - m| <= RESONANCE_TOL, |Im v| <= RESONANCE_TOL.
+    """
+    if exact:
+        v = to_exact(v)
+        if v.im != 0 or v.re.denominator != 1 or v.re == 0:
+            return None
+        return int(v.re)
+    v = to_complex(v)
+    m = round(v.real)
+    if abs(v.imag) > RESONANCE_TOL or abs(v.real - m) > RESONANCE_TOL or m == 0:
+        return None
+    return m

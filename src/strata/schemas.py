@@ -34,7 +34,7 @@ from .errors import ShapeError, ValidationError
 from .families import MatrixFamily
 from .gauge import FramedConnection, GaugeSeries, build_connection
 from .polynomials import Poly
-from .scalars import ComplexRational, is_exact_scalar, to_complex
+from .scalars import ComplexRational, to_complex
 from .series import SeriesMatrix, SeriesRing, TruncatedSeries
 
 

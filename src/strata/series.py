@@ -156,9 +156,6 @@ class TruncatedSeries:
         lim = self.valid if through is None else min(through, self.ring.K)
         return all(c == 0 for e, c in self.coeffs.items() if sum(e) <= lim)
 
-    def degree_slice(self, deg: int) -> dict:
-        return {e: c for e, c in self.coeffs.items() if sum(e) == deg}
-
     def max_abs(self, through: int | None = None) -> float:
         lim = self.valid if through is None else min(through, self.ring.K)
         m = 0.0
@@ -170,12 +167,6 @@ class TruncatedSeries:
     def _check(self, other: "TruncatedSeries"):
         if not self.ring.compatible(other.ring):
             raise ShapeError("series from incompatible rings")
-
-    def copy(self, valid: int | None = None) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, dict(self.coeffs), self.valid if valid is None else valid)
-
-    def with_valid(self, valid: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, dict(self.coeffs), valid)
 
     def __repr__(self):
         head = ", ".join(
@@ -400,9 +391,6 @@ class SeriesMatrix:
                 row.append(acc)
             out.append(row)
         return SeriesMatrix(out)
-
-    def mul_series(self, s: TruncatedSeries) -> "SeriesMatrix":
-        return self.map(lambda e: e * s)
 
     def commutator(self, other: "SeriesMatrix") -> "SeriesMatrix":
         return self @ other - other @ self

@@ -125,16 +125,32 @@ def kernel_subspace(a: np.ndarray, tol: float = 1e-10) -> Subspace:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ShapeError("matrix expected")
+    return _kernel_svd(a, tol)[0]
+
+
+def _kernel_svd(a: np.ndarray, tol: float):
+    """kernel_subspace of a, with the singular values and numerical rank."""
     m, n = a.shape
     if m == 0 or n == 0:
-        return Subspace.full(n)
+        return Subspace.full(n), np.zeros(0), 0
     _, s, vh = np.linalg.svd(a)
-    smax = s[0] if len(s) else 0.0
+    smax = s[0]
     # relative cutoff; powered non-normal matrices can have tiny norms, so
     # never let the threshold go absolute unless the matrix is exactly zero
     thr = tol * smax if smax > 0 else tol
     rank = int(np.sum(s > thr))
-    return Subspace(vh[rank:, :].conj().T)
+    return Subspace(vh[rank:, :].conj().T), s, rank
+
+
+def _root_space(a: np.ndarray, lam: complex, tol: float):
+    """_kernel_svd of (A - lam I)^n, A - lam I scaled to unit norm first."""
+    n = a.shape[0]
+    m = a - complex(lam) * np.eye(n)
+    # normalize before powering so the tolerance keeps meaning
+    scale = np.linalg.norm(m, 2)
+    if scale > 0:
+        m = m / scale
+    return _kernel_svd(np.linalg.matrix_power(m, n), tol)
 
 
 def generalized_eigenspace(a: np.ndarray, lam: complex, tol: float = 1e-10) -> Subspace:
@@ -143,12 +159,26 @@ def generalized_eigenspace(a: np.ndarray, lam: complex, tol: float = 1e-10) -> S
     n = a.shape[0]
     if a.shape != (n, n):
         raise ShapeError("square matrix expected")
-    m = a - complex(lam) * np.eye(n)
-    # normalize before powering so the tolerance keeps meaning
-    scale = np.linalg.norm(m, 2)
-    if scale > 0:
-        m = m / scale
-    return kernel_subspace(np.linalg.matrix_power(m, n), tol)
+    return _root_space(a, lam, tol)[0]
+
+
+def _numerical_rank(m: np.ndarray, tol: float) -> int:
+    """Number of singular values above tol times the largest one."""
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size == 0 or s[0] == 0:
+        return 0
+    return int(np.sum(s > tol * s[0]))
+
+
+def _power_ranks(m: np.ndarray, powers: int, tol: float) -> list:
+    """[rank m^0, rank m^1, ..., rank m^powers] by _numerical_rank."""
+    n = m.shape[0]
+    ranks = [n]
+    p = np.eye(n, dtype=complex)
+    for _ in range(powers):
+        p = p @ m
+        ranks.append(_numerical_rank(p, tol))
+    return ranks
 
 
 def intertwiner_dimension(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> int:

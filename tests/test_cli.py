@@ -109,6 +109,19 @@ class TestBundles:
         doc = run_json(capsys, "bundles", "classify", "--input", str(f))
         assert doc["symbol"] == [[2]]
 
+    @pytest.mark.parametrize("matrix", [[[2, 1], [0, 2]], [[3, 0], [0, 3]]])
+    def test_classify_single_cluster_is_strict_json(self, capsys, tmp_path, matrix):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(matrix))
+        code, out, err = run(capsys, "bundles", "classify", "--input", str(f))
+        assert code == 0, err
+
+        def refuse(name):
+            raise ValueError(f"non-finite constant {name} in stdout")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["cluster_gap"] is None
+
 
 class TestGap:
     def test_distance_exact_one(self, capsys, tmp_path):

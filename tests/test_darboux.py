@@ -7,13 +7,17 @@ import pytest
 from strata.darboux import (
     DEJet,
     DEProblem,
+    _exact_eliminate,
+    _exact_sparse_solve,
     de_closed_form_n2,
     de_oracle_solve,
     de_residual,
     de_solve_jet,
 )
-from strata.errors import ResonanceError, ValidationError
+from strata.errors import OracleError, ResonanceError, ValidationError
+from strata.gauge import connection_from_de
 from strata.polynomials import Poly
+from strata.scalars import ComplexRational, nonzero_int
 from strata.series import SeriesMatrix, SeriesRing
 
 
@@ -42,6 +46,19 @@ class TestProblemValidation:
         assert p.is_coalescent(0, 1) and not p.is_coalescent(0, 2)
         q = DEProblem(2, 2, ["0", "1"], [X(2, 0), X(2, 1)], ["0", "0"])
         assert not q.coalescent
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_pairs_agree_with_connection(self, exact):
+        # b_1 - b_0 = 1 at the coalescent pair (0, 1): a PNR violation
+        if exact:
+            p = DEProblem(3, 3, ["0", "0", "1"], [X(3, 0), X(3, 1), X(3, 2)], ["0", "1", "3/4"])
+        else:
+            f = [X(3, a).to_float() for a in range(3)]
+            p = DEProblem(3, 3, [0.0, 0.0, 1.0], f, [0.0, 1.0, 0.75])
+        jet, _, _ = de_solve_jet(p, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2)
+        conn = connection_from_de(p, jet)
+        assert p.coalescent == set(conn.coalescent_pairs) == {(0, 1), (1, 0)}
+        assert p.pnr_violations == conn.pnr_violations == [(0, 1, -1), (1, 0, 1)]
 
     def test_shape_errors(self):
         with pytest.raises(Exception):
@@ -91,9 +108,17 @@ class TestSolver:
 
     def test_resonance_raised_by_both_routes(self):
         p = DEProblem(2, 2, ["0", "0"], [X(2, 0), X(2, 1)], ["0", "2"])
-        with pytest.raises(ResonanceError):
+        with pytest.raises(ResonanceError) as solver:
             de_solve_jet(p, [[0, 1], [1, 0]], 2)
-        with pytest.raises(ResonanceError):
+        with pytest.raises(ResonanceError) as oracle:
+            de_oracle_solve(p, [[0, 1], [1, 0]], 2)
+        assert str(oracle.value) == str(solver.value)
+
+    def test_oracle_reports_inconsistent_seed(self):
+        # F0 violates the degree-0 constraint at the coalescent pair and no
+        # b difference is resonant, so the oracle's system is inconsistent
+        p = DEProblem(2, 2, ["0", "0"], [X(2, 0), X(2, 1)], ["0", "1/2"])
+        with pytest.raises(OracleError, match="inconsistent linear system at degree 1"):
             de_oracle_solve(p, [[0, 1], [1, 0]], 2)
 
     def test_coalescent_feasible_seed(self):
@@ -152,3 +177,55 @@ class TestResidualReport:
         jet, _, _ = de_solve_jet(p, [[0, 1], [1, 0]], 4)
         rep = de_residual(p, jet, 2)
         assert rep.exact_zero
+
+
+def Q(v):
+    return ComplexRational(Fraction(v))
+
+
+class TestExactElimination:
+    def test_square_solution(self):
+        rows = [[Q(2), Q(1)], [Q(1), Q(3)]]
+        assert _exact_eliminate(rows, [Q(3), Q(5)], 2) == [Q("4/5"), Q("7/5")]
+
+    def test_singular(self):
+        rows = [[Q(1), Q(2)], [Q(2), Q(4)]]
+        assert _exact_eliminate(rows, [Q(1), Q(2)], 2) == "singular"
+        assert _exact_eliminate([], [], 1) == "singular"
+
+    def test_inconsistent(self):
+        rows = [[Q(1), Q(1)], [Q(1), Q(-1)], [Q(2), Q(0)]]
+        assert _exact_eliminate(rows, [Q(2), Q(0), Q(3)], 2) == "inconsistent"
+
+    def test_overdetermined_consistent(self):
+        rows = [[Q(1), Q(1)], [Q(1), Q(-1)], [Q(2), Q(0)]]
+        assert _exact_eliminate(rows, [Q(2), Q(0), Q(2)], 2) == [Q(1), Q(1)]
+
+    def test_sparse_rows(self):
+        # rows read sum(coeff * u) + const = 0; u0 comes from a unit row,
+        # u1 and u2 from the coupled core
+        rows = [
+            ({0: Q(2)}, Q(-4)),
+            ({0: Q(1), 1: Q(1), 2: Q(1)}, Q(-6)),
+            ({1: Q(1), 2: Q(-1)}, Q(0)),
+        ]
+        assert _exact_sparse_solve(rows, 3) == [Q(2), Q(2), Q(2)]
+        assert _exact_sparse_solve(rows[:2], 3) == "singular"
+        assert _exact_sparse_solve(rows + [({0: Q(1)}, Q(0))], 3) == "inconsistent"
+        assert _exact_sparse_solve(rows + [({}, Q(1))], 3) == "inconsistent"
+
+
+class TestNonzeroInt:
+    def test_exact(self):
+        assert nonzero_int(Q(3), True) == 3
+        assert nonzero_int(Q(-2), True) == -2
+        assert nonzero_int(Q(0), True) is None
+        assert nonzero_int(Q("1/2"), True) is None
+        assert nonzero_int(ComplexRational(1, 1), True) is None
+
+    def test_float_box(self):
+        assert nonzero_int(2.0 + 0j, False) == 2
+        assert nonzero_int(2.0 + 5e-9 + 5e-9j, False) == 2
+        assert nonzero_int(2.0 + 2e-8, False) is None
+        assert nonzero_int(2.0 + 2e-8j, False) is None
+        assert nonzero_int(1e-9 + 0j, False) is None

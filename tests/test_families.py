@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from strata.bundles import classify_matrix_detailed
 from strata.errors import CoalescencePathError, ExactnessError, ShapeError
 from strata.families import (
     MatrixFamily,
@@ -66,6 +67,20 @@ class TestSegreHelpers:
         j = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
         assert segre_at_eigenvalue(j, 2.0, 3) == (2, 1)
         assert segre_at_eigenvalue(np.diag([1.0, 1.0]), 1.0, 2) == (1, 1)
+
+    @pytest.mark.parametrize("a", [
+        np.diag([1.0, 2.0, 3.0]),
+        np.array([[5.0, 1.0], [0.0, 5.0]]),
+        np.eye(3),
+        np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 7.0, 1.0], [0.0, 0.0, 0.0, 7.0]]),
+    ])
+    def test_segre_agrees_with_classify_matrix(self, a):
+        # the Jordan fixtures of test_bundles: each member of the symbol
+        # is the Segre characteristic at its cluster center
+        res = classify_matrix_detailed(a)
+        for member, center in zip(res.symbol.members, res.eigenvalues):
+            assert segre_at_eigenvalue(a, center, member.weight) == member.parts
 
     def test_multiunion_merges_multiplicities(self):
         assert multiunion([(2, 1), (1,)]) == (2, 1, 1)

@@ -7,6 +7,8 @@ byte for byte.  Floating-mode outputs are compared as parsed JSON with
 the sign of a zero component (``-c`` and ``0j - c`` differ there).
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -74,9 +76,6 @@ CASES = [
 
 def run_case(argv) -> str:
     """Stdout of one case, with document names resolved in GOLDEN."""
-    import contextlib
-    import io
-
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
