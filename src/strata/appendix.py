@@ -51,7 +51,7 @@ from fractions import Fraction
 
 from .errors import ShapeError, ValidationError
 from .polynomials import Poly
-from .scalars import ComplexRational, scalar_abs2, to_complex, to_exact
+from .scalars import ComplexRational, to_complex, to_exact
 from .series import SeriesMatrix, SeriesRing
 
 _CURVE_TOL = 1e-10
@@ -295,14 +295,8 @@ def axis_curves() -> list:
 # -- resonant 2x2 classifier ---------------------------------------------------
 
 
-def _poly_max_abs(p: Poly) -> float:
-    if p.exact:
-        return max((math.sqrt(float(scalar_abs2(c))) for c in p.coeffs.values()), default=0.0)
-    return max((abs(c) for c in p.coeffs.values()), default=0.0)
-
-
 def _poly_is_zero(p: Poly, tol: float) -> bool:
-    return p.is_zero() if p.exact else _poly_max_abs(p) <= tol
+    return p.is_zero() if p.exact else p.max_abs() <= tol
 
 
 @dataclass
@@ -375,11 +369,11 @@ def _fit_kappa(l: Poly, diff: Poly, tol: float):
     if l.exact:
         pivot = max(q.coeffs)
         kappa = l.coeffs.get(pivot, to_exact(0)) / q.coeffs[pivot]
-        return kappa, _poly_max_abs(l - q * kappa)
+        return kappa, (l - q * kappa).max_abs()
     num = sum(l.coeffs.get(e, 0j) * q.coeffs[e].conjugate() for e in q.coeffs)
     den = sum(abs(c) ** 2 for c in q.coeffs.values())
     kappa = num / den
-    return kappa, _poly_max_abs(l - q * kappa)
+    return kappa, (l - q * kappa).max_abs()
 
 
 def classify_2x2(g, h, l, m, tol: float = _FIT_TOL) -> Classification2x2:
@@ -398,7 +392,7 @@ def classify_2x2(g, h, l, m, tol: float = _FIT_TOL) -> Classification2x2:
     for a in range(d):
         dh = h.diff(a)
         r3 = (-gm) * l.diff(a) - (l * gm.diff(a)) * (-2)
-        structure = max(structure, _poly_max_abs(l * dh), _poly_max_abs(gm * dh), _poly_max_abs(r3))
+        structure = max(structure, (l * dh).max_abs(), (gm * dh).max_abs(), r3.max_abs())
     effective = 0.0 if g.exact else tol
     if structure > effective:
         return Classification2x2(
@@ -442,7 +436,7 @@ def classify_2x2(g, h, l, m, tol: float = _FIT_TOL) -> Classification2x2:
     # M^-1 A M - diag(g, m) with unipotent M: only the (2,1) entry can survive,
     # and it equals 2 l + w (m - g) for w = 2 kappa (g - m).
     resid21 = l * 2 - two_kgm * gm
-    diag_res = _poly_max_abs(resid21)
+    diag_res = resid21.max_abs()
     return Classification2x2(
         kind="I",
         kappa=kappa,

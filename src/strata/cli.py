@@ -51,7 +51,6 @@ from .partitions import (
     mu_string,
 )
 from .scalars import to_complex
-from .series import SeriesRing
 from .subspaces import Subspace, gap_distance, kernel_subspace
 
 
@@ -321,23 +320,7 @@ def _cmd_gauge_residual(args) -> int:
 
 
 def _cmd_gauge_witness(args) -> int:
-    doc = _load_json(args.input)
-    exact = schemas.document_is_exact(doc)
-    d, n = int(doc["d"]), int(doc["n"])
-    center = [schemas.decode_scalar(c) for c in doc["center"]]
-    ring = SeriesRing(d, int(doc["K"]), center, exact)
-    fpolys = [schemas.decode_poly(t, d, exact) for t in doc["Delta0"]]
-    if len(fpolys) != n:
-        raise ValidationError("Delta0 must list one diagonal polynomial per row")
-    zero = ring.zero()
-    delta0 = ring.matrix(
-        [[ring.from_poly(fpolys[i]) if i == j else zero for j in range(n)] for i in range(n)]
-    )
-    grid = {"d": d, "n": n, "center": doc["center"], "K": doc["K"]}
-    bmat = schemas.decode_series_matrix({**grid, "entries": doc["B"]}, ring)
-    varpi = [schemas.decode_series_matrix({**grid, "entries": g}, ring) for g in doc["varpi"]]
-    if len(varpi) != d:
-        raise ValidationError("varpi must list one matrix per coordinate")
+    delta0, bmat, varpi = schemas.decode_witness(_load_json(args.input))
     report = dv_witness(delta0, bmat, varpi, tol=_tol(args, 1e-10))
     out = report.to_dict()
     if report.L is not None:

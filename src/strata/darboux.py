@@ -94,7 +94,7 @@ def _coalescent_pairs(values, b, exact: bool, tol: float):
 class DEProblem:
     """Base-point data for the system: dimensions, f_i, b_i, x_o.
 
-    f entries are Poly (any mode) or TruncatedSeries centered at x_o.
+    f entries are Poly (any mode).
     Exact mode is used when every ingredient converts exactly; otherwise
     everything is coerced to complex floating point.  Pair routing
     (coalescent vs regular) is decided by _coalescent_pairs on the f values
@@ -113,14 +113,10 @@ class DEProblem:
         self.tol = float(tol)
         self.f = list(f)
         for i, fi in enumerate(self.f):
-            if isinstance(fi, Poly):
-                if fi.d != d:
-                    raise ShapeError(f"f[{i}] has {fi.d} variables, expected {d}")
-            elif isinstance(fi, TruncatedSeries):
-                if fi.ring.d != d:
-                    raise ShapeError(f"f[{i}] has {fi.ring.d} variables, expected {d}")
-            else:
-                raise ValidationError(f"f[{i}] must be Poly or TruncatedSeries")
+            if not isinstance(fi, Poly):
+                raise ValidationError(f"f[{i}] must be Poly")
+            if fi.d != d:
+                raise ShapeError(f"f[{i}] has {fi.d} variables, expected {d}")
         self.exact = self._probe_exact(x0, b)
         if self.exact:
             self.x0 = tuple(to_exact(v) for v in x0)
@@ -131,11 +127,8 @@ class DEProblem:
         self._classify_pairs()
 
     def _probe_exact(self, x0, b) -> bool:
-        for fi in self.f:
-            if isinstance(fi, Poly) and not fi.exact:
-                return False
-            if isinstance(fi, TruncatedSeries) and not fi.ring.exact:
-                return False
+        if not all(fi.exact for fi in self.f):
+            return False
         try:
             for v in tuple(x0) + tuple(b):
                 to_exact(v)
@@ -145,13 +138,9 @@ class DEProblem:
 
     def _f_value_and_gradient(self, i):
         fi = self.f[i]
-        if isinstance(fi, Poly):
-            src = fi if fi.exact == self.exact else (fi.to_float() if not self.exact else fi)
-            val = src.eval(self.x0)
-            grad = [src.diff(a).eval(self.x0) for a in range(self.d)]
-        else:
-            val = fi.eval(self.x0)
-            grad = [fi.diff(a).eval(self.x0) for a in range(self.d)]
+        src = fi if self.exact else fi.to_float()
+        val = src.eval(self.x0)
+        grad = [src.diff(a).eval(self.x0) for a in range(self.d)]
         if self.exact:
             return to_exact(val), [to_exact(g) for g in grad]
         return to_complex(val), [to_complex(g) for g in grad]
@@ -192,26 +181,7 @@ class DEProblem:
 
     def f_series(self, ring: SeriesRing) -> list:
         """Taylor series of each f_i about x_o in ring, through ring.K."""
-        out = []
-        for i, fi in enumerate(self.f):
-            if isinstance(fi, Poly):
-                src = fi if ring.exact or not fi.exact else fi.to_float()
-                out.append(ring.from_poly(src))
-                continue
-            if fi.ring.K < ring.K or fi.valid < ring.K:
-                raise ValidationError(
-                    f"f[{i}] series is only valid to degree {min(fi.ring.K, fi.valid)}, "
-                    f"need degree {ring.K}"
-                )
-            center_ok = all(
-                abs(to_complex(a) - to_complex(c)) <= 1e-12
-                for a, c in zip(fi.ring.center, ring.center)
-            )
-            if not center_ok:
-                raise ValidationError(f"f[{i}] series is centered away from the base point")
-            conv = to_exact if ring.exact else to_complex
-            out.append(TruncatedSeries(ring, {e: conv(c) for e, c in fi.coeffs.items()}))
-        return out
+        return [ring.from_poly(fi if ring.exact else fi.to_float()) for fi in self.f]
 
 
 @dataclass

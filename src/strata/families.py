@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .partitions import Partition
-from .polynomials import Poly
+from .polynomials import Poly, _matmul
 from .scalars import to_complex, to_exact
 from .subspaces import Subspace, _numerical_rank, _power_ranks, _root_space, gap_distance
 
@@ -140,22 +140,13 @@ class MatrixFamily:
         if len(curves) != self.d:
             raise ShapeError("need one curve component per variable")
         exact = self.exact and all(c.exact for c in curves)
-        if exact:
-            cs = list(curves)
-            rows = [[p.subs_univariate(cs) for p in r] for r in self.entries]
-            br = (
-                None
-                if self.branches is None
-                else [(p.subs_univariate(cs), m) for p, m in self.branches]
-            )
-        else:
-            cs = [c.to_float() for c in curves]
-            rows = [[p.to_float().subs_univariate(cs) for p in r] for r in self.entries]
-            br = (
-                None
-                if self.branches is None
-                else [(p.to_float().subs_univariate(cs), m) for p, m in self.branches]
-            )
+        cs = list(curves) if exact else [c.to_float() for c in curves]
+
+        def compose(p: Poly) -> Poly:
+            return (p if exact else p.to_float()).subs_univariate(cs)
+
+        rows = [[compose(p) for p in r] for r in self.entries]
+        br = None if self.branches is None else [(compose(p), m) for p, m in self.branches]
         return MatrixFamily(1, self.n, rows, br, validate=False)
 
 
@@ -204,17 +195,6 @@ def multiunion(partitions: list) -> tuple:
 
 
 # -- exact kernel-sheaf value for univariate families ---------------------------
-
-
-def _sympy_scalar(c, exact: bool):
-    import sympy
-
-    if exact:
-        cr = to_exact(c)
-        return sympy.Rational(cr.re.numerator, cr.re.denominator) + sympy.I * sympy.Rational(
-            cr.im.numerator, cr.im.denominator
-        )
-    raise ExactnessError("exact coefficients required")
 
 
 def _vanishing_order(expr, x, x0, cap: int):
@@ -310,25 +290,9 @@ def kernel_sheaf_limit(family: MatrixFamily, branch_index: int, curves: list) ->
     ]
     power = rows
     for _ in range(n - 1):
-        power = _poly_mat_mul(power, rows)
+        power = _matmul(power, rows)
     powered = MatrixFamily(1, n, power, None, validate=False)
     return kernel_sheaf_value_1d(powered, 0)
-
-
-def _poly_mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    inner = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 # -- path limits ------------------------------------------------------------------

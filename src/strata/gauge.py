@@ -42,7 +42,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .darboux import _coalescent_pairs
+from .darboux import _coalescent_pairs, _fscale
 from .scalars import nonzero_int, scalar_abs2, to_complex, to_exact
 from .series import SeriesMatrix
 
@@ -528,7 +528,7 @@ def dv_witness(delta0: SeriesMatrix, B: SeriesMatrix, varpi, tol: float = 1e-10)
 
     f = [delta0.entry(i, i) for i in range(n)]
     fvals = [s.constant_term() for s in f]
-    fscale = max([1.0] + [scalar_abs2(v) ** 0.5 for v in fvals])
+    fscale = _fscale(fvals)
     rows = [[ring.zero() for _ in range(n)] for _ in range(n)]
     obstructions = []
     worst = 0.0

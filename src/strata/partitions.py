@@ -31,7 +31,13 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        try:
+            raw = tuple(parts)
+            parts = tuple(int(p) for p in raw)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"partition parts must be integers: {parts!r}") from exc
+        if parts != raw:
+            raise ValidationError(f"partition parts must be integers: {raw!r}")
         if any(p <= 0 for p in parts):
             raise ValidationError(f"partition parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

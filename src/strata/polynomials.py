@@ -3,6 +3,11 @@
 Exponent keys are tuples of length d; coefficients are ComplexRational in
 exact mode and Python complex otherwise.  Zero coefficients are dropped on
 construction, so ``not p.coeffs`` is the zero test.
+
+The private module functions below are the one implementation of sparse
+coefficient arithmetic: ``Poly`` and ``series.TruncatedSeries`` both work
+through them on their ``{exponent tuple: scalar}`` dicts, and ``_matmul``
+multiplies matrices of either.
 """
 
 from __future__ import annotations
@@ -10,7 +15,112 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ShapeError, ValidationError
-from .scalars import ComplexRational, is_exact_scalar, to_complex, to_exact
+from .scalars import ComplexRational, is_exact_scalar, scalar_abs2, to_complex, to_exact
+
+
+# -- sparse coefficient kernel --------------------------------------------------
+
+
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, None)
+        s = c if s is None else s + c
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _mul(a: dict, b: dict, K: int) -> dict:
+    """Product with every term of total degree above K dropped."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        d1 = sum(e1)
+        for e2, c2 in b.items():
+            if d1 + sum(e2) > K:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = c1 * c2
+            s = out.get(e, None)
+            s = v if s is None else s + v
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _diff(c: dict, a: int) -> dict:
+    out: dict = {}
+    for e, v in c.items():
+        if e[a] == 0:
+            continue
+        ne = list(e)
+        ne[a] -= 1
+        out[tuple(ne)] = v * e[a]
+    return out
+
+
+def _eval(c: dict, pt, exact: bool):
+    """Value at pt, whose entries are already in the scalar mode."""
+    if exact:
+        acc = ComplexRational(0)
+        for e, term in c.items():
+            for x, k in zip(pt, e):
+                for _ in range(k):
+                    term = term * x
+            acc = acc + term
+        return acc
+    acc = 0j
+    for e, v in c.items():
+        term = to_complex(v)
+        for x, k in zip(pt, e):
+            if k:
+                term *= x ** k
+        acc += term
+    return acc
+
+
+def _shift(c: dict, center, one, K: int) -> dict:
+    """Substitute x_a -> x_a + center_a, dropping total degree above K."""
+    d = len(center)
+    origin = (0,) * d
+    linear = []
+    for a, ca in enumerate(center):
+        e = [0] * d
+        e[a] = 1
+        factor = {tuple(e): one}
+        if ca != 0:
+            factor[origin] = ca
+        linear.append(factor)
+    out: dict = {}
+    for e, v in c.items():
+        term = {origin: v}
+        for a, k in enumerate(e):
+            for _ in range(k):
+                term = _mul(term, linear[a], K)
+        out = _add(out, term)
+    return out
+
+
+def _max_abs(values) -> float:
+    return max([0.0] + [scalar_abs2(c) ** 0.5 for c in values])
+
+
+def _matmul(a: list, b: list) -> list:
+    """Row-by-column product of matrices given as lists of rows."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + row[k] * b[k][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 class Poly:
@@ -57,6 +167,12 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=-1)
 
+    def _like(self, coeffs: dict) -> "Poly":
+        """A Poly of this shape and mode owning coeffs, which hold no zero."""
+        p = Poly(self.d, None, self.exact)
+        p.coeffs = coeffs
+        return p
+
     def _check(self, other: "Poly"):
         if self.d != other.d:
             raise ShapeError(f"polynomials in {self.d} and {other.d} variables")
@@ -80,24 +196,12 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.d, other, self.exact)
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, None)
-            s = c if s is None else s + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        p = Poly(self.d, None, self.exact)
-        p.coeffs = out
-        return p
+        return self._like(_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly(self.d, None, self.exact)
-        p.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return p
+        return self._like({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -111,25 +215,10 @@ class Poly:
         if not isinstance(other, Poly):
             c = to_exact(other) if self.exact else complex(other)
             if c == 0:
-                return Poly(self.d, None, self.exact)
-            p = Poly(self.d, None, self.exact)
-            p.coeffs = {e: v * c for e, v in self.coeffs.items()}
-            return p
+                return self._like({})
+            return self._like({e: v * c for e, v in self.coeffs.items()})
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, None)
-                v = c1 * c2
-                s = v if s is None else s + v
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        p = Poly(self.d, None, self.exact)
-        p.coeffs = out
-        return p
+        return self._like(_mul(self.coeffs, other.coeffs, self.degree() + other.degree()))
 
     __rmul__ = __mul__
 
@@ -146,40 +235,19 @@ class Poly:
         return result
 
     def diff(self, a: int) -> "Poly":
-        out: dict = {}
-        for e, c in self.coeffs.items():
-            if e[a] == 0:
-                continue
-            ne = list(e)
-            ne[a] -= 1
-            out[tuple(ne)] = c * e[a]
-        p = Poly(self.d, None, self.exact)
-        p.coeffs = out
-        return p
+        return self._like(_diff(self.coeffs, a))
 
     def eval(self, point):
         """Evaluate at a point; exact when self and the point are exact."""
         if len(point) != self.d:
             raise ShapeError(f"point of length {len(point)} for d={self.d}")
-        if self.exact and all(is_exact_scalar(x) or isinstance(x, ComplexRational) for x in point):
-            pt = [to_exact(x) for x in point]
-            acc = ComplexRational(0)
-            for e, c in self.coeffs.items():
-                term = c
-                for x, k in zip(pt, e):
-                    for _ in range(k):
-                        term = term * x
-                acc = acc + term
-            return acc
-        pt = [to_complex(x) for x in point]
-        acc = 0j
-        for e, c in self.coeffs.items():
-            term = to_complex(c)
-            for x, k in zip(pt, e):
-                if k:
-                    term *= x ** k
-            acc += term
-        return acc
+        if self.exact and all(is_exact_scalar(x) for x in point):
+            return _eval(self.coeffs, [to_exact(x) for x in point], True)
+        return _eval(self.coeffs, [to_complex(x) for x in point], False)
+
+    def max_abs(self) -> float:
+        """Largest coefficient modulus; 0.0 for the zero polynomial."""
+        return _max_abs(self.coeffs.values())
 
     def subs_univariate(self, curves: list["Poly"]) -> "Poly":
         """Compose with d univariate polynomials t -> (c_1(t), ..., c_d(t))."""

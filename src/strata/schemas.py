@@ -21,6 +21,8 @@ Document shapes:
   "b": [scalar; n], "F0": [[scalar]]} with F0 optional.
 * framed connection: {"d", "n", "center", "K", "Delta0": [polynomial; n],
   "Bdiag": [scalar; n], "L": [[terms]]} with L the off-diagonal entry grid.
+* witness: the framed-connection ring and Delta0 with "B": [[terms]] and
+  "varpi": [[[terms]]; d] in place of "Bdiag" and "L".
 * gauge series: {"K", "F": [series matrix]}.
 * path: [polynomial; d] in one parameter.
 """
@@ -33,7 +35,7 @@ from .darboux import DEJet, DEProblem
 from .errors import ShapeError, ValidationError
 from .families import MatrixFamily
 from .gauge import FramedConnection, GaugeSeries, build_connection
-from .polynomials import Poly
+from .polynomials import Poly, _shift
 from .scalars import ComplexRational, to_complex
 from .series import SeriesMatrix, SeriesRing, TruncatedSeries
 
@@ -53,7 +55,8 @@ def encode_scalar(v) -> list:
     if isinstance(v, (int, Fraction)):
         return [_encode_part(v, True), "0"]
     c = complex(v)
-    return [c.real, c.imag]
+    # + 0.0 turns -0.0 into 0.0, so equal values always print the same bytes
+    return [c.real + 0.0, c.imag + 0.0]
 
 
 def _decode_part(v):
@@ -229,6 +232,8 @@ def decode_const_matrix(obj, exact: bool | None = None) -> list:
         exact = document_is_exact(obj)
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise ValidationError("matrix must be a list of rows")
+    if any(len(r) != len(obj[0]) for r in obj):
+        raise ShapeError("matrix rows must all have the same length")
     return [[_as_mode(decode_scalar(v), exact) for v in row] for row in obj]
 
 
@@ -269,10 +274,7 @@ def encode_de_problem(problem: DEProblem, F0=None) -> dict:
         "d": problem.d,
         "n": problem.n,
         "x0": [encode_scalar(c) for c in problem.x0],
-        "f": [
-            encode_poly(p if isinstance(p, Poly) else _series_to_absolute_poly(p))
-            for p in problem.f
-        ],
+        "f": [encode_poly(p) for p in problem.f],
         "b": [encode_scalar(c) for c in problem.b],
     }
     if F0 is not None:
@@ -322,23 +324,14 @@ def encode_framed_connection(conn: FramedConnection) -> dict:
 def _series_to_absolute_poly(s: TruncatedSeries) -> Poly:
     """Expand a centered series into a polynomial in the absolute variables."""
     ring = s.ring
-    shifts = [
-        Poly.variable(ring.d, a, ring.exact) - Poly.constant(ring.d, ring.center[a], ring.exact)
-        for a in range(ring.d)
-    ]
-    out = Poly(ring.d, None, ring.exact)
-    for exps, c in s.coeffs.items():
-        if sum(exps) > s.valid:
-            continue
-        term = Poly.constant(ring.d, c, ring.exact)
-        for a, e in enumerate(exps):
-            for _ in range(e):
-                term = term * shifts[a]
-        out = out + term
-    return out
+    coeffs = {e: c for e, c in s.coeffs.items() if sum(e) <= s.valid}
+    top = max((sum(e) for e in coeffs), default=0)
+    return Poly(ring.d, _shift(coeffs, [-c for c in ring.center], ring.scalar(1), top), ring.exact)
 
 
-def decode_framed_connection(obj, tol: float = 1e-10) -> FramedConnection:
+def _decode_frame(obj):
+    """The series ring and the diagonal matrix Delta0 of a framed document,
+    with a reader for its entry grids."""
     exact = document_is_exact(obj)
     d, n = int(obj["d"]), int(obj["n"])
     ring = SeriesRing(d, int(obj["K"]),
@@ -350,10 +343,27 @@ def decode_framed_connection(obj, tol: float = 1e-10) -> FramedConnection:
     delta0 = ring.matrix(
         [[ring.from_poly(fpolys[i]) if i == j else zero for j in range(n)] for i in range(n)]
     )
-    bdiag = [_as_mode(decode_scalar(c), exact) for c in obj["Bdiag"]]
-    lmat = decode_series_matrix({"d": d, "n": n, "center": obj["center"], "K": obj["K"],
-                                 "entries": obj["L"]}, ring)
-    return build_connection(delta0, bdiag, lmat, tol=tol)
+
+    def grid(entries) -> SeriesMatrix:
+        return decode_series_matrix({"n": n, "entries": entries}, ring)
+
+    return ring, delta0, grid
+
+
+def decode_framed_connection(obj, tol: float = 1e-10) -> FramedConnection:
+    ring, delta0, grid = _decode_frame(obj)
+    bdiag = [_as_mode(decode_scalar(c), ring.exact) for c in obj["Bdiag"]]
+    return build_connection(delta0, bdiag, grid(obj["L"]), tol=tol)
+
+
+def decode_witness(obj):
+    """Returns (Delta0, B, varpi) of a witness document."""
+    ring, delta0, grid = _decode_frame(obj)
+    bmat = grid(obj["B"])
+    varpi = [grid(g) for g in obj["varpi"]]
+    if len(varpi) != ring.d:
+        raise ValidationError("varpi must list one matrix per coordinate")
+    return delta0, bmat, varpi
 
 
 # -- gauge series ----------------------------------------------------------------------

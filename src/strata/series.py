@@ -15,8 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import NotInvertibleError, ShapeError, ValidationError
-from .polynomials import Poly
-from .scalars import ComplexRational, scalar_abs2, to_complex, to_exact
+from .polynomials import Poly, _add, _diff, _eval, _matmul, _max_abs, _mul, _shift
+from .scalars import ComplexRational, to_complex, to_exact
 
 
 @lru_cache(maxsize=None)
@@ -28,14 +28,6 @@ def exponents_of_degree(d: int, deg: int) -> tuple:
     for first in range(deg, -1, -1):
         for rest in exponents_of_degree(d - 1, deg - first):
             out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def exponents_up_to(d: int, K: int) -> tuple:
-    out = []
-    for deg in range(K + 1):
-        out.extend(exponents_of_degree(d, deg))
     return tuple(out)
 
 
@@ -107,16 +99,8 @@ class SeriesRing:
         """
         if p.d != self.d:
             raise ShapeError("polynomial dimension mismatch")
-        acc = self.zero()
-        for exps, c in p.coeffs.items():
-            term = self.const(c if self.exact else to_complex(c))
-            for a, k in enumerate(exps):
-                if k:
-                    va = self.var(a)
-                    for _ in range(k):
-                        term = term * va
-            acc = acc + term
-        return acc
+        coeffs = {e: self.scalar(c) for e, c in p.coeffs.items()}
+        return TruncatedSeries(self, _shift(coeffs, self.center, self.scalar(1), self.K))
 
     def matrix(self, rows) -> "SeriesMatrix":
         return SeriesMatrix(rows)
@@ -158,11 +142,7 @@ class TruncatedSeries:
 
     def max_abs(self, through: int | None = None) -> float:
         lim = self.valid if through is None else min(through, self.ring.K)
-        m = 0.0
-        for e, c in self.coeffs.items():
-            if sum(e) <= lim:
-                m = max(m, scalar_abs2(c) ** 0.5)
-        return m
+        return _max_abs(c for e, c in self.coeffs.items() if sum(e) <= lim)
 
     def _check(self, other: "TruncatedSeries"):
         if not self.ring.compatible(other.ring):
@@ -181,14 +161,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = self.ring.const(other)
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, None)
-            s = c if s is None else s + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+        out = _add(self.coeffs, other.coeffs)
         return TruncatedSeries(self.ring, out, min(self.valid, other.valid))
 
     __radd__ = __add__
@@ -214,21 +187,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check(other)
-        K = self.ring.K
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > K:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                s = out.get(e, None)
-                s = v if s is None else s + v
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+        out = _mul(self.coeffs, other.coeffs, self.ring.K)
         return TruncatedSeries(self.ring, out, min(self.valid, other.valid))
 
     __rmul__ = scale
@@ -237,14 +196,7 @@ class TruncatedSeries:
         """Partial derivative; the top coefficient level becomes unknown."""
         if not 0 <= a < self.ring.d:
             raise ValidationError(f"variable index {a} out of range")
-        out: dict = {}
-        for e, c in self.coeffs.items():
-            if e[a] == 0:
-                continue
-            ne = list(e)
-            ne[a] -= 1
-            out[tuple(ne)] = c * e[a]
-        return TruncatedSeries(self.ring, out, self.valid - 1)
+        return TruncatedSeries(self.ring, _diff(self.coeffs, a), self.valid - 1)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; needs a nonzero value at the center."""
@@ -287,31 +239,9 @@ class TruncatedSeries:
         """Evaluate the truncated polynomial at an absolute point."""
         if len(point) != self.ring.d:
             raise ShapeError("point dimension mismatch")
-        if self.ring.exact:
-            pt = [to_exact(x) - cx for x, cx in zip(point, self.ring.center)]
-            acc = ComplexRational(0)
-            for e, c in self.coeffs.items():
-                term = c
-                for y, k in zip(pt, e):
-                    for _ in range(k):
-                        term = term * y
-                acc = acc + term
-            return acc
-        pt = [to_complex(x) - cx for x, cx in zip(point, self.ring.center)]
-        acc = 0j
-        for e, c in self.coeffs.items():
-            term = c
-            for y, k in zip(pt, e):
-                if k:
-                    term *= y ** k
-            acc += term
-        return acc
-
-    def truncate(self, K: int) -> "TruncatedSeries":
-        if K >= self.ring.K:
-            return self
-        ring = SeriesRing(self.ring.d, K, self.ring.center, self.ring.exact)
-        return TruncatedSeries(ring, self.coeffs, min(self.valid, K))
+        conv = to_exact if self.ring.exact else to_complex
+        pt = [conv(x) - cx for x, cx in zip(point, self.ring.center)]
+        return _eval(self.coeffs, pt, self.ring.exact)
 
     def to_float(self) -> "TruncatedSeries":
         if not self.ring.exact:
@@ -377,20 +307,9 @@ class SeriesMatrix:
         return self.map(lambda s: s.scale(v))
 
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        n, m = self.shape
-        m2, p = other.shape
-        if m != m2:
+        if self.shape[1] != other.shape[0]:
             raise ShapeError("matrix product shape mismatch")
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(p):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, m):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(out)
+        return SeriesMatrix(_matmul(self.rows, other.rows))
 
     def commutator(self, other: "SeriesMatrix") -> "SeriesMatrix":
         return self @ other - other @ self

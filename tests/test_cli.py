@@ -280,6 +280,23 @@ class TestErrorContract:
         obj = json.loads(lines[0])
         assert obj["error"] == "invalid-input" and "detail" in obj
 
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])
+
+    def test_non_integer_symbol_part(self, capsys):
+        obj = self.assert_refused(capsys, "bundles", "describe", "--symbol", '"x"')
+        assert obj["error"] == "invalid-input"
+
+    def test_ragged_matrix(self, capsys, tmp_path):
+        f = tmp_path / "ragged.json"
+        f.write_text(json.dumps([[1, 2], [3]]))
+        obj = self.assert_refused(capsys, "bundles", "classify", "--input", str(f))
+        assert obj["error"] == "shape-mismatch"
+
     def test_bad_symbol_json(self, capsys):
         code, _, err = run(capsys, "bundles", "describe", "--symbol", "not json")
         assert code == 2

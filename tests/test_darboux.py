@@ -95,6 +95,11 @@ class TestSolver:
         # binomial spot check: coefficient of (x1 - 0)^1 in F_12
         assert jet.F.entry(0, 1).coeff((1, 0)) == Fraction(3, 4)
 
+    def test_series_f_refused(self):
+        ring = SeriesRing(2, 3, ["0", "1"], exact=True)
+        with pytest.raises(ValidationError):
+            DEProblem(2, 2, ["0", "1"], [X(2, 0), ring.var(1)], ["0", "1/2"])
+
     def test_closed_form_requires_regular_base(self):
         p = DEProblem(2, 2, ["0", "0"], [X(2, 0), X(2, 1)], ["0", "1/2"])
         with pytest.raises(ValidationError):

@@ -36,6 +36,10 @@ def test_partition_shape_and_weight():
         Partition([2, 0])
     with pytest.raises(ValidationError):
         Partition([1, 3, 2])
+    for bad in ("x", ["x"], [2.5], 3):
+        with pytest.raises(ValidationError):
+            Partition(bad)
+    assert Partition([2.0, 1]) == Partition([2, 1])
 
 
 def test_partition_conjugate_involution():

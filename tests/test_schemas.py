@@ -7,7 +7,7 @@ import pytest
 
 from strata import schemas
 from strata.darboux import DEProblem, de_solve_jet
-from strata.errors import ValidationError
+from strata.errors import ShapeError, ValidationError
 from strata.gauge import build_connection, connection_from_de, formal_simplify
 from strata.polynomials import Poly
 from strata.scalars import ComplexRational
@@ -38,6 +38,14 @@ class TestScalars:
     def test_bool_rejected(self):
         with pytest.raises(ValidationError):
             schemas.encode_scalar(True)
+
+    def test_float_zero_prints_unsigned(self):
+        assert json.dumps(schemas.encode_scalar(complex(-0.0, -0.0))) == "[0.0, 0.0]"
+        assert json.dumps(schemas.encode_scalar(complex(-1.5, -0.0))) == "[-1.5, 0.0]"
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(ShapeError):
+            schemas.decode_const_matrix([[1, 2], [3]])
 
     def test_document_exactness_rule(self):
         assert schemas.document_is_exact({"a": ["1/2", "0"], "b": [1, 2]})
