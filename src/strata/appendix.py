@@ -51,7 +51,7 @@ from fractions import Fraction
 
 from .errors import ShapeError, ValidationError
 from .polynomials import Poly
-from .scalars import ComplexRational, to_complex, to_exact
+from .scalars import ComplexRational, coerce, float_pair, zero_test
 from .series import SeriesMatrix, SeriesRing
 
 _CURVE_TOL = 1e-10
@@ -105,11 +105,10 @@ def malgrange_pfaffian_residual(A0, B0, kjet: SeriesMatrix, order: int | None = 
     n = kjet.shape[0]
     if kjet.shape[1] != n:
         raise ShapeError("deformation jet must be square")
+    vanishes = zero_test(ring.exact, 1e-12)
     for i in range(n):
         for j in range(n):
-            c = kjet.entry(i, j).constant_term()
-            bad = bool(c) if ring.exact else abs(c) > 1e-12
-            if bad:
+            if not vanishes(kjet.entry(i, j).constant_term()):
                 raise ValidationError(f"deformation jet entry ({i},{j}) does not vanish at the center")
     determined = ring.K - 1
     if order is None:
@@ -140,7 +139,11 @@ class CurveReport:
 
     @property
     def max_residual(self) -> float:
-        return max((max(abs(r) for r in row) for row in self.residuals), default=0.0)
+        """Largest |residual|; inf when some residual is not finite."""
+        mags = [abs(r) for row in self.residuals for r in row]
+        if not all(math.isfinite(m) for m in mags):
+            return math.inf
+        return max(mags, default=0.0)
 
     @property
     def ok(self) -> bool:
@@ -148,10 +151,10 @@ class CurveReport:
 
     def to_dict(self) -> dict:
         return {
-            "c": [self.c.real, self.c.imag],
-            "exponents": [[e.real, e.imag] for e in self.exponents],
+            "c": float_pair(self.c),
+            "exponents": [float_pair(e) for e in self.exponents],
             "t": list(self.tgrid),
-            "samples": [[[v.real, v.imag] for v in s] for s in self.samples],
+            "samples": [[float_pair(v) for v in s] for s in self.samples],
             "residuals": [[abs(r) for r in row] for row in self.residuals],
             "max_residual": self.max_residual,
             "ok": self.ok,
@@ -175,9 +178,13 @@ def nonversal_curve(alpha0, beta0, gamma0, c, tgrid=None, exponents=None, tol: f
     samples = []
     residuals = []
     for t in tgrid:
-        al = a0 * cmath.exp(ea * t)
-        bt = b0 * cmath.exp(eb * t)
-        gm = g0 * cmath.exp(eg * t)
+        try:
+            al = a0 * cmath.exp(ea * t)
+            bt = b0 * cmath.exp(eb * t)
+            gm = g0 * cmath.exp(eg * t)
+        except OverflowError:
+            at = t.real if t.imag == 0 else t
+            raise ValidationError(f"the curve leaves the float range at t = {at}") from None
         dal, dbt, dgm = ea * al, eb * bt, eg * gm
         w1 = (1 - cc) * bt * dal - al * dbt
         w2 = (1 + cc) * gm * dal - al * dgm
@@ -295,10 +302,6 @@ def axis_curves() -> list:
 # -- resonant 2x2 classifier ---------------------------------------------------
 
 
-def _poly_is_zero(p: Poly, tol: float) -> bool:
-    return p.is_zero() if p.exact else p.max_abs() <= tol
-
-
 @dataclass
 class Classification2x2:
     """Normal-form verdict for a 2x2 resonant deformation jet.
@@ -334,8 +337,7 @@ class Classification2x2:
             if isinstance(self.kappa, ComplexRational):
                 out["kappa"] = [str(self.kappa.re), str(self.kappa.im)]
             else:
-                kc = to_complex(self.kappa)
-                out["kappa"] = [kc.real, kc.imag]
+                out["kappa"] = float_pair(self.kappa)
         if self.reason is not None:
             out["reason"] = self.reason
         return out
@@ -350,30 +352,27 @@ def _classify_inputs(g, h, l, m, tol):
     g, h, l, m = polys
     for other in (h, l, m):
         g._check(other)
+    vanishes = zero_test(g.exact, tol)
     for name, p in (("g", g), ("h", h), ("l", l), ("m", m)):
         c0 = p.coeffs.get((0,) * p.d)
-        if c0 is None:
-            continue
-        bad = bool(c0) if p.exact else abs(c0) > tol
-        if bad:
+        if c0 is not None and not vanishes(c0):
             raise ValidationError(f"entry {name} does not vanish at the base point")
     return g, h, l, m
 
 
-def _fit_kappa(l: Poly, diff: Poly, tol: float):
-    """Fit l = kappa * diff^2 with constant kappa; return (kappa, residual)."""
+def _fit_kappa(l: Poly, diff: Poly):
+    """Fit l = kappa * diff^2 with constant kappa; return (kappa, l - kappa diff^2)."""
     q = diff * diff
     if l.is_zero():
-        zero = to_exact(0) if l.exact else 0j
-        return zero, 0.0
+        return coerce(0, l.exact), l
     if l.exact:
         pivot = max(q.coeffs)
-        kappa = l.coeffs.get(pivot, to_exact(0)) / q.coeffs[pivot]
-        return kappa, (l - q * kappa).max_abs()
-    num = sum(l.coeffs.get(e, 0j) * q.coeffs[e].conjugate() for e in q.coeffs)
-    den = sum(abs(c) ** 2 for c in q.coeffs.values())
-    kappa = num / den
-    return kappa, (l - q * kappa).max_abs()
+        kappa = l.coeffs.get(pivot, coerce(0, True)) / q.coeffs[pivot]
+    else:
+        num = sum(l.coeffs.get(e, 0j) * q.coeffs[e].conjugate() for e in q.coeffs)
+        den = sum(abs(c) ** 2 for c in q.coeffs.values())
+        kappa = num / den
+    return kappa, l - q * kappa
 
 
 def classify_2x2(g, h, l, m, tol: float = _FIT_TOL) -> Classification2x2:
@@ -388,21 +387,22 @@ def classify_2x2(g, h, l, m, tol: float = _FIT_TOL) -> Classification2x2:
     g, h, l, m = _classify_inputs(g, h, l, m, tol)
     d = g.d
     gm = g - m
-    structure = 0.0
+    negligible = zero_test(g.exact, tol)
+    equations = []
     for a in range(d):
         dh = h.diff(a)
         r3 = (-gm) * l.diff(a) - (l * gm.diff(a)) * (-2)
-        structure = max(structure, (l * dh).max_abs(), (gm * dh).max_abs(), r3.max_abs())
-    effective = 0.0 if g.exact else tol
-    if structure > effective:
+        equations += [l * dh, gm * dh, r3]
+    structure = max([0.0] + [r.max_abs() for r in equations])
+    if not all(negligible(r) for r in equations):
         return Classification2x2(
             kind="not-integrable",
             reason="structure equations fail on the given entries",
             structure_residual=structure,
         )
-    h_zero = _poly_is_zero(h, tol)
-    gm_zero = _poly_is_zero(gm, tol)
-    l_zero = _poly_is_zero(l, tol)
+    h_zero = negligible(h)
+    gm_zero = negligible(gm)
+    l_zero = negligible(l)
     if not h_zero:
         if l_zero and gm_zero:
             return Classification2x2(kind="III", structure_residual=structure,
@@ -421,8 +421,9 @@ def classify_2x2(g, h, l, m, tol: float = _FIT_TOL) -> Classification2x2:
             reason="equal diagonal with nonzero lower entry matches no normal form",
             structure_residual=structure,
         )
-    kappa, fit = _fit_kappa(l, -gm, tol)
-    if fit > effective:
+    kappa, fit_poly = _fit_kappa(l, -gm)
+    fit = fit_poly.max_abs()
+    if not negligible(fit_poly):
         return Classification2x2(
             kind="not-integrable",
             reason="lower entry is not a constant multiple of the squared diagonal gap",

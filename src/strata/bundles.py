@@ -242,6 +242,8 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
     if n == 0:
         raise ValidationError("empty matrix")
     eigs = np.linalg.eigvals(A)
+    if not np.all(np.isfinite(eigs)):
+        raise ValidationError("the eigenvalues are beyond the float range")
     scale = max(1.0, float(np.max(np.abs(eigs))))
     thr = tol * scale
 

@@ -21,7 +21,9 @@ identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 
@@ -50,12 +52,16 @@ from .partitions import (
     enumerate_partitions,
     mu_string,
 )
-from .scalars import to_complex
+from .scalars import float_pair
 from .subspaces import Subspace, gap_distance, kernel_subspace
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"the result holds a non-finite number: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 def _load_json(path: str):
@@ -82,26 +88,32 @@ def _parse_symbol(text: str) -> SegreSymbol:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError as exc:
         raise ValidationError(f"bad complex literal {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ValidationError(f"non-finite number {text!r}")
+    return value
+
+
+def _positive(value: float, what: str) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{what} must be a finite positive number, got {value!r}")
+    return value
 
 
 def _tol(args, default: float) -> float:
     flag = getattr(args, "tol", None)
     if flag is not None:
-        value = float(flag)
-    else:
-        env = os.environ.get("STRATA_TOL")
-        if env is None:
-            return default
-        try:
-            value = float(env)
-        except ValueError as exc:
-            raise ValidationError(f"STRATA_TOL={env!r} is not a number") from exc
-    if value <= 0:
-        raise ValidationError("tolerance must be positive")
-    return value
+        return _positive(flag, "--tol")
+    env = os.environ.get("STRATA_TOL")
+    if env is None:
+        return default
+    try:
+        value = float(env)
+    except ValueError as exc:
+        raise ValidationError(f"STRATA_TOL={env!r} is not a number") from exc
+    return _positive(value, "STRATA_TOL")
 
 
 def _pairs(items) -> list:
@@ -193,12 +205,12 @@ def _cmd_bundles_hasse(args) -> int:
 
 def _cmd_bundles_classify(args) -> int:
     doc = _load_json(args.input)
-    mat = [[to_complex(v) for v in row] for row in schemas.decode_const_matrix(doc)]
+    mat = schemas.decode_const_matrix(doc, exact=False)
     result = classify_matrix_detailed(np.array(mat, dtype=complex), tol=_tol(args, 1e-8))
     _emit({
         "symbol": result.symbol.to_lists(),
         "label": mu_string(result.symbol),
-        "eigenvalues": [[z.real, z.imag] for z in result.eigenvalues],
+        "eigenvalues": [float_pair(z) for z in result.eigenvalues],
         "ill_conditioned": result.ill_conditioned,
         "cluster_gap": result.cluster_gap,
     })
@@ -208,8 +220,8 @@ def _cmd_bundles_classify(args) -> int:
 # -- gap ---------------------------------------------------------------------------
 
 
-def _vectors_to_subspace(rows, tol: float) -> Subspace:
-    mat = [[to_complex(v) for v in row] for row in rows]
+def _vectors_to_subspace(doc, tol: float) -> Subspace:
+    mat = schemas.decode_const_matrix(doc, exact=False)
     if not mat:
         raise ValidationError("empty spanning set needs an ambient dimension; give at least one vector")
     return Subspace.from_spanning(np.array(mat, dtype=complex).T, tol=tol)
@@ -218,17 +230,17 @@ def _vectors_to_subspace(rows, tol: float) -> Subspace:
 def _cmd_gap_distance(args) -> int:
     doc = _load_json(args.input)
     tol = _tol(args, 1e-10)
-    a = _vectors_to_subspace(schemas.decode_const_matrix(doc["a"]), tol)
-    b = _vectors_to_subspace(schemas.decode_const_matrix(doc["b"]), tol)
+    a = _vectors_to_subspace(doc["a"], tol)
+    b = _vectors_to_subspace(doc["b"], tol)
     _emit({"distance": gap_distance(a, b), "dim_a": a.dim, "dim_b": b.dim})
     return 0
 
 
 def _cmd_gap_kernel(args) -> int:
     doc = _load_json(args.input)
-    mat = [[to_complex(v) for v in row] for row in schemas.decode_const_matrix(doc)]
+    mat = schemas.decode_const_matrix(doc, exact=False)
     sub = kernel_subspace(np.array(mat, dtype=complex), tol=_tol(args, 1e-10))
-    basis = [[[z.real, z.imag] for z in sub.basis[:, k]] for k in range(sub.dim)]
+    basis = [[float_pair(z) for z in sub.basis[:, k]] for k in range(sub.dim)]
     _emit({"dim": sub.dim, "basis": basis})
     return 0
 
@@ -240,7 +252,8 @@ def _cmd_gap_report(args) -> int:
     if args.paths is not None:
         paths = [schemas.decode_path(p, family.d) for p in _load_json(args.paths)]
     report = jordanizability_report(
-        family, point, paths=paths, tol=_tol(args, 1e-8), sep_tol=args.sep_tol
+        family, point, paths=paths, tol=_tol(args, 1e-8),
+        sep_tol=_positive(args.sep_tol, "--sep-tol"),
     )
     _emit(report.to_dict())
     return 0
@@ -359,6 +372,8 @@ def _cmd_appendix_pfaffian(args) -> int:
 def _cmd_appendix_curve(args) -> int:
     if args.points < 1:
         raise ValidationError("need at least one grid point")
+    if not math.isfinite(args.tmax):
+        raise ValidationError(f"--tmax must be finite, got {args.tmax!r}")
     tgrid = [args.tmax * k / max(args.points - 1, 1) for k in range(args.points)]
     report = appendix_mod.nonversal_curve(
         _parse_complex(args.alpha0),
@@ -394,8 +409,16 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None, help="tolerance override (also STRATA_TOL)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an invalid-input error, not a SystemExit; --help
+    still prints and exits."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="strata", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="strata", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="group", required=True)
 
     g = top.add_parser("partitions", help="double partitions and counting").add_subparsers(
@@ -532,9 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except StrataError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "detail": str(exc)}) + "\n")

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .polynomials import Poly
-from .scalars import ComplexRational, nonzero_int, scalar_abs2, to_complex, to_exact
+from .scalars import ComplexRational, coerce, magnitude, nonzero_int, scalar_abs2, zero_test
 from .series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
 
 _NEAR_COALESCENT = 1e-6
@@ -64,6 +64,16 @@ def _fscale(values) -> float:
     return max([1.0] + [scalar_abs2(v) ** 0.5 for v in values])
 
 
+def _pivot(diffs, what: str) -> int:
+    """The pivot coordinate of a branch pair whose differentials differ by
+    diffs at the center: the first a of largest |diffs[a]|^2."""
+    mags = [scalar_abs2(v) for v in diffs]
+    best = max(mags)
+    if best == 0:
+        raise GenericityError(f"{what} has equal differentials at the center")
+    return mags.index(best)
+
+
 def _coalescent_pairs(values, b, exact: bool, tol: float):
     """Coalescent ordered pairs of branch values and the PNR violations.
 
@@ -73,16 +83,8 @@ def _coalescent_pairs(values, b, exact: bool, tol: float):
     whose b_i - b_j is a nonzero integer m.
     """
     n = len(values)
-    if exact:
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and values[i] == values[j]]
-    else:
-        thr = tol * _fscale(values)
-        pairs = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and abs(values[i] - values[j]) <= thr
-        ]
+    agree = zero_test(exact, tol, lambda: _fscale(values))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and agree(values[i] - values[j])]
     violations = []
     for i, j in pairs:
         m = nonzero_int(b[i] - b[j], exact)
@@ -118,12 +120,8 @@ class DEProblem:
             if fi.d != d:
                 raise ShapeError(f"f[{i}] has {fi.d} variables, expected {d}")
         self.exact = self._probe_exact(x0, b)
-        if self.exact:
-            self.x0 = tuple(to_exact(v) for v in x0)
-            self.b = tuple(to_exact(v) for v in b)
-        else:
-            self.x0 = tuple(to_complex(v) for v in x0)
-            self.b = tuple(to_complex(v) for v in b)
+        self.x0 = tuple(coerce(v, self.exact) for v in x0)
+        self.b = tuple(coerce(v, self.exact) for v in b)
         self._classify_pairs()
 
     def _probe_exact(self, x0, b) -> bool:
@@ -131,7 +129,7 @@ class DEProblem:
             return False
         try:
             for v in tuple(x0) + tuple(b):
-                to_exact(v)
+                coerce(v, True)
         except Exception:
             return False
         return True
@@ -141,9 +139,7 @@ class DEProblem:
         src = fi if self.exact else fi.to_float()
         val = src.eval(self.x0)
         grad = [src.diff(a).eval(self.x0) for a in range(self.d)]
-        if self.exact:
-            return to_exact(val), [to_exact(g) for g in grad]
-        return to_complex(val), [to_complex(g) for g in grad]
+        return coerce(val, self.exact), [coerce(g, self.exact) for g in grad]
 
     def _classify_pairs(self):
         vals, grads = [], []
@@ -155,23 +151,20 @@ class DEProblem:
         self.f_gradients = tuple(tuple(g) for g in grads)
         pairs, self.pnr_violations = _coalescent_pairs(vals, self.b, self.exact, self.tol)
         self.coalescent = set(pairs)
-        fscale = _fscale(vals)
-        gscale = max(1.0, max(scalar_abs2(g) ** 0.5 for gr in grads for g in gr))
+        flat = zero_test(self.exact, self.tol,
+                         lambda: max(1.0, max(scalar_abs2(g) ** 0.5 for gr in grads for g in gr)))
         for k in range(self.n):
             for h in range(k + 1, self.n):
-                dg = [grads[h][a] - grads[k][a] for a in range(self.d)]
-                if self.exact:
-                    degenerate = all(g == 0 for g in dg)
-                else:
+                if not self.exact and (k, h) not in self.coalescent:
+                    # exact mode has no near-coalescence: values agree or not
                     mag = abs(vals[h] - vals[k])
-                    if (k, h) not in self.coalescent and mag < _NEAR_COALESCENT * fscale:
+                    if mag < _NEAR_COALESCENT * _fscale(vals):
                         warnings.warn(
                             f"pair ({k},{h}) is near-coalescent at the base point "
                             f"(|f[{h}]-f[{k}]| = {mag:.3e}); treating it as regular",
                             stacklevel=3,
                         )
-                    degenerate = all(abs(g) <= self.tol * gscale for g in dg)
-                if degenerate:
+                if all(flat(grads[h][a] - grads[k][a]) for a in range(self.d)):
                     raise GenericityError(
                         f"functions {k} and {h} have equal differentials at the base point"
                     )
@@ -181,7 +174,7 @@ class DEProblem:
 
     def f_series(self, ring: SeriesRing) -> list:
         """Taylor series of each f_i about x_o in ring, through ring.K."""
-        return [ring.from_poly(fi if ring.exact else fi.to_float()) for fi in self.f]
+        return [ring.from_poly(fi) for fi in self.f]
 
 
 @dataclass
@@ -248,11 +241,11 @@ def _coerce_initial(problem: DEProblem, F0):
     exact = problem.exact
     if exact:
         try:
-            rows = [[to_exact(v) for v in r] for r in rows]
+            rows = [[coerce(v, True) for v in r] for r in rows]
         except Exception:
             exact = False
     if not exact:
-        rows = [[to_complex(v) for v in r] for r in rows]
+        rows = [[coerce(v, False) for v in r] for r in rows]
     for i in range(n):
         if rows[i][i] != 0:
             raise ValidationError("initial matrix must have zero diagonal")
@@ -273,16 +266,15 @@ class _Engine:
         self.K = int(K)
         self.exact = exact
         self.d, self.n = problem.d, problem.n
-        self.zero = ComplexRational(0) if exact else 0j
         self.ring = SeriesRing(problem.d, self.K, problem.x0, exact)
+        self.zero = self.ring.zero_scalar()
         self.fc = problem.f_series(self.ring)
         self.dfc = [[f.diff(a) for a in range(self.d)] for f in self.fc]
-        conv = to_exact if exact else to_complex
-        self.b = [conv(v) for v in problem.b]
+        self.b = [self.ring.scalar(v) for v in problem.b]
         self.pairs = [(k, h) for k in range(self.n) for h in range(self.n) if k != h]
         self.delta, self.ddelta, self.D, self.kappa, self.bdiff = {}, {}, {}, {}, {}
         self.j0, self.zero_dirs, self.coalescent = {}, {}, {}
-        one = ComplexRational(1) if exact else 1.0 + 0j
+        one = self.ring.scalar(1)
         for kh in self.pairs:
             k, h = kh
             self.delta[kh] = (self.fc[h] - self.fc[k]).coeffs
@@ -293,18 +285,9 @@ class _Engine:
             self.bdiff[kh] = self.b[h] - self.b[k]
             self.kappa[kh] = self.bdiff[kh] - one
             self.coalescent[kh] = problem.is_coalescent(k, h)
-            mags = [scalar_abs2(v) for v in D]
-            best = max(mags)
-            if best == 0:
-                raise GenericityError(
-                    f"no pivot direction for pair ({k},{h}): equal differentials"
-                )
-            self.j0[kh] = mags.index(best)
-            if exact:
-                self.zero_dirs[kh] = {a for a in range(self.d) if D[a] == 0}
-            else:
-                gtol = problem.tol * max(1.0, best ** 0.5)
-                self.zero_dirs[kh] = {a for a in range(self.d) if mags[a] ** 0.5 <= gtol}
+            j0 = self.j0[kh] = _pivot(D, f"pair ({k},{h})")
+            flat = zero_test(exact, problem.tol, lambda: max(1.0, scalar_abs2(D[j0]) ** 0.5))
+            self.zero_dirs[kh] = {a for a in range(self.d) if flat(D[a])}
         self.C = {}
         for kh in self.pairs:
             k, h = kh
@@ -428,7 +411,7 @@ class _Engine:
                 r = self.de2_coeff(i, k, h, zexp)
                 if r != 0:
                     exact_zero = False
-                worst = max(worst, scalar_abs2(r) ** 0.5)
+                worst = max(worst, magnitude(r))
         return worst, exact_zero
 
     # -- level recursion ---------------------------------------------------------------
@@ -561,18 +544,14 @@ def de_residual(problem: DEProblem, jet, order: int) -> DEResidualReport:
         F = F.to_float()
     ring = F.ring
     exact = ring.exact
-    center_ok = all(
-        abs(to_complex(a) - to_complex(c)) <= 1e-12
-        for a, c in zip(ring.center, problem.x0)
-    )
-    if not center_ok:
+    same = zero_test(exact, 1e-12)
+    if not all(same(a - ring.scalar(c)) for a, c in zip(ring.center, problem.x0)):
         raise ValidationError("jet is centered away from the problem base point")
 
     fs = problem.f_series(ring)
     dfs = [[s.diff(a) for a in range(problem.d)] for s in fs]
-    conv = to_exact if exact else to_complex
-    b = [conv(v) for v in problem.b]
-    one = ComplexRational(1) if exact else 1.0 + 0j
+    b = [ring.scalar(v) for v in problem.b]
+    one = ring.scalar(1)
 
     de1 = [0.0] * (order + 1)
     de2 = [0.0] * (order + 1)
@@ -584,7 +563,7 @@ def de_residual(problem: DEProblem, jet, order: int) -> DEResidualReport:
             deg = sum(e)
             if deg <= order and c != 0:
                 exact_zero = False
-                sink[deg] = max(sink[deg], scalar_abs2(c) ** 0.5)
+                sink[deg] = max(sink[deg], magnitude(c))
 
     d = problem.d
     for k in range(n):
@@ -660,9 +639,8 @@ def de_closed_form_n2(problem: DEProblem, F0, K: int) -> DEJet:
     delta = fs[1] - fs[0]
     u = delta / delta.constant_term() - ring.one()
 
-    conv = to_exact if exact else to_complex
-    b0, b1 = conv(problem.b[0]), conv(problem.b[1])
-    one = ComplexRational(1) if exact else 1.0 + 0j
+    b0, b1 = ring.scalar(problem.b[0]), ring.scalar(problem.b[1])
+    one = ring.scalar(1)
 
     def binom_power(c):
         acc = ring.one()

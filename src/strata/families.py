@@ -32,7 +32,7 @@ from .errors import (
 )
 from .partitions import Partition
 from .polynomials import Poly, _matmul
-from .scalars import to_complex, to_exact
+from .scalars import coerce, float_pair, to_complex, to_exact
 from .subspaces import Subspace, _numerical_rank, _power_ranks, _root_space, gap_distance
 
 DEFAULT_SEP_TOL = 1e-12
@@ -41,6 +41,11 @@ DEFAULT_SEP_TOL = 1e-12
 DEEP_SAMPLES = tuple(2.0 ** -j for j in range(6, 31))
 SHALLOW_SAMPLES = tuple(2.0 ** -j for j in range(3, 13))
 PATH_RANK_TOL = 1e-12
+# random points, and relative tolerance, of the declared-branch spectrum check
+_BRANCH_CHECK_POINTS = 20
+_BRANCH_CHECK_TOL = 1e-6
+# tolerance of the Segre rank sequences in jordanizability_report
+_SEGRE_TOL = 1e-8
 
 
 class MatrixFamily:
@@ -74,9 +79,9 @@ class MatrixFamily:
         if validate and branches is not None:
             self._validate_branches()
 
-    def _validate_branches(self, points: int = 20, tol: float = 1e-6):
+    def _validate_branches(self):
         rng = np.random.default_rng(1234)
-        for _ in range(points):
+        for _ in range(_BRANCH_CHECK_POINTS):
             x = rng.standard_normal(self.d) + 1j * rng.standard_normal(self.d)
             a = self.eval(x)
             eig = np.sort_complex(np.linalg.eigvals(a))
@@ -85,7 +90,7 @@ class MatrixFamily:
                 declared.extend([complex(p.eval(x))] * m)
             declared = np.sort_complex(np.array(declared))
             scale = max(1.0, float(np.max(np.abs(a))))
-            if np.max(np.abs(eig - declared)) > tol * scale:
+            if np.max(np.abs(eig - declared)) > _BRANCH_CHECK_TOL * scale:
                 raise ValidationError(
                     "declared branches do not match the spectrum at a sample point"
                 )
@@ -302,34 +307,21 @@ def _point_on_path(curves: list, t: float) -> list:
     return [complex(c.to_float().eval([t])) for c in curves]
 
 
-def _probe_path(
-    family: MatrixFamily,
-    branch_index: int,
-    path: list,
-    samples: list,
-    tol: float,
-    sep_tol: float,
-    rank_tol: float = PATH_RANK_TOL,
-):
+def _probe_path(family: MatrixFamily, branch_index: int, path: list, samples: list,
+                tol: float, sep_tol: float):
     """Sample a branch's generalized eigenspace along a path, shallow first.
 
-    Stops as soon as three consecutive gap distances settle below tol
-    plus a capped numerical-noise allowance, returning that sample's
-    subspace; walking deeper only trades truncation error for SVD noise.
+    samples are positive and decreasing, at least four of them (a subset
+    of DEEP_SAMPLES).  Stops as soon as three consecutive gap distances
+    settle below tol plus a capped numerical-noise allowance, returning
+    that sample's subspace; walking deeper only trades truncation error
+    for SVD noise.
     Returns (limit or None, final consecutive gap).
     """
     if family.branches is None:
         raise ValidationError("family has no declared branches")
     if not 0 <= branch_index < len(family.branches):
         raise ValidationError("branch index out of range")
-    samples = [float(t) for t in samples]
-    if len(samples) < 4:
-        raise ValidationError("need at least 4 path samples")
-    if any(t <= 0 for t in samples) or any(
-        samples[i] <= samples[i + 1] for i in range(len(samples) - 1)
-    ):
-        raise ValidationError("samples must be positive and strictly decreasing")
-
     window = 3
     spaces, noises, gaps, settled = [], [], [], []
     for t in samples:
@@ -338,7 +330,7 @@ def _probe_path(
             raise CoalescencePathError(f"sample t={t!r} lies on the coalescence locus")
         a = family.eval(pt)
         mu = family.branch_values(pt)[branch_index]
-        sp, s, r = _root_space(a, mu, rank_tol)
+        sp, s, r = _root_space(a, mu, PATH_RANK_TOL)
         spaces.append(sp)
         # eps * sigma_max / sigma_r bounds the rotation of the computed
         # kernel caused by SVD backward error; it grows as the rank gap of
@@ -355,25 +347,15 @@ def _probe_path(
     return None, (gaps[-1] if gaps else float("nan"))
 
 
-def limit_along_path(
-    family: MatrixFamily,
-    branch_index: int,
-    path: list,
-    samples=None,
-    tol: float = 1e-8,
-    sep_tol: float = DEFAULT_SEP_TOL,
-    rank_tol: float = PATH_RANK_TOL,
-):
+def limit_along_path(family: MatrixFamily, branch_index: int, path: list):
     """Gap-metric limit of a branch's generalized eigenspace along a path.
 
     The path is a list of d univariate polynomials with x(0) the probed
-    center.  Samples must decrease to 0; each one is checked to be off
-    the coalescence locus.  Returns the final subspace when consecutive
-    gap distances settle below tol, otherwise None.
+    center.  It is sampled at DEEP_SAMPLES, each sample checked to be off
+    the coalescence locus (DEFAULT_SEP_TOL).  Returns the final subspace
+    when consecutive gap distances settle below 1e-8, otherwise None.
     """
-    if samples is None:
-        samples = list(DEEP_SAMPLES)
-    limit, _ = _probe_path(family, branch_index, path, samples, tol, sep_tol, rank_tol)
+    limit, _ = _probe_path(family, branch_index, path, list(DEEP_SAMPLES), 1e-8, DEFAULT_SEP_TOL)
     return limit
 
 
@@ -385,7 +367,7 @@ def default_paths(d: int, x0) -> list:
     def ray(direction):
         curves = []
         for a in range(d):
-            c0 = Poly.constant(1, to_exact(x0[a]) if exact else to_complex(x0[a]), exact)
+            c0 = Poly.constant(1, coerce(x0[a], exact), exact)
             curves.append(c0 + t * direction[a] if direction[a] else c0)
         return curves
 
@@ -438,7 +420,7 @@ class JordanizabilityReport:
             "verdict": self.verdict,
             "branch_segres": [list(s) if s else None for s in self.branch_segres],
             "center_segres": [
-                {"value": [v.real, v.imag], "actual": list(a), "expected": list(e)}
+                {"value": float_pair(v), "actual": list(a), "expected": list(e)}
                 for v, a, e in self.center_segres
             ],
             "limit_dims": [s.dim if s is not None else None for s in self.limits],
@@ -462,13 +444,13 @@ def jordanizability_report(
     family: MatrixFamily,
     x0,
     paths=None,
-    samples=None,
     tol: float = 1e-8,
     sep_tol: float = DEFAULT_SEP_TOL,
-    rank_tol: float = PATH_RANK_TOL,
-    segre_tol: float = 1e-8,
 ) -> JordanizabilityReport:
-    """Probe the three holomorphic-Jordanizability conditions at a point."""
+    """Probe the three holomorphic-Jordanizability conditions at a point.
+
+    Paths default to default_paths(d, x0) and are sampled at DEEP_SAMPLES.
+    """
     if family.branches is None:
         raise ValidationError("jordanizability check requires declared branches")
     d, n = family.d, family.n
@@ -476,15 +458,13 @@ def jordanizability_report(
         raise ShapeError("probe point has wrong dimension")
     if paths is None:
         paths = default_paths(d, list(x0))
-    if samples is None:
-        samples = list(DEEP_SAMPLES)
     r = len(family.branches)
     notes = []
 
     # drop paths that live inside the coalescence locus
     usable, skipped = [], []
     for pi, path in enumerate(paths):
-        offs = [t for t in samples if not family.is_coalescence_point(_point_on_path(path, t), sep_tol)]
+        offs = [t for t in DEEP_SAMPLES if not family.is_coalescence_point(_point_on_path(path, t), sep_tol)]
         if len(offs) >= 4:
             usable.append((pi, path, offs))
         else:
@@ -506,7 +486,7 @@ def jordanizability_report(
         for pt in shallow_points:
             a = family.eval(pt)
             mu = family.branch_values(pt)[bi]
-            s = segre_at_eigenvalue(a, mu, bm, segre_tol)
+            s = segre_at_eigenvalue(a, mu, bm, _SEGRE_TOL)
             if s is not None:
                 seen.add(s)
         if len(seen) != 1:
@@ -533,7 +513,7 @@ def jordanizability_report(
             groups.append([bi])
     for g in groups:
         mult = sum(family.branches[bi][1] for bi in g)
-        actual = segre_at_eigenvalue(a0, vals0[g[0]], mult, segre_tol)
+        actual = segre_at_eigenvalue(a0, vals0[g[0]], mult, _SEGRE_TOL)
         if actual is None:
             cond1 = False
             notes.append("center Segre symbol numerically inconsistent")
@@ -554,7 +534,7 @@ def jordanizability_report(
         ok = True
         for pi, path, offs in usable:
             try:
-                lim, final_gap = _probe_path(family, bi, path, offs, tol, sep_tol, rank_tol)
+                lim, final_gap = _probe_path(family, bi, path, offs, tol, sep_tol)
             except CoalescencePathError:
                 continue
             converged = lim is not None

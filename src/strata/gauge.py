@@ -42,11 +42,38 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .darboux import _coalescent_pairs, _fscale
-from .scalars import nonzero_int, scalar_abs2, to_complex, to_exact
+from .darboux import _coalescent_pairs, _fscale, _pivot
+from .scalars import float_pair, nonzero_int, to_complex, zero_test
 from .series import SeriesMatrix
 
 _HOLCON_FLOOR = 1e-8
+_HOLCON_SAMPLES = tuple(2.0 ** -m for m in range(1, 13))
+
+
+def _check_diagonal(delta0: SeriesMatrix) -> int:
+    """The size n of a square, strictly diagonal Delta0."""
+    n, m = delta0.shape
+    if n != m:
+        raise ShapeError("diagonal part must be square")
+    for i in range(n):
+        for j in range(n):
+            if i != j and not delta0.entry(i, j).is_zero():
+                raise ShapeError(f"diagonal part has a nonzero entry at ({i},{j})")
+    return n
+
+
+def _check_frame(delta0: SeriesMatrix, B: SeriesMatrix, varpi) -> int:
+    """Shape and ring checks of frame data (Delta0, B, varpi); returns n."""
+    n = _check_diagonal(delta0)
+    ring = delta0.ring
+    if B.shape != (n, n) or not B.ring.compatible(ring):
+        raise ShapeError("deformation matrix does not match the diagonal part")
+    if len(varpi) != ring.d:
+        raise ShapeError(f"one-form has {len(varpi)} components, expected {ring.d}")
+    for W in varpi:
+        if W.shape != (n, n) or not W.ring.compatible(ring):
+            raise ShapeError("one-form component does not match the diagonal part")
+    return n
 
 
 class FramedConnection:
@@ -60,9 +87,7 @@ class FramedConnection:
     """
 
     def __init__(self, delta0: SeriesMatrix, bdiag, L: SeriesMatrix, tol: float = 1e-10):
-        n, m = delta0.shape
-        if n != m:
-            raise ShapeError("diagonal part must be square")
+        n = _check_diagonal(delta0)
         nl, ml = L.shape
         if (nl, ml) != (n, n):
             raise ShapeError(f"off-diagonal part has shape {(nl, ml)}, expected {(n, n)}")
@@ -73,11 +98,8 @@ class FramedConnection:
         if not (isinstance(tol, (int, float)) and tol > 0):
             raise ValidationError("tol must be a positive real number")
         for i in range(n):
-            for j in range(n):
-                if i != j and not delta0.entry(i, j).is_zero():
-                    raise ShapeError(f"diagonal part has a nonzero entry at ({i},{j})")
-                if i == j and not L.entry(i, i).is_zero():
-                    raise ShapeError(f"off-diagonal part has a nonzero diagonal entry at ({i},{i})")
+            if not L.entry(i, i).is_zero():
+                raise ShapeError(f"off-diagonal part has a nonzero diagonal entry at ({i},{i})")
 
         ring = delta0.ring
         self.delta0 = delta0
@@ -88,7 +110,7 @@ class FramedConnection:
         self.exact = ring.exact
         self.center = ring.center
         self.tol = float(tol)
-        self.b = tuple((to_exact if ring.exact else to_complex)(v) for v in bdiag)
+        self.b = tuple(ring.scalar(v) for v in bdiag)
         self.f = [delta0.entry(i, i) for i in range(n)]
 
         rows = [[ring.zero() for _ in range(n)] for _ in range(n)]
@@ -102,30 +124,15 @@ class FramedConnection:
         self.coalescent_pairs, self.pnr_violations = _coalescent_pairs(
             fvals, self.b, self.exact, self.tol
         )
-        self._pivots: dict = {}
 
     def is_coalescent(self, i: int, j: int) -> bool:
         return (i, j) in self.coalescent_pairs
 
     def pivot(self, i: int, j: int) -> int:
-        """Coordinate with the largest |d_a f_j - d_a f_i| at the center."""
-        key = (i, j)
-        if key in self._pivots:
-            return self._pivots[key]
-        e0 = [0] * self.d
-        best, best_mag = None, None
-        for a in range(self.d):
-            e = tuple(e0[:a] + [1] + e0[a + 1 :])
-            g = self.f[j].coeff(e) - self.f[i].coeff(e)
-            mag = scalar_abs2(g)
-            if mag != 0 and (best is None or mag > best_mag):
-                best, best_mag = a, mag
-        if best is None:
-            raise GenericityError(
-                f"coalescent pair ({i},{j}) has equal differentials at the center"
-            )
-        self._pivots[key] = best
-        return best
+        """Coordinate with the first largest |d_a f_j - d_a f_i| at the center."""
+        units = [tuple(int(b == a) for b in range(self.d)) for a in range(self.d)]
+        diffs = [self.f[j].coeff(e) - self.f[i].coeff(e) for e in units]
+        return _pivot(diffs, f"coalescent pair ({i},{j})")
 
     def restriction(self):
         """The pair (Delta0, B) evaluated at the center, as constant matrices."""
@@ -136,12 +143,12 @@ def build_connection(delta0: SeriesMatrix, bdiag, L: SeriesMatrix, tol: float = 
     return FramedConnection(delta0, bdiag, L, tol=tol)
 
 
-def connection_from_de(problem, jet, tol: float | None = None) -> FramedConnection:
+def connection_from_de(problem, jet) -> FramedConnection:
     """Frame whose off-diagonal datum is a Darboux-Egoroff jet.
 
     Delta0 is the diagonal of the problem's branch functions expanded in the
     jet's ring, diag(b) is the problem's exponent tuple, and L is the jet
-    matrix itself.
+    matrix itself; the coalescence tolerance is the problem's.
     """
     ring = jet.F.ring
     fs = problem.f_series(ring)
@@ -150,7 +157,7 @@ def connection_from_de(problem, jet, tol: float | None = None) -> FramedConnecti
     for i in range(n):
         rows[i][i] = fs[i]
     delta0 = SeriesMatrix(rows)
-    return FramedConnection(delta0, list(problem.b), jet.F, tol=problem.tol if tol is None else tol)
+    return FramedConnection(delta0, list(problem.b), jet.F, tol=problem.tol)
 
 
 @dataclass
@@ -347,17 +354,14 @@ class GaugeResidualReport:
         }
 
 
-def gauge_residual(conn: FramedConnection, gs: GaugeSeries, K: int | None = None) -> GaugeResidualReport:
-    """Evaluate the gauge equation on the first K terms of gs.
+def gauge_residual(conn: FramedConnection, gs: GaugeSeries) -> GaugeResidualReport:
+    """Evaluate the gauge equation on the K = gs.K terms of gs.
 
     The residual dPhi + Omega Phi - Phi Omega_nf is expanded as a Laurent
     polynomial in z with series-matrix coefficients, independently of the
     recursion that produced gs.
     """
-    if K is None:
-        K = gs.K
-    if not isinstance(K, int) or K < 0 or K > gs.K:
-        raise ValidationError(f"order must lie in 0..{gs.K}")
+    K = gs.K
     if K > 0 and not gs.F[0].ring.compatible(conn.ring):
         raise ShapeError("gauge series and frame live in different series rings")
     if K > 0 and gs.F[0].shape != (conn.n, conn.n):
@@ -435,7 +439,7 @@ class IntegrabilityReport:
         }
 
 
-def integrability_residual(delta0: SeriesMatrix, B: SeriesMatrix, varpi, order: int | None = None) -> IntegrabilityReport:
+def integrability_residual(delta0: SeriesMatrix, B: SeriesMatrix, varpi) -> IntegrabilityReport:
     """Residuals of the flatness conditions for the frame (Delta0, B, varpi).
 
         eq1: [dDelta0, B] + [Delta0, varpi]
@@ -444,24 +448,11 @@ def integrability_residual(delta0: SeriesMatrix, B: SeriesMatrix, varpi, order: 
         eq4: dvarpi + varpi ^ varpi
 
     varpi is a list with one series matrix per coordinate.  eq3 and eq4 are
-    empty in one variable.
+    empty in one variable.  The report reads every coefficient up to each
+    residual's own validity.
     """
-    n, m = delta0.shape
-    if n != m:
-        raise ShapeError("diagonal part must be square")
+    _check_frame(delta0, B, varpi)
     ring = delta0.ring
-    for i in range(n):
-        for j in range(n):
-            if i != j and not delta0.entry(i, j).is_zero():
-                raise ShapeError(f"diagonal part has a nonzero entry at ({i},{j})")
-    if B.shape != (n, n) or not B.ring.compatible(ring):
-        raise ShapeError("deformation matrix does not match the diagonal part")
-    if len(varpi) != ring.d:
-        raise ShapeError(f"one-form has {len(varpi)} components, expected {ring.d}")
-    for W in varpi:
-        if W.shape != (n, n) or not W.ring.compatible(ring):
-            raise ShapeError("one-form component does not match the diagonal part")
-
     dparts = [delta0.diff(a) for a in range(ring.d)]
     eq1 = [dparts[a].commutator(B) + delta0.commutator(varpi[a]) for a in range(ring.d)]
     eq2 = [B.diff(a) - B.commutator(varpi[a]) for a in range(ring.d)]
@@ -475,7 +466,7 @@ def integrability_residual(delta0: SeriesMatrix, B: SeriesMatrix, varpi, order: 
                 - varpi[b] @ dparts[a]
             )
             eq4[(a, b)] = varpi[b].diff(a) - varpi[a].diff(b) + varpi[a].commutator(varpi[b])
-    return IntegrabilityReport(order=order, eq1=eq1, eq2=eq2, eq3=eq3, eq4=eq4)
+    return IntegrabilityReport(order=None, eq1=eq1, eq2=eq2, eq3=eq3, eq4=eq4)
 
 
 @dataclass
@@ -514,21 +505,11 @@ def dv_witness(delta0: SeriesMatrix, B: SeriesMatrix, varpi, tol: float = 1e-10)
     varpi_a,ij to vanish identically; otherwise the pair is reported as an
     obstruction.  Only off-diagonal data are consulted.
     """
-    n, m = delta0.shape
-    if n != m:
-        raise ShapeError("diagonal part must be square")
+    n = _check_frame(delta0, B, varpi)
     ring = delta0.ring
-    if B.shape != (n, n) or not B.ring.compatible(ring):
-        raise ShapeError("deformation matrix does not match the diagonal part")
-    if len(varpi) != ring.d:
-        raise ShapeError(f"one-form has {len(varpi)} components, expected {ring.d}")
-    for W in varpi:
-        if W.shape != (n, n) or not W.ring.compatible(ring):
-            raise ShapeError("one-form component does not match the diagonal part")
-
     f = [delta0.entry(i, i) for i in range(n)]
     fvals = [s.constant_term() for s in f]
-    fscale = _fscale(fvals)
+    negligible = zero_test(ring.exact, tol, lambda: _fscale(fvals))
     rows = [[ring.zero() for _ in range(n)] for _ in range(n)]
     obstructions = []
     worst = 0.0
@@ -537,33 +518,26 @@ def dv_witness(delta0: SeriesMatrix, B: SeriesMatrix, varpi, tol: float = 1e-10)
             if i == j:
                 continue
             diff = f[j] - f[i]
-            c0 = diff.constant_term()
-            invertible = (c0 != 0) if ring.exact else (abs(to_complex(c0)) > tol * fscale)
-            if invertible:
+            if not negligible(diff.constant_term()):
                 lij = B.entry(i, j) * diff.invert()
-                bad = 0.0
+                bad = []
                 for a in range(ring.d):
-                    resid = varpi[a].entry(i, j) - lij * (f[i].diff(a) - f[j].diff(a))
-                    if ring.exact:
-                        if not resid.is_zero():
-                            bad = max(bad, resid.max_abs())
-                    else:
-                        thr = tol * max(1.0, lij.max_abs(), varpi[a].entry(i, j).max_abs())
-                        if resid.max_abs() > thr:
-                            bad = max(bad, resid.max_abs())
-                if bad > 0.0:
-                    worst = max(worst, bad)
+                    wij = varpi[a].entry(i, j)
+                    resid = wij - lij * (f[i].diff(a) - f[j].diff(a))
+                    consistent = zero_test(ring.exact, tol,
+                                           lambda: max(1.0, lij.max_abs(), wij.max_abs()))
+                    if not consistent(resid):
+                        bad.append(resid.max_abs())
+                if bad:
+                    worst = max([worst] + bad)
                     obstructions.append(
                         ((i, j), "one-form part inconsistent with the division witness")
                     )
                 else:
                     rows[i][j] = lij
             else:
-                def clean(s):
-                    return s.is_zero() if ring.exact else s.max_abs() <= tol * fscale
-
                 data = [B.entry(i, j)] + [varpi[a].entry(i, j) for a in range(ring.d)]
-                if all(clean(s) for s in data):
+                if all(negligible(s) for s in data):
                     continue
                 worst = max(worst, max(s.max_abs() for s in data))
                 obstructions.append(
@@ -596,18 +570,18 @@ class HolconReport:
         return {
             "pair": list(self.pair),
             "ts": [float(t) for t in self.ts],
-            "lhs": [[v.real, v.imag] for v in self.lhs],
-            "ratios": [[v.real, v.imag] for v in self.ratios],
+            "lhs": [float_pair(v) for v in self.lhs],
+            "ratios": [float_pair(v) for v in self.ratios],
             "spread": self.spread,
             "bounded": self.bounded,
         }
 
 
-def holcon_check(conn: FramedConnection, pair, path, samples=None, tol: float = 1e-8) -> HolconReport:
+def holcon_check(conn: FramedConnection, pair, path, tol: float = 1e-8) -> HolconReport:
     """Ratio test for the frame's compatibility with a coalescence point.
 
     path maps t to a parameter point with f_i = f_j at t = 0 and separated
-    branches for t > 0; samples default to dyadic points 2^-1 .. 2^-12.  The
+    branches for t > 0; it is sampled at the dyadic points 2^-1 .. 2^-12.  The
     verdict is computed from the last four ratios: bounded when they are all
     tiny, vary by at most ten percent, or decrease in magnitude; divergence
     otherwise.
@@ -615,12 +589,6 @@ def holcon_check(conn: FramedConnection, pair, path, samples=None, tol: float = 
     i, j = pair
     if not (0 <= i < conn.n and 0 <= j < conn.n) or i == j:
         raise ValidationError(f"pair {pair!r} is not an off-diagonal index pair")
-    if samples is None:
-        samples = [2.0 ** -m for m in range(1, 13)]
-    samples = list(samples)
-    if len(samples) < 4:
-        raise ValidationError("at least 4 samples are required for the verdict")
-
     fF = [s.to_float() for s in conn.f]
     LF = conn.L.to_float()
     bF = [to_complex(v) for v in conn.b]
@@ -635,7 +603,7 @@ def holcon_check(conn: FramedConnection, pair, path, samples=None, tol: float = 
         )
 
     ts, lhs_vals, ratios = [], [], []
-    for t in samples:
+    for t in _HOLCON_SAMPLES:
         x = tuple(path(t))
         fv = [s.eval(x) for s in fF]
         den = fv[i] - fv[j]

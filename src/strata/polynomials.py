@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ShapeError, ValidationError
-from .scalars import ComplexRational, is_exact_scalar, scalar_abs2, to_complex, to_exact
+from .scalars import ComplexRational, coerce, is_exact_scalar, magnitude, to_complex
 
 
 # -- sparse coefficient kernel --------------------------------------------------
@@ -106,7 +106,7 @@ def _shift(c: dict, center, one, K: int) -> dict:
 
 
 def _max_abs(values) -> float:
-    return max([0.0] + [scalar_abs2(c) ** 0.5 for c in values])
+    return max([0.0] + [magnitude(c) for c in values])
 
 
 def _matmul(a: list, b: list) -> list:
@@ -135,8 +135,8 @@ class Poly:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != self.d or any(e < 0 for e in exps):
                     raise ValidationError(f"bad exponent tuple {exps} for d={self.d}")
-                c = to_exact(c) if self.exact else complex(c)
-                if c == 0 or (not self.exact and c == 0j):
+                c = coerce(c, self.exact)
+                if c == 0:
                     continue
                 if exps in self.coeffs:
                     c = self.coeffs[exps] + c
@@ -213,7 +213,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = to_exact(other) if self.exact else complex(other)
+            c = coerce(other, self.exact)
             if c == 0:
                 return self._like({})
             return self._like({e: v * c for e, v in self.coeffs.items()})
@@ -241,9 +241,8 @@ class Poly:
         """Evaluate at a point; exact when self and the point are exact."""
         if len(point) != self.d:
             raise ShapeError(f"point of length {len(point)} for d={self.d}")
-        if self.exact and all(is_exact_scalar(x) for x in point):
-            return _eval(self.coeffs, [to_exact(x) for x in point], True)
-        return _eval(self.coeffs, [to_complex(x) for x in point], False)
+        exact = self.exact and all(is_exact_scalar(x) for x in point)
+        return _eval(self.coeffs, [coerce(x, exact) for x in point], exact)
 
     def max_abs(self) -> float:
         """Largest coefficient modulus; 0.0 for the zero polynomial."""
@@ -299,29 +298,18 @@ def poly_from_terms(d: int, terms, exact: bool | None = None) -> Poly:
     Exactness is auto-detected: if every re/im is an int or a fraction
     string, the result is exact; any genuine float makes it floating.
     """
-    norm = []
-    sawfloat = False
+    norm, sawfloat = [], False
     for t in terms:
         if isinstance(t, dict):
             exps, re, im = t["exps"], t.get("re", 0), t.get("im", 0)
         else:
             exps, re, im = t
-        for v in (re, im):
-            if isinstance(v, float) and not float(v).is_integer():
-                sawfloat = True
-        norm.append((tuple(int(e) for e in exps), re, im))
+        sawfloat = sawfloat or any(isinstance(v, float) and not v.is_integer() for v in (re, im))
+        norm.append((tuple(int(e) for e in exps), ComplexRational(Fraction(re), Fraction(im))))
     if exact is None:
         exact = not sawfloat
     coeffs: dict = {}
-    for exps, re, im in norm:
-        if exact:
-            c = ComplexRational(Fraction(re) if not isinstance(re, float) else Fraction(int(re)),
-                                Fraction(im) if not isinstance(im, float) else Fraction(int(im)))
-        else:
-            c = complex(float(re if not isinstance(re, str) else Fraction(re)),
-                        float(im if not isinstance(im, str) else Fraction(im)))
-        if exps in coeffs:
-            coeffs[exps] = coeffs[exps] + c
-        else:
-            coeffs[exps] = c
+    for exps, c in norm:
+        c = coerce(c, exact)
+        coeffs[exps] = coeffs[exps] + c if exps in coeffs else c
     return Poly(d, coeffs, exact)

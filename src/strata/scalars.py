@@ -2,14 +2,21 @@
 
 The series and jet solvers run either on Python ``complex`` (floating mode)
 or on :class:`ComplexRational` (exact mode).  Both expose the same operator
-surface, so the algebra above never branches on the mode.
+surface, and this module owns everything that depends on the mode: the
+converter ``coerce`` (constants, inverses and inputs of a mode all pass
+through it), the zero test ``zero_test`` (an exact decision never forms a
+float magnitude), ``magnitude`` for reporting, the resonance test
+``nonzero_int``, and ``float_pair``, the one encoder of printed complex
+floats.  Code above branches on the mode only where the method itself
+differs (exact elimination against LAPACK, for instance).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import ExactnessError
+from .errors import ExactnessError, ValidationError
 
 # floating-mode slack when deciding that a value is a nonzero integer
 RESONANCE_TOL = 1e-8
@@ -103,10 +110,13 @@ class ComplexRational:
         return self.re * self.re + self.im * self.im
 
     def __abs__(self):
-        return self.abs2() ** 0.5
+        return magnitude(self)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise ValidationError("an exact value is beyond the float range") from None
 
     def __repr__(self):
         return f"ComplexRational({self.re!r}, {self.im!r})"
@@ -157,6 +167,11 @@ def to_complex(x) -> complex:
     return complex(x)
 
 
+def coerce(x, exact: bool):
+    """x as a scalar of the mode: to_exact in exact mode, complex otherwise."""
+    return to_exact(x) if exact else complex(x)
+
+
 def scalar_abs2(x):
     """|x|^2, exact Fraction in exact mode, float otherwise."""
     if isinstance(x, ComplexRational):
@@ -165,18 +180,65 @@ def scalar_abs2(x):
     return z.real * z.real + z.imag * z.imag
 
 
+def magnitude(x) -> float:
+    """|x| as a float, taken from |x|^2 (exact in exact mode).
+
+    An exact value whose modulus is beyond the float range raises
+    ValidationError: it has no float to report.
+    """
+    try:
+        return scalar_abs2(x) ** 0.5
+    except OverflowError:
+        # an exact |x|^2 can overflow while |x| is still a float
+        m = abs(complex(x))
+    if m == math.inf:
+        raise ValidationError("an exact magnitude is beyond the float range")
+    return m
+
+
+def _exact_zero(v) -> bool:
+    is_zero = getattr(v, "is_zero", None)
+    return v == 0 if is_zero is None else is_zero()
+
+
+def zero_test(exact: bool, tol: float, scale=None):
+    """The zero test of the mode, as a predicate on scalars and on objects
+    with ``is_zero`` and ``max_abs`` (series, series matrices, polynomials).
+
+    Exact mode asks v == 0 (or v.is_zero()) and forms no magnitude.
+    Floating mode asks |v| <= tol * scale(), with |v| = abs(v) for scalars
+    and v.max_abs() otherwise; the callable ``scale`` is evaluated once and
+    only in floating mode.
+    """
+    if exact:
+        return _exact_zero
+    thr = tol if scale is None else tol * scale()
+
+    def negligible(v) -> bool:
+        max_abs = getattr(v, "max_abs", None)
+        return (abs(v) if max_abs is None else max_abs()) <= thr
+
+    return negligible
+
+
+def float_pair(z) -> list:
+    """[re, im] of a complex float as printed; + 0.0 turns -0.0 into 0.0,
+    so equal values always print the same bytes."""
+    z = complex(z)
+    return [z.real + 0.0, z.imag + 0.0]
+
+
 def nonzero_int(v, exact: bool):
     """The integer m with v == m != 0, or None.
 
     Exact mode demands equality; floating mode accepts the closed box
     |Re v - m| <= RESONANCE_TOL, |Im v| <= RESONANCE_TOL.
     """
+    v = coerce(v, exact)
     if exact:
-        v = to_exact(v)
         if v.im != 0 or v.re.denominator != 1 or v.re == 0:
             return None
         return int(v.re)
-    v = to_complex(v)
     m = round(v.real)
     if abs(v.imag) > RESONANCE_TOL or abs(v.real - m) > RESONANCE_TOL or m == 0:
         return None

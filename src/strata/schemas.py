@@ -29,6 +29,7 @@ Document shapes:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .darboux import DEJet, DEProblem
@@ -36,27 +37,21 @@ from .errors import ShapeError, ValidationError
 from .families import MatrixFamily
 from .gauge import FramedConnection, GaugeSeries, build_connection
 from .polynomials import Poly, _shift
-from .scalars import ComplexRational, to_complex
+from .scalars import ComplexRational, coerce, float_pair
 from .series import SeriesMatrix, SeriesRing, TruncatedSeries
 
 
 # -- scalars -------------------------------------------------------------------
 
 
-def _encode_part(v, exact: bool):
-    return str(Fraction(v)) if exact else float(v)
-
-
 def encode_scalar(v) -> list:
     if isinstance(v, ComplexRational):
-        return [_encode_part(v.re, True), _encode_part(v.im, True)]
+        return [str(v.re), str(v.im)]
     if isinstance(v, bool):
         raise ValidationError("booleans are not scalars")
     if isinstance(v, (int, Fraction)):
-        return [_encode_part(v, True), "0"]
-    c = complex(v)
-    # + 0.0 turns -0.0 into 0.0, so equal values always print the same bytes
-    return [c.real + 0.0, c.imag + 0.0]
+        return [str(Fraction(v)), "0"]
+    return float_pair(v)
 
 
 def _decode_part(v):
@@ -71,6 +66,8 @@ def _decode_part(v):
     if isinstance(v, int):
         return Fraction(v), True
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValidationError(f"non-finite scalar part {v!r}")
         return v, False
     raise ValidationError(f"bad scalar part {v!r}")
 
@@ -104,12 +101,6 @@ def document_is_exact(obj) -> bool:
     return not _leaf_floats(obj)
 
 
-def _as_mode(v, exact: bool):
-    if exact:
-        return v
-    return to_complex(v)
-
-
 # -- polynomials ----------------------------------------------------------------
 
 
@@ -130,7 +121,7 @@ def _decode_terms(obj, d: int, exact: bool) -> dict:
         if len(exps) != d:
             raise ShapeError(f"term exponents {exps} do not match d={d}")
         c = decode_scalar([term.get("re", 0), term.get("im", 0)])
-        coeffs[exps] = _as_mode(c, exact)
+        coeffs[exps] = coerce(c, exact)
     return coeffs
 
 
@@ -168,7 +159,7 @@ def encode_series(s: TruncatedSeries) -> dict:
 
 def _ring_from_doc(obj, exact: bool) -> SeriesRing:
     d = int(obj["d"])
-    center = [_as_mode(decode_scalar(c), exact) for c in obj["center"]]
+    center = [coerce(decode_scalar(c), exact) for c in obj["center"]]
     if len(center) != d:
         raise ShapeError("center length must equal d")
     return SeriesRing(d, int(obj["K"]), center, exact)
@@ -234,7 +225,7 @@ def decode_const_matrix(obj, exact: bool | None = None) -> list:
         raise ValidationError("matrix must be a list of rows")
     if any(len(r) != len(obj[0]) for r in obj):
         raise ShapeError("matrix rows must all have the same length")
-    return [[_as_mode(decode_scalar(v), exact) for v in row] for row in obj]
+    return [[coerce(decode_scalar(v), exact) for v in row] for row in obj]
 
 
 # -- matrix families --------------------------------------------------------------
@@ -253,7 +244,7 @@ def encode_matrix_family(fam: MatrixFamily) -> dict:
     return out
 
 
-def decode_matrix_family(obj, validate: bool = True) -> MatrixFamily:
+def decode_matrix_family(obj) -> MatrixFamily:
     exact = document_is_exact(obj)
     d, n = int(obj["d"]), int(obj["n"])
     entries = [[decode_poly(t, d, exact) for t in row] for row in obj["entries"]]
@@ -263,7 +254,7 @@ def decode_matrix_family(obj, validate: bool = True) -> MatrixFamily:
             (decode_poly(b["poly"], d, exact), int(b["multiplicity"]))
             for b in obj["branches"]
         ]
-    return MatrixFamily(d, n, entries, branches, validate=validate)
+    return MatrixFamily(d, n, entries, branches)
 
 
 # -- flat-system problems ----------------------------------------------------------
@@ -286,9 +277,9 @@ def decode_de_problem(obj, tol: float = 1e-10):
     """Returns (problem, F0) with F0 None when the document has none."""
     exact = document_is_exact(obj)
     d, n = int(obj["d"]), int(obj["n"])
-    x0 = [_as_mode(decode_scalar(c), exact) for c in obj["x0"]]
+    x0 = [coerce(decode_scalar(c), exact) for c in obj["x0"]]
     f = [decode_poly(t, d, exact) for t in obj["f"]]
-    b = [_as_mode(decode_scalar(c), exact) for c in obj["b"]]
+    b = [coerce(decode_scalar(c), exact) for c in obj["b"]]
     problem = DEProblem(d, n, x0, f, b, tol=tol)
     f0 = None
     if obj.get("F0") is not None:
@@ -335,7 +326,7 @@ def _decode_frame(obj):
     exact = document_is_exact(obj)
     d, n = int(obj["d"]), int(obj["n"])
     ring = SeriesRing(d, int(obj["K"]),
-                      [_as_mode(decode_scalar(c), exact) for c in obj["center"]], exact)
+                      [coerce(decode_scalar(c), exact) for c in obj["center"]], exact)
     fpolys = [decode_poly(t, d, exact) for t in obj["Delta0"]]
     if len(fpolys) != n:
         raise ShapeError("Delta0 must list one diagonal polynomial per row")
@@ -352,7 +343,7 @@ def _decode_frame(obj):
 
 def decode_framed_connection(obj, tol: float = 1e-10) -> FramedConnection:
     ring, delta0, grid = _decode_frame(obj)
-    bdiag = [_as_mode(decode_scalar(c), ring.exact) for c in obj["Bdiag"]]
+    bdiag = [coerce(decode_scalar(c), ring.exact) for c in obj["Bdiag"]]
     return build_connection(delta0, bdiag, grid(obj["L"]), tol=tol)
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .errors import NotInvertibleError, ShapeError, ValidationError
 from .polynomials import Poly, _add, _diff, _eval, _matmul, _max_abs, _mul, _shift
-from .scalars import ComplexRational, to_complex, to_exact
+from .scalars import coerce, to_complex
 
 
 @lru_cache(maxsize=None)
@@ -46,10 +46,7 @@ class SeriesRing:
         self.d = int(d)
         self.K = int(K)
         self.exact = bool(exact)
-        if exact:
-            self.center = tuple(to_exact(x) for x in center)
-        else:
-            self.center = tuple(to_complex(x) for x in center)
+        self.center = tuple(coerce(x, self.exact) for x in center)
 
     def compatible(self, other: "SeriesRing") -> bool:
         return (
@@ -60,10 +57,10 @@ class SeriesRing:
         )
 
     def scalar(self, v):
-        return to_exact(v) if self.exact else to_complex(v)
+        return coerce(v, self.exact)
 
     def zero_scalar(self):
-        return ComplexRational(0) if self.exact else 0j
+        return coerce(0, self.exact)
 
     # -- element constructors --------------------------------------------------
 
@@ -203,10 +200,8 @@ class TruncatedSeries:
         c0 = self.constant_term()
         if c0 == 0:
             raise NotInvertibleError("series vanishes at the center")
-        if self.ring.exact:
-            inv0 = ComplexRational(1) / c0
-        else:
-            inv0 = 1.0 / c0
+        inv0 = self.ring.scalar(1) / c0
+        neg_inv0 = -inv0
         d, K = self.ring.d, self.ring.K
         out = {(0,) * d: inv0}
         for deg in range(1, min(self.valid, K) + 1):
@@ -222,7 +217,7 @@ class TruncatedSeries:
                     term = bg * u
                     acc = term if acc is None else acc + term
                 if acc is not None and acc != 0:
-                    out[alpha] = -(inv0 * acc) if self.ring.exact else -inv0 * acc
+                    out[alpha] = neg_inv0 * acc
         return TruncatedSeries(self.ring, out, self.valid)
 
     def __truediv__(self, other):
@@ -231,16 +226,13 @@ class TruncatedSeries:
         v = self.ring.scalar(other)
         if v == 0:
             raise NotInvertibleError("division by zero scalar")
-        if self.ring.exact:
-            return self.scale(ComplexRational(1) / v)
-        return self.scale(1.0 / v)
+        return self.scale(self.ring.scalar(1) / v)
 
     def eval(self, point):
         """Evaluate the truncated polynomial at an absolute point."""
         if len(point) != self.ring.d:
             raise ShapeError("point dimension mismatch")
-        conv = to_exact if self.ring.exact else to_complex
-        pt = [conv(x) - cx for x, cx in zip(point, self.ring.center)]
+        pt = [self.ring.scalar(x) - cx for x, cx in zip(point, self.ring.center)]
         return _eval(self.coeffs, pt, self.ring.exact)
 
     def to_float(self) -> "TruncatedSeries":

@@ -82,6 +82,15 @@ class TestNonversalCurve:
         assert d["ok"] is True
         assert len(d["residuals"]) == len(d["t"]) == len(d["samples"])
 
+    def test_non_finite_residual_is_not_ok(self):
+        # at t = 200, gamma ~ 1e260 and alpha ~ 1e86: w2 = inf - inf = nan
+        rep = nonversal_curve(1, 1, 1, 2, tgrid=[0, 100, 200])
+        assert rep.max_residual == float("inf") and not rep.ok
+
+    def test_overflow_is_refused(self):
+        with pytest.raises(ValidationError):
+            nonversal_curve(1, 1, 1, 1e308, tgrid=[0, 1000])
+
 
 class TestRationalFamilies:
     def test_regime_below_minus_one(self):

@@ -23,6 +23,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_refused(capsys, *argv):
+    """Exit status 2, empty stdout and one JSON error line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -280,21 +289,14 @@ class TestErrorContract:
         obj = json.loads(lines[0])
         assert obj["error"] == "invalid-input" and "detail" in obj
 
-    def assert_refused(self, capsys, *argv):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        lines = err.strip().splitlines()
-        assert len(lines) == 1
-        return json.loads(lines[0])
-
     def test_non_integer_symbol_part(self, capsys):
-        obj = self.assert_refused(capsys, "bundles", "describe", "--symbol", '"x"')
+        obj = assert_refused(capsys, "bundles", "describe", "--symbol", '"x"')
         assert obj["error"] == "invalid-input"
 
     def test_ragged_matrix(self, capsys, tmp_path):
         f = tmp_path / "ragged.json"
         f.write_text(json.dumps([[1, 2], [3]]))
-        obj = self.assert_refused(capsys, "bundles", "classify", "--input", str(f))
+        obj = assert_refused(capsys, "bundles", "classify", "--input", str(f))
         assert obj["error"] == "shape-mismatch"
 
     def test_bad_symbol_json(self, capsys):
@@ -316,6 +318,82 @@ class TestErrorContract:
         code, _, err = run(capsys, "gap", "kernel", "--input", str(f), "--tol", "-1")
         assert code == 2
         assert json.loads(err.strip())["error"] == "invalid-input"
+
+
+NAN_MATRIX = [[float("nan"), 1], [1, 1]]
+CURVE = ["appendix", "curve", "--alpha0", "1", "--beta0", "1", "--gamma0", "1"]
+
+
+class TestOutOfFloatRange:
+    """Non-finite input is refused at decode; a computation pushed out of
+    the float range by its input is refused where it happens; no
+    non-finite number is printed."""
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["bundles", "classify"], [[1e308, 1e308], [1e308, 1e308]]),
+        (["bundles", "classify"], NAN_MATRIX),
+        (["gap", "kernel"], NAN_MATRIX),
+        (["gap", "distance"], {"a": [[1, float("inf")]], "b": [[0, 1]]}),
+        (["bundles", "classify", "--tol", "nan"], [[1, 0], [0, 1]]),
+        (["bundles", "classify", "--tol", "inf"], [[1, 0], [0, 1]]),
+        (["gap", "kernel", "--tol", "-inf"], [[1, 0], [0, 1]]),
+        (["gap", "report", "--point", "[0]", "--sep-tol", "nan"], None),
+        (["gap", "report", "--point", "[0]", "--sep-tol", "0"], None),
+    ], ids=["classify-huge", "classify-nan", "kernel-nan", "distance-inf", "tol-nan",
+            "tol-inf", "tol-minus-inf", "sep-tol-nan", "sep-tol-zero"])
+    def test_document_refused(self, capsys, tmp_path, argv, doc):
+        if doc is None:
+            x = X(1, 0)
+            doc = schemas.encode_matrix_family(MatrixFamily(1, 1, [[x]], [(x, 1)]))
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        obj = assert_refused(capsys, *argv, "--input", str(f))
+        assert obj["error"] == "invalid-input"
+
+    @pytest.mark.parametrize("extra", [
+        ["--c", "1e308", "--tmax", "1e3"],
+        ["--c", "2", "--tmax", "200", "--points", "3"],
+        ["--c", "nan"],
+        ["--c", "1e400"],
+        ["--c", "2", "--tmax", "inf"],
+        ["--c", "2", "--tmax", "1e308"],
+    ], ids=["huge-c", "nan-residual", "nan-c", "inf-c", "inf-tmax", "huge-tmax"])
+    def test_curve_refused(self, capsys, extra):
+        obj = assert_refused(capsys, *CURVE, *extra)
+        assert obj["error"] == "invalid-input"
+
+    def test_env_tol_must_be_finite(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([[1, 0], [0, 1]]))
+        monkeypatch.setenv("STRATA_TOL", "nan")
+        obj = assert_refused(capsys, "bundles", "classify", "--input", str(f))
+        assert obj["error"] == "invalid-input"
+
+    def test_printed_zeros_are_unsigned(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([[1, 2, 3], [2, 4, 6], [1, 1, 1]]))
+        code, out, _ = run(capsys, "gap", "kernel", "--input", str(f))
+        assert code == 0 and json.loads(out)["dim"] == 1
+        assert "-0.0" not in out
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["bundles", "hasse", "--n", "x"],
+        ["de", "solve"],
+        ["partitions", "count", "--r", "2"],
+        ["bundles", "nope"],
+        [],
+    ], ids=["bad-int", "missing-flags", "missing-flag", "bad-command", "empty"])
+    def test_usage_error_is_invalid_input(self, capsys, argv):
+        obj = assert_refused(capsys, *argv)
+        assert obj["error"] == "invalid-input"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bundles", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: strata bundles")
 
 
 class TestTolerancePrecedence:
