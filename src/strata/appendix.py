@@ -153,7 +153,7 @@ class CurveReport:
         return {
             "c": float_pair(self.c),
             "exponents": [float_pair(e) for e in self.exponents],
-            "t": list(self.tgrid),
+            "t": [t + 0.0 for t in self.tgrid],
             "samples": [[float_pair(v) for v in s] for s in self.samples],
             "residuals": [[abs(r) for r in row] for row in self.residuals],
             "max_residual": self.max_residual,

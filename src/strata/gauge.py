@@ -399,10 +399,10 @@ class IntegrabilityReport:
     """Residuals of the four flatness identities of a deformation frame.
 
     eq1 and eq2 are 1-forms (one matrix per coordinate); eq3 and eq4 are
-    2-forms keyed by coordinate pairs (a, b) with a < b.
+    2-forms keyed by coordinate pairs (a, b) with a < b.  Each residual is
+    read through its own validity.
     """
 
-    order: int | None
     eq1: list
     eq2: list
     eq3: dict
@@ -419,17 +419,16 @@ class IntegrabilityReport:
             yield M
 
     def max_abs(self) -> float:
-        return max([M.max_abs(self.order) for M in self._all()] + [0.0])
+        return max([M.max_abs() for M in self._all()] + [0.0])
 
     def is_zero(self) -> bool:
-        return all(M.is_zero(self.order) for M in self._all())
+        return all(M.is_zero() for M in self._all())
 
     def to_dict(self) -> dict:
         def fam(ms):
-            return max([M.max_abs(self.order) for M in ms] + [0.0])
+            return max([M.max_abs() for M in ms] + [0.0])
 
         return {
-            "order": self.order,
             "eq1_max": fam(self.eq1),
             "eq2_max": fam(self.eq2),
             "eq3_max": fam(self.eq3.values()),
@@ -448,8 +447,7 @@ def integrability_residual(delta0: SeriesMatrix, B: SeriesMatrix, varpi) -> Inte
         eq4: dvarpi + varpi ^ varpi
 
     varpi is a list with one series matrix per coordinate.  eq3 and eq4 are
-    empty in one variable.  The report reads every coefficient up to each
-    residual's own validity.
+    empty in one variable.
     """
     _check_frame(delta0, B, varpi)
     ring = delta0.ring
@@ -466,7 +464,7 @@ def integrability_residual(delta0: SeriesMatrix, B: SeriesMatrix, varpi) -> Inte
                 - varpi[b] @ dparts[a]
             )
             eq4[(a, b)] = varpi[b].diff(a) - varpi[a].diff(b) + varpi[a].commutator(varpi[b])
-    return IntegrabilityReport(order=None, eq1=eq1, eq2=eq2, eq3=eq3, eq4=eq4)
+    return IntegrabilityReport(eq1=eq1, eq2=eq2, eq3=eq3, eq4=eq4)
 
 
 @dataclass

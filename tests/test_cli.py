@@ -375,6 +375,9 @@ class TestOutOfFloatRange:
         code, out, _ = run(capsys, "gap", "kernel", "--input", str(f))
         assert code == 0 and json.loads(out)["dim"] == 1
         assert "-0.0" not in out
+        code, out, _ = run(capsys, *CURVE, "--c", "-0.0", "--tmax", "-0.0", "--points", "2")
+        assert code == 0 and json.loads(out)["t"] == [0.0, 0.0]
+        assert "-0.0" not in out
 
 
 class TestUsageErrors:
