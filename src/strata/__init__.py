@@ -40,7 +40,6 @@ from .bundles import (
     describe,
     elementary_moves,
     hasse_diagram,
-    transitive_reduction,
 )
 from .darboux import (
     DEJet,
@@ -70,7 +69,6 @@ from .families import (
     kernel_sheaf_limit,
     kernel_sheaf_value_1d,
     limit_along_path,
-    multiunion,
     segre_at_eigenvalue,
 )
 from .gauge import (
@@ -133,7 +131,6 @@ __all__ = [
     "describe",
     "elementary_moves",
     "hasse_diagram",
-    "transitive_reduction",
     "DEJet",
     "DEProblem",
     "DEResidualReport",
@@ -157,7 +154,6 @@ __all__ = [
     "kernel_sheaf_limit",
     "kernel_sheaf_value_1d",
     "limit_along_path",
-    "multiunion",
     "segre_at_eigenvalue",
     "DvWitnessReport",
     "FramedConnection",

@@ -20,6 +20,12 @@ parts of each member taken in decreasing order.  Moves:
 Closure comparison of two symbols is decided by exhaustive downward search;
 the general decision problem is NP-complete, which is acceptable at the
 small n this package targets.
+
+The Hasse diagram needs no transitive reduction.  A type-I move lowers dim
+by exactly 1, so no longer path can imply it.  No move raises the member
+count, so a type-II edge could only be implied by box moves within one
+member; those are dominance covers, so no such path exists.  The move
+graph is therefore already its own transitive reduction.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .partitions import Partition, SegreSymbol, enumerate_double_partitions, mu_string
-from .subspaces import _power_ranks
+from .subspaces import _clusters, _segre
 
 
 def codimension(s: SegreSymbol) -> int:
@@ -166,13 +172,12 @@ class HasseDiagram:
     def dims(self) -> list[int]:
         return [describe(s).dim for s in self.symbols]
 
-    def to_dot(self, reduce: bool = False) -> str:
-        edges = transitive_reduction(len(self.symbols), self.edges) if reduce else self.edges
+    def to_dot(self) -> str:
         lines = ["digraph bundle_closure {"]
         for i, s in enumerate(self.symbols):
             d = describe(s)
             lines.append(f'  v{i} [label="{mu_string(s)}\\ndim {d.dim}"];')
-        for i, j in edges:
+        for i, j in self.edges:
             lines.append(f"  v{i} -> v{j};")
         lines.append("}")
         return "\n".join(lines)
@@ -191,33 +196,6 @@ def hasse_diagram(n: int) -> HasseDiagram:
     return HasseDiagram(n=n, symbols=symbols, edges=edges)
 
 
-def transitive_reduction(nv: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    adj = {i: set() for i in range(nv)}
-    for i, j in edges:
-        adj[i].add(j)
-
-    def reachable(src, avoid_direct):
-        # nodes reachable from src by paths of length >= 1, skipping the
-        # direct edge src->avoid_direct
-        stack = [(src, True)]
-        seen = set()
-        while stack:
-            node, first = stack.pop()
-            for t in adj[node]:
-                if first and node == src and t == avoid_direct:
-                    continue
-                if t not in seen:
-                    seen.add(t)
-                    stack.append((t, False))
-        return seen
-
-    kept = []
-    for i, j in edges:
-        if j not in reachable(i, j):
-            kept.append((i, j))
-    return kept
-
-
 @dataclass
 class ClassificationResult:
     symbol: SegreSymbol
@@ -230,10 +208,12 @@ class ClassificationResult:
 def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
     """Segre symbol of a constant matrix.
 
-    Eigenvalues are clustered by single linkage at threshold tol * scale;
-    per cluster, the Segre characteristic comes from the rank sequence of
-    (A - mu I)^k.  Two clusters separated by less than 10x the clustering
-    threshold set the ill_conditioned flag.
+    Eigenvalues are clustered by single linkage at threshold tol * scale
+    (subspaces._clusters); per cluster of size m, the Segre characteristic
+    comes from the rank drops of (A - mu I)^k, k <= m (subspaces._segre).
+    A cluster whose drops are inconsistent reads as [1] * m, so the symbol
+    always has weight n.  Such a cluster, or two clusters separated by less
+    than 10x the clustering threshold, set the ill_conditioned flag.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -244,25 +224,7 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
     eigs = np.linalg.eigvals(A)
     if not np.all(np.isfinite(eigs)):
         raise ValidationError("the eigenvalues are beyond the float range")
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    thr = tol * scale
-
-    # single-linkage clusters: connected components of the thr-proximity graph
-    unassigned = list(range(n))
-    clusters: list[list[int]] = []
-    while unassigned:
-        seed = unassigned.pop(0)
-        comp = [seed]
-        grew = True
-        while grew:
-            grew = False
-            for k in list(unassigned):
-                if any(abs(eigs[k] - eigs[c]) <= thr for c in comp):
-                    comp.append(k)
-                    unassigned.remove(k)
-                    grew = True
-        clusters.append(comp)
-
+    clusters, thr = _clusters(eigs, tol)
     centers = [complex(np.mean(eigs[c])) for c in clusters]
     gap = float("inf")
     for i in range(len(centers)):
@@ -272,35 +234,18 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
 
     members = []
     for center, comp in zip(centers, clusters):
-        mult = len(comp)
-        ranks = _power_ranks(A - center * np.eye(n), mult, tol)
-        counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-        # counts[k-1] = number of blocks of size >= k; enforce monotone
-        for k in range(1, len(counts)):
-            if counts[k] > counts[k - 1]:
-                counts[k] = counts[k - 1]
-                ill = True
-        counts = [c for c in counts if c > 0]
-        if sum(counts) != mult:
+        parts = _segre(A - center * np.eye(n), len(comp), tol)
+        if parts is None:
+            parts = (1,) * len(comp)
             ill = True
-            if not counts:
-                counts = [mult]
-        parts = Partition(counts).conjugate() if counts else Partition([1] * mult)
-        members.append((parts, center))
+        members.append(Partition(parts))
 
-    symbol = SegreSymbol([m for m, _ in members])
-    # reorder centers to match the canonical member order
-    ordered_centers = []
-    used = [False] * len(members)
-    for m in symbol.members:
-        for idx, (mm, cc) in enumerate(members):
-            if not used[idx] and mm == m:
-                ordered_centers.append(cc)
-                used[idx] = True
-                break
+    # the symbol stores its members stably sorted by sort_key; order the
+    # centers the same way
+    order = sorted(range(len(members)), key=lambda k: members[k].sort_key())
     return ClassificationResult(
-        symbol=symbol,
-        eigenvalues=ordered_centers,
+        symbol=SegreSymbol(members),
+        eigenvalues=[centers[k] for k in order],
         ill_conditioned=ill,
         cluster_gap=gap if len(centers) > 1 else None,
     )

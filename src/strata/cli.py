@@ -37,7 +37,6 @@ from .bundles import (
     describe,
     elementary_moves,
     hasse_diagram,
-    transitive_reduction,
 )
 from .darboux import de_oracle_solve, de_residual, de_solve_jet
 from .errors import StrataError, ValidationError
@@ -116,6 +115,16 @@ def _tol(args, default: float) -> float:
     return _positive(value, "STRATA_TOL")
 
 
+# the enumerating commands refuse larger weights; their cost doubles per unit
+MAX_WEIGHT = 14
+
+
+def _weight(n: int, what: str) -> int:
+    if n > MAX_WEIGHT:
+        raise ValidationError(f"{what} is {n}; enumeration is capped at weight {MAX_WEIGHT}")
+    return n
+
+
 def _pairs(items) -> list:
     return [list(p) for p in items]
 
@@ -124,7 +133,7 @@ def _pairs(items) -> list:
 
 
 def _cmd_partitions_list(args) -> int:
-    symbols = enumerate_double_partitions(args.n)
+    symbols = enumerate_double_partitions(_weight(args.n, "--n"))
     if args.format == "text":
         for s in symbols:
             sys.stdout.write(mu_string(s) + "\n")
@@ -136,6 +145,7 @@ def _cmd_partitions_list(args) -> int:
 def _cmd_partitions_count(args) -> int:
     r, n = args.r, args.n
     if args.method == "enumerate":
+        _weight(n, "--n")
         if r == 1:
             value = len(enumerate_partitions(n))
         elif r == 2:
@@ -183,22 +193,22 @@ def _cmd_bundles_moves(args) -> int:
 def _cmd_bundles_closure(args) -> int:
     a = _parse_symbol(args.a)
     b = _parse_symbol(args.b)
+    _weight(max(a.weight, b.weight), "the symbol weight")
     _emit({"leq": closure_leq(a, b)})
     return 0
 
 
 def _cmd_bundles_hasse(args) -> int:
-    h = hasse_diagram(args.n)
+    h = hasse_diagram(_weight(args.n, "--n"))
     if args.format == "dot":
-        sys.stdout.write(h.to_dot(reduce=args.reduce) + "\n")
+        sys.stdout.write(h.to_dot() + "\n")
         return 0
-    edges = transitive_reduction(len(h.symbols), h.edges) if args.reduce else h.edges
     _emit({
         "n": h.n,
         "symbols": [s.to_lists() for s in h.symbols],
         "labels": [mu_string(s) for s in h.symbols],
         "dims": h.dims(),
-        "edges": _pairs(edges),
+        "edges": _pairs(h.edges),
     })
     return 0
 
@@ -453,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = g.add_parser("hasse", help="closure diagram for weight n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--reduce", action="store_true", help="transitive reduction of the edge set")
     p.set_defaults(func=_cmd_bundles_hasse)
     p = g.add_parser("classify", help="Segre symbol of a constant matrix")
     p.add_argument("--input", required=True, help="JSON matrix file")

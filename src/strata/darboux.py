@@ -147,8 +147,6 @@ class DEProblem:
             v, g = self._f_value_and_gradient(i)
             vals.append(v)
             grads.append(g)
-        self.f_values = tuple(vals)
-        self.f_gradients = tuple(tuple(g) for g in grads)
         pairs, self.pnr_violations = _coalescent_pairs(vals, self.b, self.exact, self.tol)
         self.coalescent = set(pairs)
         flat = zero_test(self.exact, self.tol,

@@ -7,7 +7,10 @@ checker probes three conditions at a point:
   1. a holomorphic Jordan form exists: each branch's Segre symbol is
      constant off the coalescence locus, and at the center the Segre
      symbol of each merged eigenvalue equals the multiset union of the
-     symbols of the branches that merge there;
+     symbols of the branches that merge there.  Segre data come from the
+     rank drops of the first m powers of A - lambda I, m the branch's
+     (or merged branches') multiplicity, so the other eigenvalues never
+     fall below the rank cutoff;
   2. the generalized eigenspace of each branch has a gap-metric limit
      along every probed path, and the limits agree across paths;
   3. the limits form a direct sum decomposition of C^n.
@@ -30,10 +33,10 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .partitions import Partition
+from .partitions import SegreSymbol, forgetful
 from .polynomials import Poly, _matmul
 from .scalars import coerce, float_pair, to_complex, to_exact
-from .subspaces import Subspace, _numerical_rank, _power_ranks, _root_space, gap_distance
+from .subspaces import Subspace, _clusters, _numerical_rank, _root_space, _segre, gap_distance
 
 DEFAULT_SEP_TOL = 1e-12
 # deepest sample 2^-30: small enough for gap-Cauchy tests at 1e-8, large
@@ -111,32 +114,11 @@ class MatrixFamily:
         pt = [to_complex(x) for x in point]
         return [complex(p.eval(pt)) for p, _ in self.branches]
 
-    def min_branch_separation(self, point) -> float:
-        vals = self.branch_values(point)
-        r = len(vals)
-        if r < 2:
-            return float("inf")
-        return min(abs(vals[i] - vals[j]) for i in range(r) for j in range(i + 1, r))
-
     def is_coalescence_point(self, point, sep_tol: float = DEFAULT_SEP_TOL) -> bool:
-        """Whether distinct branches collide at the point.
-
-        With declared branches this is a direct value comparison; without
-        them the spectrum cardinality at the point is compared with the
-        cardinality at nearby perturbed points.
-        """
-        if self.branches is not None:
-            vals = self.branch_values(point)
-            scale = max(1.0, max(abs(v) for v in vals))
-            return self.min_branch_separation(point) <= sep_tol * scale
-        base = _spectrum_card(self.eval(point), 1e-7)
-        rng = np.random.default_rng(99)
-        best = base
-        for _ in range(8):
-            dx = 1e-3 * (rng.standard_normal(self.d) + 1j * rng.standard_normal(self.d))
-            pert = [to_complex(x) + e for x, e in zip(point, dx)]
-            best = max(best, _spectrum_card(self.eval(pert), 1e-7))
-        return best > base
+        """Whether two declared branches collide at the point, that is, link
+        in the single-linkage clustering of their values at sep_tol."""
+        vals = self.branch_values(point)
+        return len(_clusters(vals, sep_tol)[0]) < len(vals)
 
     # -- restriction -------------------------------------------------------------
 
@@ -155,48 +137,14 @@ class MatrixFamily:
         return MatrixFamily(1, self.n, rows, br, validate=False)
 
 
-def _spectrum_card(a: np.ndarray, tol: float) -> int:
-    eig = np.linalg.eigvals(a)
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    thr = tol * scale
-    eig = eig[np.lexsort((eig.imag, eig.real))]
-    card = 1
-    for prev, v in zip(eig, eig[1:]):
-        if abs(v - prev) > thr:
-            card += 1
-    return card
+def segre_at_eigenvalue(a: np.ndarray, mu: complex, multiplicity: int, tol: float = 1e-8):
+    """Block-size partition of an eigenvalue of known algebraic multiplicity.
 
-
-def segre_at_eigenvalue(a: np.ndarray, mu: complex, multiplicity: int | None = None,
-                        tol: float = 1e-8):
-    """Block-size partition of one eigenvalue via rank sequences of powers.
-
-    Returns a weakly decreasing tuple of block sizes, or None when the
-    rank sequence is numerically inconsistent (non-monotone drops or a
-    total that misses the declared multiplicity).
+    A weakly decreasing tuple of block sizes from the rank drops of the
+    first multiplicity powers of a - mu I, or None when the drops are
+    numerically inconsistent (subspaces._segre).
     """
-    n = a.shape[0]
-    m = a - complex(mu) * np.eye(n)
-    scale = np.linalg.norm(m, 2)
-    if scale > 0:
-        m = m / scale
-    ranks = _power_ranks(m, n, tol)
-    # drops[k-1] counts blocks of size >= k; conjugate to block sizes
-    drops = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
-    if any(dk < 0 for dk in drops) or any(drops[k] > drops[k - 1] for k in range(1, n)):
-        return None
-    parts = Partition([dk for dk in drops if dk > 0]).conjugate().parts
-    if multiplicity is not None and sum(parts) != multiplicity:
-        return None
-    return parts
-
-
-def multiunion(partitions: list) -> tuple:
-    out = []
-    for p in partitions:
-        out.extend(p)
-    out.sort(reverse=True)
-    return tuple(out)
+    return _segre(a - complex(mu) * np.eye(a.shape[0]), multiplicity, tol)
 
 
 # -- exact kernel-sheaf value for univariate families ---------------------------
@@ -502,15 +450,7 @@ def jordanizability_report(
     pt0 = [to_complex(c) for c in x0]
     a0 = family.eval(pt0)
     vals0 = family.branch_values(pt0)
-    scale0 = max(1.0, max(abs(v) for v in vals0))
-    groups: list[list[int]] = []
-    for bi, v in enumerate(vals0):
-        for g in groups:
-            if abs(vals0[g[0]] - v) <= 1e-9 * scale0:
-                g.append(bi)
-                break
-        else:
-            groups.append([bi])
+    groups, _ = _clusters(vals0, 1e-9)
     for g in groups:
         mult = sum(family.branches[bi][1] for bi in g)
         actual = segre_at_eigenvalue(a0, vals0[g[0]], mult, _SEGRE_TOL)
@@ -520,7 +460,7 @@ def jordanizability_report(
             continue
         if any(branch_segres[bi] is None for bi in g):
             continue
-        expected = multiunion([branch_segres[bi] for bi in g])
+        expected = forgetful(SegreSymbol([branch_segres[bi] for bi in g])).parts
         center_segres.append((vals0[g[0]], actual, expected))
         if actual != expected:
             cond1 = False

@@ -325,8 +325,7 @@ def _decode_frame(obj):
     with a reader for its entry grids."""
     exact = document_is_exact(obj)
     d, n = int(obj["d"]), int(obj["n"])
-    ring = SeriesRing(d, int(obj["K"]),
-                      [coerce(decode_scalar(c), exact) for c in obj["center"]], exact)
+    ring = _ring_from_doc(obj, exact)
     fpolys = [decode_poly(t, d, exact) for t in obj["Delta0"]]
     if len(fpolys) != n:
         raise ShapeError("Delta0 must list one diagonal polynomial per row")

@@ -4,7 +4,8 @@ A subspace is stored as an orthonormal column basis; the zero subspace is
 the n x 0 matrix.  The gap distance is the spectral norm of the
 difference of orthogonal projectors, which metrizes the usual topology
 on the full Grassmannian: distance strictly below 1 forces equal
-dimensions.
+dimensions.  The module also owns the spectral decisions on numeric
+matrices: numerical rank, eigenvalue clusters and Segre data.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError, ValidationError
+from .partitions import Partition
 
 _ORTHO_TOL = 1e-10
 
@@ -134,11 +136,7 @@ def _kernel_svd(a: np.ndarray, tol: float):
     if m == 0 or n == 0:
         return Subspace.full(n), np.zeros(0), 0
     _, s, vh = np.linalg.svd(a)
-    smax = s[0]
-    # relative cutoff; powered non-normal matrices can have tiny norms, so
-    # never let the threshold go absolute unless the matrix is exactly zero
-    thr = tol * smax if smax > 0 else tol
-    rank = int(np.sum(s > thr))
+    rank = _cutoff_rank(s, tol)
     return Subspace(vh[rank:, :].conj().T), s, rank
 
 
@@ -162,12 +160,20 @@ def generalized_eigenspace(a: np.ndarray, lam: complex, tol: float = 1e-10) -> S
     return _root_space(a, lam, tol)[0]
 
 
-def _numerical_rank(m: np.ndarray, tol: float) -> int:
-    """Number of singular values above tol times the largest one."""
-    s = np.linalg.svd(m, compute_uv=False)
+def _cutoff_rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values s (descending) above tol times the largest.
+
+    The cutoff is relative: powered non-normal matrices can have tiny
+    norms, so it never goes absolute; an exactly zero matrix has rank 0.
+    """
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > tol * s[0]))
+
+
+def _numerical_rank(m: np.ndarray, tol: float) -> int:
+    """_cutoff_rank of the singular values of m."""
+    return _cutoff_rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def _power_ranks(m: np.ndarray, powers: int, tol: float) -> list:
@@ -179,6 +185,54 @@ def _power_ranks(m: np.ndarray, powers: int, tol: float) -> list:
         p = p @ m
         ranks.append(_numerical_rank(p, tol))
     return ranks
+
+
+def _segre(m: np.ndarray, multiplicity: int, tol: float):
+    """Jordan block sizes of the eigenvalue 0 of m, of known multiplicity.
+
+    m is scaled to unit 2-norm first, so that its powers stay in the float
+    range and the tolerance keeps its meaning.  The rank drops of m^0 ..
+    m^multiplicity count the blocks of size >= k; their conjugate is the
+    weakly decreasing tuple of block sizes.  Returns None when the drops
+    are not nonnegative and nonincreasing or do not sum to multiplicity.
+    """
+    scale = np.linalg.norm(m, 2) if np.all(np.isfinite(m)) else np.inf
+    if not np.isfinite(scale):
+        raise ValidationError("the shifted matrix is beyond the float range")
+    if scale > 0:
+        m = m / scale
+    ranks = _power_ranks(m, multiplicity, tol)
+    drops = [ranks[k - 1] - ranks[k] for k in range(1, multiplicity + 1)]
+    if drops[-1] < 0 or any(b > a for a, b in zip(drops, drops[1:])):
+        return None
+    if sum(drops) != multiplicity:
+        return None
+    return Partition([dk for dk in drops if dk > 0]).conjugate().parts
+
+
+def _clusters(values, tol: float):
+    """Single-linkage clusters of complex values, and the linkage threshold.
+
+    Two values are linked when they lie within tol * max(1, max |v|); the
+    clusters are the connected components, as lists of indices into values,
+    each starting at its smallest index.
+    """
+    thr = tol * max(1.0, float(np.max(np.abs(values))))
+    unassigned = list(range(len(values)))
+    clusters: list[list[int]] = []
+    while unassigned:
+        seed = unassigned.pop(0)
+        comp = [seed]
+        grew = True
+        while grew:
+            grew = False
+            for k in list(unassigned):
+                if any(abs(values[k] - values[c]) <= thr for c in comp):
+                    comp.append(k)
+                    unassigned.remove(k)
+                    grew = True
+        clusters.append(comp)
+    return clusters, thr
 
 
 def intertwiner_dimension(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> int:

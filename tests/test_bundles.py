@@ -11,7 +11,6 @@ from strata.bundles import (
     describe,
     elementary_moves,
     hasse_diagram,
-    transitive_reduction,
 )
 from strata.errors import ShapeError
 from strata.partitions import Partition, SegreSymbol
@@ -103,15 +102,22 @@ def test_hasse_dot_output():
     assert dot.startswith("digraph bundle_closure {")
     assert dot.rstrip().endswith("}")
     assert dot.count("label=") == len(h.symbols)
-    reduced = h.to_dot(reduce=True)
-    assert reduced.count("->") <= dot.count("->")
+    assert dot.count("->") == len(h.edges)
 
 
-def test_transitive_reduction_removes_shortcuts():
-    # chain 0 -> 1 -> 2 plus the shortcut 0 -> 2
-    kept = transitive_reduction(3, [(0, 1), (0, 2), (1, 2)])
-    assert (0, 2) not in kept
-    assert (0, 1) in kept and (1, 2) in kept
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hasse_edges_are_their_own_transitive_reduction(n):
+    # no edge (i, j) is implied by a longer path i -> k -> ... -> j
+    h = hasse_diagram(n)
+    up = {i: set() for i in range(len(h.symbols))}
+    for i, j in h.edges:
+        up[i].add(j)
+    dims, above = h.dims(), {}
+    # edges raise dim, so visiting by decreasing dim settles successors first
+    for i in sorted(up, key=lambda v: -dims[v]):
+        above[i] = set().union(*(above[k] | {k} for k in up[i]))
+    for i, j in h.edges:
+        assert not any(j in above[k] for k in up[i] if k != j), (i, j)
 
 
 def test_classify_matrix_fixtures():

@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, error paths, determinism."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,10 @@ from strata.series import SeriesRing
 
 def X(d, a):
     return Poly.variable(d, a, exact=True)
+
+
+def c(v):
+    return Poly.constant(1, v, exact=True)
 
 
 def run(capsys, *argv):
@@ -36,6 +41,10 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-finite constant {name} in stdout")
 
 
 @pytest.fixture(scope="module")
@@ -124,12 +133,79 @@ class TestBundles:
         f.write_text(json.dumps(matrix))
         code, out, err = run(capsys, "bundles", "classify", "--input", str(f))
         assert code == 0, err
-
-        def refuse(name):
-            raise ValueError(f"non-finite constant {name} in stdout")
-
-        doc = json.loads(out, parse_constant=refuse)
+        doc = json.loads(out, parse_constant=refuse_constant)
         assert doc["cluster_gap"] is None
+
+
+class TestSegreData:
+    """A cluster's Segre data come from the rank drops of as many powers of
+    A - mu I as its multiplicity, A - mu I scaled to unit norm first; the
+    symbol's weight always equals the matrix size."""
+
+    def classify(self, cap, tmp_path, matrix):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(matrix))
+        code, out, err = run(cap, "bundles", "classify", "--input", str(f))
+        assert code == 0, err
+        doc = json.loads(out, parse_constant=refuse_constant)
+        assert sum(map(sum, doc["symbol"])) == len(matrix)
+        return doc
+
+    def test_powers_stay_in_float_range(self, capfd, tmp_path):
+        # unscaled powers overflowed, and LAPACK wrote its complaint to fd 1
+        self.classify(capfd, tmp_path, [[1e160, 0, 0, -1], [0.5, 1e160, 1, 0],
+                                        [-1, 3, 0, 0], [3, 0, 0, 1e200]])
+
+    def test_far_apart_clusters(self, capsys, tmp_path):
+        doc = self.classify(capsys, tmp_path, [[1e200, 1, 0], [0, 1e200, 0], [0, 0, -1e200]])
+        assert doc["ill_conditioned"] is False
+
+    def test_inconsistent_cluster_reads_as_ones(self, capsys, tmp_path):
+        doc = self.classify(capsys, tmp_path, [[1e8, -1e160, 0.5], [1e200, 1e8, 1e8], [3, 0, 1]])
+        assert doc["ill_conditioned"] is True
+
+    def test_gap_report_powers_to_branch_multiplicity(self, capsys, tmp_path):
+        # x I + J2(-5) + J1(-5) + J2(-6) + J1(-6) + (5): seven powers of the
+        # scaled A - mu I would push the other eigenvalues under the rank
+        # cutoff; three, the branch multiplicity, do not
+        x = X(1, 0)
+        z = Poly(1, None, True)
+        shifts = [-5, -5, -5, -6, -6, -6, 5]
+        rows = [[x + c(s) if i == j else z for j in range(7)] for i, s in enumerate(shifts)]
+        rows[0][1] = rows[3][4] = c(1)
+        fam = MatrixFamily(1, 7, rows, [(x - c(5), 3), (x - c(6), 3), (x + c(5), 1)])
+        f = tmp_path / "fam.json"
+        f.write_text(json.dumps(schemas.encode_matrix_family(fam)))
+        doc = run_json(capsys, "gap", "report", "--input", str(f), "--point", "[0]")
+        assert doc["cond1"] is True and doc["verdict"] is True
+        assert doc["branch_segres"] == [[2, 1], [2, 1], [1]]
+
+
+class TestWeightCap:
+    @pytest.mark.parametrize("argv", [
+        ["bundles", "hasse", "--n", "1000000"],
+        ["bundles", "hasse", "--n", "15", "--format", "dot"],
+        ["partitions", "list", "--n", "15"],
+        ["partitions", "count", "--r", "1", "--n", "15", "--method", "enumerate"],
+        ["bundles", "closure", "--a", "[[15]]", "--b", "[[15]]"],
+    ], ids=["hasse-huge", "hasse", "list", "count-enumerate", "closure"])
+    def test_refused_above_cap(self, capsys, argv):
+        start = time.perf_counter()
+        obj = assert_refused(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert obj["error"] == "invalid-input"
+
+    def test_cap_is_inclusive(self, capsys):
+        code, out, _ = run(capsys, "partitions", "count", "--r", "1", "--n", "14",
+                           "--method", "enumerate")
+        assert code == 0 and out == "135\n"
+        doc = run_json(capsys, "bundles", "closure", "--a", "[[14]]", "--b", "[[14]]")
+        assert doc["leq"] is True
+
+    def test_polynomial_counts_are_not_capped(self, capsys):
+        counts = {run(capsys, "partitions", "count", "--r", "2", "--n", "40",
+                      "--method", method)[1] for method in ("sigma", "product")}
+        assert len(counts) == 1 and int(counts.pop()) > 0
 
 
 class TestGap:
@@ -331,6 +407,7 @@ class TestOutOfFloatRange:
 
     @pytest.mark.parametrize("argv, doc", [
         (["bundles", "classify"], [[1e308, 1e308], [1e308, 1e308]]),
+        (["bundles", "classify"], [[1e308, 0], [0, -1e308]]),
         (["bundles", "classify"], NAN_MATRIX),
         (["gap", "kernel"], NAN_MATRIX),
         (["gap", "distance"], {"a": [[1, float("inf")]], "b": [[0, 1]]}),
@@ -339,8 +416,9 @@ class TestOutOfFloatRange:
         (["gap", "kernel", "--tol", "-inf"], [[1, 0], [0, 1]]),
         (["gap", "report", "--point", "[0]", "--sep-tol", "nan"], None),
         (["gap", "report", "--point", "[0]", "--sep-tol", "0"], None),
-    ], ids=["classify-huge", "classify-nan", "kernel-nan", "distance-inf", "tol-nan",
-            "tol-inf", "tol-minus-inf", "sep-tol-nan", "sep-tol-zero"])
+    ], ids=["classify-huge", "classify-huge-shift", "classify-nan", "kernel-nan",
+            "distance-inf", "tol-nan", "tol-inf", "tol-minus-inf", "sep-tol-nan",
+            "sep-tol-zero"])
     def test_document_refused(self, capsys, tmp_path, argv, doc):
         if doc is None:
             x = X(1, 0)

@@ -15,7 +15,6 @@ from strata.families import (
     kernel_sheaf_limit,
     kernel_sheaf_value_1d,
     limit_along_path,
-    multiunion,
     segre_at_eigenvalue,
 )
 from strata.partitions import Partition, SegreSymbol
@@ -81,10 +80,6 @@ class TestSegreHelpers:
         res = classify_matrix_detailed(a)
         for member, center in zip(res.symbol.members, res.eigenvalues):
             assert segre_at_eigenvalue(a, center, member.weight) == member.parts
-
-    def test_multiunion_merges_multiplicities(self):
-        assert multiunion([(2, 1), (1,)]) == (2, 1, 1)
-        assert multiunion([(1,), (1,)]) == (1, 1)
 
 
 class TestKernelSheaf:
