@@ -225,7 +225,10 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
     if not np.all(np.isfinite(eigs)):
         raise ValidationError("the eigenvalues are beyond the float range")
     clusters, thr = _clusters(eigs, tol)
-    centers = [complex(np.mean(eigs[c])) for c in clusters]
+    # an overflowing mean or shift is non-finite, and _segre refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = [complex(np.mean(eigs[c])) for c in clusters]
+        shifts = [A - center * np.eye(n) for center in centers]
     gap = float("inf")
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
@@ -233,8 +236,8 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
     ill = gap < 10.0 * thr
 
     members = []
-    for center, comp in zip(centers, clusters):
-        parts = _segre(A - center * np.eye(n), len(comp), tol)
+    for shift, comp in zip(shifts, clusters):
+        parts = _segre(shift, len(comp), tol)
         if parts is None:
             parts = (1,) * len(comp)
             ill = True

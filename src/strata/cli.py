@@ -125,6 +125,10 @@ def _weight(n: int, what: str) -> int:
     return n
 
 
+# the counting recursions cost about r * n^2 steps; larger inputs are refused
+MAX_COUNT_COST = 500_000
+
+
 def _pairs(items) -> list:
     return [list(p) for p in items]
 
@@ -152,6 +156,8 @@ def _cmd_partitions_count(args) -> int:
             value = len(enumerate_double_partitions(n))
         else:
             raise ValidationError("enumeration is implemented for r in {1, 2}")
+    elif r * n * n > MAX_COUNT_COST:
+        raise ValidationError(f"r * n^2 is {r * n * n}; counting is capped at {MAX_COUNT_COST}")
     elif args.method == "sigma":
         if r != 2:
             raise ValidationError("the sigma recursion is specific to r = 2")

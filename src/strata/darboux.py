@@ -37,26 +37,11 @@ from .errors import (
 from .polynomials import Poly
 from .scalars import ComplexRational, coerce, magnitude, nonzero_int, scalar_abs2, zero_test
 from .series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
+from .series import _bump, _leq, _sub_e, _support
+from .subspaces import _cutoff_rank
 
 _NEAR_COALESCENT = 1e-6
-
-
-def _bump(e: tuple, a: int, k: int = 1) -> tuple:
-    t = list(e)
-    t[a] += k
-    return tuple(t)
-
-
-def _support(e: tuple) -> list:
-    return [a for a, k in enumerate(e) if k > 0]
-
-
-def _leq(e: tuple, f: tuple) -> bool:
-    return all(x <= y for x, y in zip(e, f))
-
-
-def _sub_e(e: tuple, f: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(e, f))
+_RANK_TOL = 1e-12  # a float linear system is singular when s_min <= _RANK_TOL * s_max
 
 
 def _fscale(values) -> float:
@@ -275,10 +260,9 @@ class _Engine:
         one = self.ring.scalar(1)
         for kh in self.pairs:
             k, h = kh
-            self.delta[kh] = (self.fc[h] - self.fc[k]).coeffs
-            self.ddelta[kh] = [(self.dfc[h][a] - self.dfc[k][a]).coeffs for a in range(self.d)]
-            zexp = (0,) * self.d
-            D = [dd.get(zexp, self.zero) for dd in self.ddelta[kh]]
+            self.delta[kh] = self.fc[h] - self.fc[k]
+            self.ddelta[kh] = [self.dfc[h][a] - self.dfc[k][a] for a in range(self.d)]
+            D = [dd.constant_term() for dd in self.ddelta[kh]]
             self.D[kh] = D
             self.bdiff[kh] = self.b[h] - self.b[k]
             self.kappa[kh] = self.bdiff[kh] - one
@@ -291,39 +275,36 @@ class _Engine:
             k, h = kh
             v = F0[k][h]
             self.C[kh] = {} if v == 0 else {(0,) * self.d: v}
-        self._w_cache, self._p1_cache, self._p2_cache = {}, {}, {}
+        self._products = {}
 
-    # -- coefficient products of the quadratic terms ------------------------------
+    # -- coefficient products of the quadratic terms, cached by name and indices ---
 
-    def _w(self, i: int, j: int, l: int, k: int, h: int) -> dict:
-        key = (i, j, l, k, h)
-        got = self._w_cache.get(key)
+    def _w(self, i: int, j: int, l: int, k: int, h: int) -> TruncatedSeries:
+        key = ("w", i, j, l, k, h)
+        got = self._products.get(key)
         if got is None:
             df = self.dfc
             w = (df[l][i] - df[k][i]) * (df[h][j] - df[l][j])
-            w = w - (df[l][j] - df[k][j]) * (df[h][i] - df[l][i])
-            got = self._w_cache[key] = w.coeffs
+            got = self._products[key] = w - (df[l][j] - df[k][j]) * (df[h][i] - df[l][i])
         return got
 
-    def _p1(self, i: int, l: int, k: int, h: int) -> dict:
-        key = (i, l, k, h)
-        got = self._p1_cache.get(key)
+    def _p1(self, i: int, l: int, k: int, h: int) -> TruncatedSeries:
+        key = ("p1", i, l, k, h)
+        got = self._products.get(key)
         if got is None:
-            p = (self.dfc[l][i] - self.dfc[k][i]) * (self.fc[h] - self.fc[l])
-            got = self._p1_cache[key] = p.coeffs
+            got = self._products[key] = (self.dfc[l][i] - self.dfc[k][i]) * (self.fc[h] - self.fc[l])
         return got
 
-    def _p2(self, i: int, l: int, k: int, h: int) -> dict:
-        key = (i, l, k, h)
-        got = self._p2_cache.get(key)
+    def _p2(self, i: int, l: int, k: int, h: int) -> TruncatedSeries:
+        key = ("p2", i, l, k, h)
+        got = self._products.get(key)
         if got is None:
-            p = (self.fc[l] - self.fc[k]) * (self.dfc[h][i] - self.dfc[l][i])
-            got = self._p2_cache[key] = p.coeffs
+            got = self._products[key] = (self.fc[l] - self.fc[k]) * (self.dfc[h][i] - self.dfc[l][i])
         return got
 
     # -- single-coefficient evaluators ---------------------------------------------
 
-    def _conv_dF(self, P: dict, kh, a: int, beta: tuple, exclude) -> object:
+    def _conv_dF(self, P: TruncatedSeries, kh, a: int, beta: tuple, exclude) -> object:
         """Coefficient at beta of P * d_a F_kh from the current store."""
         acc = self.zero
         store = self.C[kh]
@@ -340,7 +321,7 @@ class _Engine:
             acc = acc + c * v * (delta[a] + 1)
         return acc
 
-    def _conv_F(self, P: dict, kh, beta: tuple, exclude) -> object:
+    def _conv_F(self, P: TruncatedSeries, kh, beta: tuple, exclude) -> object:
         acc = self.zero
         store = self.C[kh]
         for g, c in P.items():
@@ -355,7 +336,7 @@ class _Engine:
             acc = acc + c * v
         return acc
 
-    def _conv_FF(self, P: dict, kl, lh, beta: tuple, exclude) -> object:
+    def _conv_FF(self, P: TruncatedSeries, kl, lh, beta: tuple, exclude) -> object:
         acc = self.zero
         A, B = self.C[kl], self.C[lh]
         for g1, c1 in P.items():
@@ -432,7 +413,7 @@ class _Engine:
             if self.coalescent[kh]:
                 continue
             k, h = kh
-            d0 = self.delta[kh].get((0,) * self.d, self.zero)
+            d0 = self.delta[kh].constant_term()
             for alpha in exps:
                 a = _support(alpha)[0]
                 beta = _bump(alpha, a, -1)
@@ -496,8 +477,7 @@ class _Engine:
         if not self.exact:
             A = np.array([[complex(v) for v in r] for r in rows], dtype=complex)
             b = np.array([complex(v) for v in rhs], dtype=complex)
-            s = np.linalg.svd(A, compute_uv=False)
-            if s[0] == 0 or s[-1] < 1e-12 * s[0]:
+            if _cutoff_rank(np.linalg.svd(A, compute_uv=False), _RANK_TOL) < len(rhs):
                 return None
             return list(np.linalg.solve(A, b))
         sol = _exact_eliminate(rows, rhs, len(rows))
@@ -557,11 +537,9 @@ def de_residual(problem: DEProblem, jet, order: int) -> DEResidualReport:
 
     def absorb(series: TruncatedSeries, sink: list):
         nonlocal exact_zero
-        for e, c in series.coeffs.items():
-            deg = sum(e)
-            if deg <= order and c != 0:
-                exact_zero = False
-                sink[deg] = max(sink[deg], magnitude(c))
+        for e, c in series.items(order):
+            exact_zero = False
+            sink[sum(e)] = max(sink[sum(e)], magnitude(c))
 
     d = problem.d
     for k in range(n):
@@ -743,9 +721,10 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
     For each degree m the coefficient equations of DE1/DE2 at total
     degree m-1 (plus, at coalescent pairs, the degree-m DE2 coefficients,
     which are the only equations reaching their pure pivot coefficients)
-    form one linear system in all degree-m jet coefficients.  Exact mode
-    solves it exactly and demands uniqueness; floating mode falls back to
-    the least-norm solution.
+    form one linear system in all degree-m jet coefficients.  It must have a
+    unique solution: exact mode solves it exactly, floating mode by least
+    squares after checking its numerical rank.  A singular system raises
+    ResonanceError at a resonant coalescent pair and OracleError otherwise.
     """
     K = int(K)
     if K < 0:
@@ -768,7 +747,7 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
         for kh in eng.pairs:
             k, h = kh
             D = eng.D[kh]
-            d0 = eng.delta[kh].get(zexp, eng.zero)
+            d0 = eng.delta[kh].constant_term()
             for i in range(d):
                 for j in range(i + 1, d):
                     for beta in exps_prev:
@@ -799,16 +778,16 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                         for l in range(n):
                             if l == k or l == h:
                                 continue
-                            p10 = eng._p1(i, l, k, h).get(zexp)
-                            p20 = eng._p2(i, l, k, h).get(zexp)
+                            p10 = eng._p1(i, l, k, h).constant_term()
+                            p20 = eng._p2(i, l, k, h).constant_term()
                             fkl0 = eng.C[(k, l)].get(zexp, eng.zero)
                             flh0 = eng.C[(l, h)].get(zexp, eng.zero)
-                            if p10 is not None:
+                            if p10 != 0:
                                 ci = col_index[((k, l), delta_e)]
                                 entries[ci] = entries.get(ci, eng.zero) - p10 * flh0
                                 ci = col_index[((l, h), delta_e)]
                                 entries[ci] = entries.get(ci, eng.zero) - p10 * fkl0
-                            if p20 is not None:
+                            if p20 != 0:
                                 ci = col_index[((k, l), delta_e)]
                                 entries[ci] = entries.get(ci, eng.zero) + p20 * flh0
                                 ci = col_index[((l, h), delta_e)]
@@ -817,14 +796,7 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
 
         if exact:
             sol = _exact_sparse_solve(rows, len(cols))
-            if isinstance(sol, str):
-                for kh in eng.pairs:
-                    if eng.coalescent[kh]:
-                        eng._resonance_guard(kh, m)
-                raise OracleError(f"{sol} linear system at degree {m}")
-            for (kh, a), v in zip(cols, sol):
-                if v != 0:
-                    eng.C[kh][a] = v
+            failure = sol if isinstance(sol, str) else None
         else:
             A = np.zeros((len(rows), len(cols)), dtype=complex)
             bvec = np.zeros(len(rows), dtype=complex)
@@ -832,8 +804,14 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                 for cidx, v in entries.items():
                     A[rid, cidx] = complex(v)
                 bvec[rid] = -complex(const)
-            sol, *_ = np.linalg.lstsq(A, bvec, rcond=None)
-            for (kh, a), v in zip(cols, sol):
-                if v != 0:
-                    eng.C[kh][a] = v
+            sol, _, _, sv = np.linalg.lstsq(A, bvec, rcond=None)
+            failure = "singular" if _cutoff_rank(sv, _RANK_TOL) < len(cols) else None
+        if failure:
+            for kh in eng.pairs:
+                if eng.coalescent[kh]:
+                    eng._resonance_guard(kh, m)
+            raise OracleError(f"{failure} linear system at degree {m}")
+        for (kh, a), v in zip(cols, sol):
+            if v != 0:
+                eng.C[kh][a] = v
     return eng.to_jet()

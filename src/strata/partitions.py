@@ -235,10 +235,11 @@ def _product_coefficients(exponents, N: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _pfold_table(r: int, N: int) -> tuple[int, ...]:
-    if r == 1:
-        return tuple(_p1(n) for n in range(N + 1))
-    prev = _pfold_table(r - 1, N)
-    return tuple(_product_coefficients(lambda m: prev[m], N))
+    """p(r, 0..N): fold r's generating function is prod_m (1-z^m)^(-p(r-1, m))."""
+    table = tuple(_p1(n) for n in range(N + 1))
+    for _ in range(r - 1):
+        table = tuple(_product_coefficients(table.__getitem__, N))
+    return table
 
 
 def count_fold_partitions(r: int, n: int) -> int:

@@ -104,12 +104,16 @@ def document_is_exact(obj) -> bool:
 # -- polynomials ----------------------------------------------------------------
 
 
-def encode_poly(p: Poly) -> list:
+def _encode_terms(items) -> list:
     out = []
-    for exps in sorted(p.coeffs):
-        pair = encode_scalar(p.coeffs[exps])
-        out.append({"exps": list(exps), "re": pair[0], "im": pair[1]})
+    for exps, c in sorted(items, key=lambda t: t[0]):
+        re, im = encode_scalar(c)
+        out.append({"exps": list(exps), "re": re, "im": im})
     return out
+
+
+def encode_poly(p: Poly) -> list:
+    return _encode_terms(p.coeffs.items())
 
 
 def _decode_terms(obj, d: int, exact: bool) -> dict:
@@ -134,23 +138,13 @@ def decode_poly(obj, d: int, exact: bool | None = None) -> Poly:
 # -- truncated series and matrices ----------------------------------------------
 
 
-def _encode_series_terms(s: TruncatedSeries) -> list:
-    out = []
-    for exps in sorted(s.coeffs):
-        if sum(exps) > s.valid:
-            continue
-        pair = encode_scalar(s.coeffs[exps])
-        out.append({"exps": list(exps), "re": pair[0], "im": pair[1]})
-    return out
-
-
 def encode_series(s: TruncatedSeries) -> dict:
     ring = s.ring
     out = {
         "d": ring.d,
         "center": [encode_scalar(c) for c in ring.center],
         "K": ring.K,
-        "terms": _encode_series_terms(s),
+        "terms": _encode_terms(s.items(s.valid)),
     }
     if s.valid != ring.K:
         out["valid"] = s.valid
@@ -176,15 +170,15 @@ def decode_series(obj, ring: SeriesRing | None = None) -> TruncatedSeries:
 
 def encode_series_matrix(m: SeriesMatrix) -> dict:
     ring = m.ring
-    n, ncols = m.shape
+    n = m.shape[0]
     out = {
         "d": ring.d,
         "n": n,
         "center": [encode_scalar(c) for c in ring.center],
         "K": ring.K,
-        "entries": [[_encode_series_terms(m.entry(i, j)) for j in range(ncols)] for i in range(n)],
+        "entries": [[_encode_terms(s.items(s.valid)) for s in row] for row in m.rows],
     }
-    valids = [[m.entry(i, j).valid for j in range(ncols)] for i in range(n)]
+    valids = [[s.valid for s in row] for row in m.rows]
     if any(v != ring.K for row in valids for v in row):
         out["valids"] = valids
     return out
@@ -315,7 +309,7 @@ def encode_framed_connection(conn: FramedConnection) -> dict:
 def _series_to_absolute_poly(s: TruncatedSeries) -> Poly:
     """Expand a centered series into a polynomial in the absolute variables."""
     ring = s.ring
-    coeffs = {e: c for e, c in s.coeffs.items() if sum(e) <= s.valid}
+    coeffs = dict(s.items(s.valid))
     top = max((sum(e) for e in coeffs), default=0)
     return Poly(ring.d, _shift(coeffs, [-c for c in ring.center], ring.scalar(1), top), ring.exact)
 

@@ -8,6 +8,11 @@ its coefficients are meaningful.  Differentiation lowers ``valid`` by
 one; sums and products take the minimum.  Consumers that assert on
 coefficients above ``valid`` are reading noise, so the residual and
 simplification routines slice by it.
+
+Storage contract: ``coeffs`` maps exponent tuples to scalars, each one
+nonzero and of total degree <= K.  Only this module reads it; the read API
+is ``coeff``, ``constant_term`` and ``items`` (``coeffs`` stays readable
+for perfbench and the tests).
 """
 
 from __future__ import annotations
@@ -29,6 +34,24 @@ def exponents_of_degree(d: int, deg: int) -> tuple:
         for rest in exponents_of_degree(d - 1, deg - first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+def _bump(e: tuple, a: int, k: int = 1) -> tuple:
+    t = list(e)
+    t[a] += k
+    return tuple(t)
+
+
+def _support(e: tuple) -> list:
+    return [a for a, k in enumerate(e) if k > 0]
+
+
+def _leq(e: tuple, f: tuple) -> bool:
+    return all(x <= y for x, y in zip(e, f))
+
+
+def _sub_e(e: tuple, f: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(e, f))
 
 
 class SeriesRing:
@@ -115,15 +138,16 @@ class TruncatedSeries:
 
     def __init__(self, ring: SeriesRing, coeffs: dict | None = None, valid: int | None = None):
         self.ring = ring
-        self.coeffs = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                if sum(exps) > ring.K:
-                    continue
-                if c == 0:
-                    continue
-                self.coeffs[tuple(exps)] = c
+        items = coeffs.items() if coeffs else ()
+        self.coeffs = {tuple(e): c for e, c in items if sum(e) <= ring.K and c != 0}
         self.valid = ring.K if valid is None else min(int(valid), ring.K)
+
+    def _like(self, coeffs: dict, valid: int) -> "TruncatedSeries":
+        """A series owning coeffs, which keep the storage contract: the results
+        of +, *, - and diff do; other paths filter, as a float can underflow."""
+        s = TruncatedSeries(self.ring, None, valid)
+        s.coeffs = coeffs
+        return s
 
     # -- access ------------------------------------------------------------------
 
@@ -133,13 +157,19 @@ class TruncatedSeries:
     def constant_term(self):
         return self.coeff((0,) * self.ring.d)
 
+    def items(self, through: int | None = None):
+        """Stored (exponent, coefficient) pairs of degree <= through; uncopied if unbounded."""
+        if through is None or through >= self.ring.K:
+            return self.coeffs.items()
+        return [(e, c) for e, c in self.coeffs.items() if sum(e) <= through]
+
     def is_zero(self, through: int | None = None) -> bool:
         lim = self.valid if through is None else min(through, self.ring.K)
-        return all(c == 0 for e, c in self.coeffs.items() if sum(e) <= lim)
+        return not self.items(lim)
 
     def max_abs(self, through: int | None = None) -> float:
         lim = self.valid if through is None else min(through, self.ring.K)
-        return _max_abs(c for e, c in self.coeffs.items() if sum(e) <= lim)
+        return _max_abs(c for _, c in self.items(lim))
 
     def _check(self, other: "TruncatedSeries"):
         if not self.ring.compatible(other.ring):
@@ -158,13 +188,12 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = self.ring.const(other)
         self._check(other)
-        out = _add(self.coeffs, other.coeffs)
-        return TruncatedSeries(self.ring, out, min(self.valid, other.valid))
+        return self._like(_add(self.coeffs, other.coeffs), min(self.valid, other.valid))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, {e: -c for e, c in self.coeffs.items()}, self.valid)
+        return self._like({e: -c for e, c in self.coeffs.items()}, self.valid)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -184,8 +213,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check(other)
-        out = _mul(self.coeffs, other.coeffs, self.ring.K)
-        return TruncatedSeries(self.ring, out, min(self.valid, other.valid))
+        return self._like(_mul(self.coeffs, other.coeffs, self.ring.K), min(self.valid, other.valid))
 
     __rmul__ = scale
 
@@ -193,7 +221,7 @@ class TruncatedSeries:
         """Partial derivative; the top coefficient level becomes unknown."""
         if not 0 <= a < self.ring.d:
             raise ValidationError(f"variable index {a} out of range")
-        return TruncatedSeries(self.ring, _diff(self.coeffs, a), self.valid - 1)
+        return self._like(_diff(self.coeffs, a), self.valid - 1)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; needs a nonzero value at the center."""
@@ -208,10 +236,9 @@ class TruncatedSeries:
             for alpha in exponents_of_degree(d, deg):
                 acc = None
                 for gamma, bg in self.coeffs.items():
-                    if sum(gamma) == 0 or any(g > a for g, a in zip(gamma, alpha)):
+                    if sum(gamma) == 0 or not _leq(gamma, alpha):
                         continue
-                    rest = tuple(a - g for a, g in zip(alpha, gamma))
-                    u = out.get(rest)
+                    u = out.get(_sub_e(alpha, gamma))
                     if u is None:
                         continue
                     term = bg * u

@@ -146,8 +146,8 @@ def _root_space(a: np.ndarray, lam: complex, tol: float):
     m = a - complex(lam) * np.eye(n)
     # normalize before powering so the tolerance keeps meaning
     scale = np.linalg.norm(m, 2)
-    if scale > 0:
-        m = m / scale
+    if scale > 0:  # part by part: complex division by a subnormal scale overflows
+        m = m.real / scale + 1j * (m.imag / scale)
     return _kernel_svd(np.linalg.matrix_power(m, n), tol)
 
 
@@ -199,8 +199,8 @@ def _segre(m: np.ndarray, multiplicity: int, tol: float):
     scale = np.linalg.norm(m, 2) if np.all(np.isfinite(m)) else np.inf
     if not np.isfinite(scale):
         raise ValidationError("the shifted matrix is beyond the float range")
-    if scale > 0:
-        m = m / scale
+    if scale > 0:  # part by part: complex division by a subnormal scale overflows
+        m = m.real / scale + 1j * (m.imag / scale)
     ranks = _power_ranks(m, multiplicity, tol)
     drops = [ranks[k - 1] - ranks[k] for k in range(1, multiplicity + 1)]
     if drops[-1] < 0 or any(b > a for a, b in zip(drops, drops[1:])):
@@ -215,23 +215,25 @@ def _clusters(values, tol: float):
 
     Two values are linked when they lie within tol * max(1, max |v|); the
     clusters are the connected components, as lists of indices into values,
-    each starting at its smallest index.
+    each starting at its smallest index.  A distance that overflows to
+    infinity does not link.
     """
     thr = tol * max(1.0, float(np.max(np.abs(values))))
     unassigned = list(range(len(values)))
     clusters: list[list[int]] = []
-    while unassigned:
-        seed = unassigned.pop(0)
-        comp = [seed]
-        grew = True
-        while grew:
-            grew = False
-            for k in list(unassigned):
-                if any(abs(values[k] - values[c]) <= thr for c in comp):
-                    comp.append(k)
-                    unassigned.remove(k)
-                    grew = True
-        clusters.append(comp)
+    with np.errstate(over="ignore"):
+        while unassigned:
+            seed = unassigned.pop(0)
+            comp = [seed]
+            grew = True
+            while grew:
+                grew = False
+                for k in list(unassigned):
+                    if any(abs(values[k] - values[c]) <= thr for c in comp):
+                        comp.append(k)
+                        unassigned.remove(k)
+                        grew = True
+            clusters.append(comp)
     return clusters, thr
 
 

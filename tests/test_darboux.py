@@ -111,8 +111,12 @@ class TestSolver:
         assert not feasible
         assert rep.max_abs > 0.5
 
-    def test_resonance_raised_by_both_routes(self):
-        p = DEProblem(2, 2, ["0", "0"], [X(2, 0), X(2, 1)], ["0", "2"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_resonance_raised_by_both_routes(self, exact):
+        # b[1] - b[0] = 2 at a coalescent pair: the degree-1 system is singular
+        f = [Poly.variable(2, a, exact=exact) for a in range(2)]
+        p = DEProblem(2, 2, ["0", "0"], f, ["0", "2"])
+        assert p.exact == exact
         with pytest.raises(ResonanceError) as solver:
             de_solve_jet(p, [[0, 1], [1, 0]], 2)
         with pytest.raises(ResonanceError) as oracle:
