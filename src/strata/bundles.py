@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .partitions import Partition, SegreSymbol, enumerate_double_partitions, mu_string
-from .subspaces import _clusters, _segre
+from .subspaces import _clusters, _lapack, _segre
 
 
 def codimension(s: SegreSymbol) -> int:
@@ -221,14 +221,13 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
     n = A.shape[0]
     if n == 0:
         raise ValidationError("empty matrix")
-    eigs = np.linalg.eigvals(A)
-    if not np.all(np.isfinite(eigs)):
-        raise ValidationError("the eigenvalues are beyond the float range")
+    eigs = _lapack(np.linalg.eigvals, A)
     clusters, thr = _clusters(eigs, tol)
-    # an overflowing mean or shift is non-finite, and _segre refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        centers = [complex(np.mean(eigs[c])) for c in clusters]
-        shifts = [A - center * np.eye(n) for center in centers]
+        means = [complex(np.mean(eigs[c])) for c in clusters]
+    # where the mean's sum overflows, scale the values before summing
+    centers = [z if np.isfinite(z) else complex(np.sum(eigs[c] / len(c)))
+               for z, c in zip(means, clusters)]
     gap = float("inf")
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
@@ -236,8 +235,8 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
     ill = gap < 10.0 * thr
 
     members = []
-    for shift, comp in zip(shifts, clusters):
-        parts = _segre(shift, len(comp), tol)
+    for center, comp in zip(centers, clusters):
+        parts = _segre(A, center, len(comp), tol)
         if parts is None:
             parts = (1,) * len(comp)
             ill = True

@@ -38,7 +38,7 @@ from .polynomials import Poly
 from .scalars import ComplexRational, coerce, magnitude, nonzero_int, scalar_abs2, zero_test
 from .series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
 from .series import _bump, _leq, _sub_e, _support
-from .subspaces import _cutoff_rank
+from .subspaces import _cutoff_rank, _lapack, _numerical_rank
 
 _NEAR_COALESCENT = 1e-6
 _RANK_TOL = 1e-12  # a float linear system is singular when s_min <= _RANK_TOL * s_max
@@ -477,9 +477,9 @@ class _Engine:
         if not self.exact:
             A = np.array([[complex(v) for v in r] for r in rows], dtype=complex)
             b = np.array([complex(v) for v in rhs], dtype=complex)
-            if _cutoff_rank(np.linalg.svd(A, compute_uv=False), _RANK_TOL) < len(rhs):
+            if _numerical_rank(A, _RANK_TOL) < len(rhs):
                 return None
-            return list(np.linalg.solve(A, b))
+            return list(_lapack(np.linalg.solve, A, b, what="the linear system"))
         sol = _exact_eliminate(rows, rhs, len(rows))
         return None if isinstance(sol, str) else sol
 
@@ -804,7 +804,7 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                 for cidx, v in entries.items():
                     A[rid, cidx] = complex(v)
                 bvec[rid] = -complex(const)
-            sol, _, _, sv = np.linalg.lstsq(A, bvec, rcond=None)
+            sol, _, _, sv = _lapack(np.linalg.lstsq, A, bvec, rcond=None, what="the linear system")
             failure = "singular" if _cutoff_rank(sv, _RANK_TOL) < len(cols) else None
         if failure:
             for kh in eng.pairs:

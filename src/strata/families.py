@@ -36,7 +36,7 @@ from .errors import (
 from .partitions import SegreSymbol, forgetful
 from .polynomials import Poly, _matmul
 from .scalars import coerce, float_pair, to_complex, to_exact
-from .subspaces import Subspace, _clusters, _numerical_rank, _root_space, _segre, gap_distance
+from .subspaces import Subspace, _clusters, _lapack, _numerical_rank, _root_space, _segre, gap_distance
 
 DEFAULT_SEP_TOL = 1e-12
 # deepest sample 2^-30: small enough for gap-Cauchy tests at 1e-8, large
@@ -87,7 +87,7 @@ class MatrixFamily:
         for _ in range(_BRANCH_CHECK_POINTS):
             x = rng.standard_normal(self.d) + 1j * rng.standard_normal(self.d)
             a = self.eval(x)
-            eig = np.sort_complex(np.linalg.eigvals(a))
+            eig = np.sort_complex(_lapack(np.linalg.eigvals, a, what="the family at a sample point"))
             declared = []
             for p, m in self.branches:
                 declared.extend([complex(p.eval(x))] * m)
@@ -144,7 +144,7 @@ def segre_at_eigenvalue(a: np.ndarray, mu: complex, multiplicity: int, tol: floa
     first multiplicity powers of a - mu I, or None when the drops are
     numerically inconsistent (subspaces._segre).
     """
-    return _segre(a - complex(mu) * np.eye(a.shape[0]), multiplicity, tol)
+    return _segre(a, mu, multiplicity, tol)
 
 
 # -- exact kernel-sheaf value for univariate families ---------------------------

@@ -6,6 +6,11 @@ difference of orthogonal projectors, which metrizes the usual topology
 on the full Grassmannian: distance strictly below 1 forces equal
 dimensions.  The module also owns the spectral decisions on numeric
 matrices: numerical rank, eigenvalue clusters and Segre data.
+
+It owns every LAPACK call in strata as well: each SVD, eigenvalue, solve,
+least-squares and matrix 2-norm goes through _lapack, which refuses a
+non-finite matrix before LAPACK sees it (LAPACK may print to fd 1 or not
+return on one) and a non-finite result after, as ValidationError.
 """
 
 from __future__ import annotations
@@ -16,6 +21,23 @@ from .errors import ShapeError, ValidationError
 from .partitions import Partition
 
 _ORTHO_TOL = 1e-10
+
+
+def _lapack(routine, a, *args, what: str = "the matrix", **kw):
+    """routine(a, *args, **kw) for a numpy.linalg routine, finite values only.
+
+    Non-finite arrays in or out, and LinAlgError, raise ValidationError
+    naming what; finite results are numpy's own, bit for bit.
+    """
+    if not all(np.all(np.isfinite(x)) for x in (a, *args)):
+        raise ValidationError(f"{what} is beyond the float range")
+    try:
+        out = routine(a, *args, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"{routine.__name__} failed on {what}: {exc}") from None
+    if not all(np.all(np.isfinite(x)) for x in (out if isinstance(out, tuple) else (out,))):
+        raise ValidationError(f"{what} is beyond the float range")
+    return out
 
 
 class Subspace:
@@ -49,7 +71,7 @@ class Subspace:
         n = vectors.shape[0]
         if vectors.shape[1] == 0:
             return Subspace(np.zeros((n, 0), dtype=complex))
-        u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+        u, s, _ = _lapack(np.linalg.svd, vectors, full_matrices=False, what="the spanning set")
         smax = s[0] if len(s) else 0.0
         if smax <= tol:
             return Subspace(np.zeros((n, 0), dtype=complex))
@@ -94,7 +116,7 @@ class Subspace:
         if self.dim == 0:
             return True
         resid = self.basis - other.projector() @ self.basis
-        return bool(np.linalg.norm(resid, 2) <= tol)
+        return bool(_lapack(np.linalg.norm, resid, 2) <= tol)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -107,7 +129,7 @@ def gap_distance(a: Subspace, b: Subspace) -> float:
     diff = a.projector() - b.projector()
     if diff.shape[0] == 0:
         return 0.0
-    return float(np.linalg.norm(diff, 2))
+    return float(_lapack(np.linalg.norm, diff, 2))
 
 
 def sum_subspace(parts: list) -> Subspace:
@@ -135,20 +157,25 @@ def _kernel_svd(a: np.ndarray, tol: float):
     m, n = a.shape
     if m == 0 or n == 0:
         return Subspace.full(n), np.zeros(0), 0
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = _lapack(np.linalg.svd, a)
     rank = _cutoff_rank(s, tol)
     return Subspace(vh[rank:, :].conj().T), s, rank
 
 
-def _root_space(a: np.ndarray, lam: complex, tol: float):
-    """_kernel_svd of (A - lam I)^n, A - lam I scaled to unit norm first."""
-    n = a.shape[0]
-    m = a - complex(lam) * np.eye(n)
-    # normalize before powering so the tolerance keeps meaning
-    scale = np.linalg.norm(m, 2)
+def _unit_shift(a: np.ndarray, mu: complex) -> np.ndarray:
+    """A - mu I scaled to unit 2-norm, so that its powers stay in the float
+    range and a relative tolerance keeps its meaning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _lapack refuses the inf
+        m = a - complex(mu) * np.eye(a.shape[0])
+    scale = _lapack(np.linalg.norm, m, 2, what="the shifted matrix")
     if scale > 0:  # part by part: complex division by a subnormal scale overflows
         m = m.real / scale + 1j * (m.imag / scale)
-    return _kernel_svd(np.linalg.matrix_power(m, n), tol)
+    return m
+
+
+def _root_space(a: np.ndarray, lam: complex, tol: float):
+    """_kernel_svd of _unit_shift(A, lam)^n."""
+    return _kernel_svd(np.linalg.matrix_power(_unit_shift(a, lam), a.shape[0]), tol)
 
 
 def generalized_eigenspace(a: np.ndarray, lam: complex, tol: float = 1e-10) -> Subspace:
@@ -173,7 +200,7 @@ def _cutoff_rank(s: np.ndarray, tol: float) -> int:
 
 def _numerical_rank(m: np.ndarray, tol: float) -> int:
     """_cutoff_rank of the singular values of m."""
-    return _cutoff_rank(np.linalg.svd(m, compute_uv=False), tol)
+    return _cutoff_rank(_lapack(np.linalg.svd, m, compute_uv=False), tol)
 
 
 def _power_ranks(m: np.ndarray, powers: int, tol: float) -> list:
@@ -187,21 +214,15 @@ def _power_ranks(m: np.ndarray, powers: int, tol: float) -> list:
     return ranks
 
 
-def _segre(m: np.ndarray, multiplicity: int, tol: float):
-    """Jordan block sizes of the eigenvalue 0 of m, of known multiplicity.
+def _segre(a: np.ndarray, mu: complex, multiplicity: int, tol: float):
+    """Jordan block sizes of the eigenvalue mu of a, of known multiplicity.
 
-    m is scaled to unit 2-norm first, so that its powers stay in the float
-    range and the tolerance keeps its meaning.  The rank drops of m^0 ..
-    m^multiplicity count the blocks of size >= k; their conjugate is the
-    weakly decreasing tuple of block sizes.  Returns None when the drops
-    are not nonnegative and nonincreasing or do not sum to multiplicity.
+    The rank drops of m^0 .. m^multiplicity, m = _unit_shift(a, mu), count
+    the blocks of size >= k; their conjugate is the weakly decreasing tuple
+    of block sizes.  Returns None when the drops are not nonnegative and
+    nonincreasing or do not sum to multiplicity.
     """
-    scale = np.linalg.norm(m, 2) if np.all(np.isfinite(m)) else np.inf
-    if not np.isfinite(scale):
-        raise ValidationError("the shifted matrix is beyond the float range")
-    if scale > 0:  # part by part: complex division by a subnormal scale overflows
-        m = m.real / scale + 1j * (m.imag / scale)
-    ranks = _power_ranks(m, multiplicity, tol)
+    ranks = _power_ranks(_unit_shift(a, mu), multiplicity, tol)
     drops = [ranks[k - 1] - ranks[k] for k in range(1, multiplicity + 1)]
     if drops[-1] < 0 or any(b > a for a, b in zip(drops, drops[1:])):
         return None

@@ -34,6 +34,14 @@ DOCS = {
     "jordan": '[[2, 1, 0], [0, 2, 0], [0, 0, "1/3"]]',
     "pair": '{"a": [[1, 0]], "b": [[0, 1]]}',
     "pair_nan": '{"a": [[NaN, 0]], "b": [[0, 1]]}',
+    "huge_rank_one": "[[1e308, 1e308], [1e308, 1e308]]",
+    "huge_scalar": "[[1e308, 0], [0, 1e308]]",
+    # the family diag(1e308 x, -1e308 x); its value at a sample point overflows
+    "huge_family": json.dumps({"d": 1, "n": 2, "entries": [
+        [[{"exps": [1], "re": 1e308, "im": 0.0}], []],
+        [[], [{"exps": [1], "re": -1e308, "im": 0.0}]]], "branches": [
+        {"poly": [{"exps": [1], "re": 1e308, "im": 0.0}], "multiplicity": 1},
+        {"poly": [{"exps": [1], "re": -1e308, "im": 0.0}], "multiplicity": 1}]}),
 }
 
 CASES = [
@@ -49,6 +57,9 @@ CASES = [
     ["bundles", "classify", "--input", "jordan"],
     ["gap", "kernel", "--input", "huge_diag"],
     ["gap", "kernel", "--input", "denormal"],
+    ["gap", "kernel", "--input", "huge_rank_one"],
+    ["gap", "report", "--input", "huge_family", "--point", "[0]"],
+    ["bundles", "classify", "--input", "huge_scalar"],
     ["gap", "distance", "--input", "pair"],
     ["gap", "distance", "--input", "pair_nan"],
     ["bundles", "hasse", "--n", "1000000"],
@@ -135,3 +146,17 @@ def test_overflowing_shift_writes_one_stderr_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [json.dumps(
         {"error": "invalid-input", "detail": "the shifted matrix is beyond the float range"})]
+
+
+def test_huge_entries_give_the_true_answer_or_a_refusal(tmp_path):
+    argvs = []
+    for cmd, name in [(["gap", "kernel"], "huge_rank_one"), (["bundles", "classify"], "huge_scalar")]:
+        (tmp_path / f"{name}.json").write_text(DOCS[name])
+        argvs.append([*cmd, "--input", str(tmp_path / f"{name}.json")])
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        kernel, classify = pool.map(_run, argvs)
+    # the matrix has rank 1: a refusal is allowed, the kernel of the zero matrix is not
+    assert kernel.returncode == 2 or json.loads(kernel.stdout)["dim"] == 1
+    assert classify.returncode == 0, classify.stderr
+    doc = json.loads(classify.stdout)
+    assert (doc["symbol"], doc["eigenvalues"]) == ([[1, 1]], [[1e308, 0.0]])

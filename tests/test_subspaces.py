@@ -1,11 +1,16 @@
 """Gap metric on subspaces and numerical kernels."""
 
+import ast
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from strata.errors import ShapeError
+from strata.errors import ShapeError, ValidationError
 from strata.subspaces import (
     Subspace,
     gap_distance,
@@ -138,3 +143,76 @@ class TestIntertwiner:
         for _ in range(5):
             a = rng.standard_normal((3, 3))
             assert intertwiner_dimension(a, a) >= 3
+
+
+class TestFiniteValueGuard:
+    """Every LAPACK call refuses a matrix, or a result, beyond the float range."""
+
+    def test_rank_one_matrix_with_overflowing_norm(self):
+        # the largest singular value overflows; a rank cutoff relative to
+        # inf read the rank as 0 and the kernel as all of C^2
+        try:
+            dim = kernel_subspace(np.full((2, 2), 1e308)).dim
+        except ValidationError:
+            return
+        assert dim == 1
+
+    def test_overflowing_shift_is_refused(self):
+        with pytest.raises(ValidationError):
+            generalized_eigenspace(np.array([[1e308, 1.0], [0.0, -1e308]]), 1e308)
+
+    def test_infinite_entry_is_refused_before_lapack(self):
+        # LAPACK's complex SVD of this matrix does not return
+        m = np.diag([np.inf, 1.0, 1.0]).astype(complex)
+        before = time.process_time()
+        with pytest.raises(ValidationError):
+            kernel_subspace(m)
+        assert time.process_time() - before < 1.0
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(m=st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           min_size=n, max_size=n)),
+        k=st.integers(-1021, 1021))
+    @example(m=[[3] * 4] * 4, k=1021)
+    def test_kernel_dimension_survives_power_of_two_scaling(self, m, k):
+        m = np.array(m, dtype=float)
+        try:
+            dim = kernel_subspace(2.0**k * m).dim
+        except ValidationError:
+            return
+        assert dim == kernel_subspace(m).dim
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "strata"
+
+
+def _stray_linalg(path):
+    """Uses of numpy.linalg in a module other than the allowed ones: a routine
+    passed as _lapack's first argument, matrix_power, the one-argument vector
+    norms of Subspace.contains, and LinAlgError inside _lapack."""
+    tree = ast.parse(path.read_text())
+    parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+    stray = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node):
+            stray.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+        if not (isinstance(node, ast.Attribute) and node.attr == "linalg"):
+            continue
+        ref = fn = parent[node]  # np.linalg.<name>, and then its enclosing function
+        while not isinstance(fn, (ast.FunctionDef, ast.Module)):
+            fn = parent[fn]
+        name, use, where = getattr(ref, "attr", None), parent.get(ref), getattr(fn, "name", None)
+        called = isinstance(use, ast.Call) and use.func is ref
+        guarded = (isinstance(use, ast.Call) and bool(use.args) and use.args[0] is ref
+                   and getattr(use.func, "id", None) == "_lapack")
+        if not (guarded or called and name == "matrix_power"
+                or called and name == "norm" and where == "contains"
+                and len(use.args) == 1 and not use.keywords
+                or name == "LinAlgError" and where == "_lapack"):
+            stray.append(f"{path.name}:{node.lineno} {ast.unparse(use if called else node)}")
+    return stray
+
+
+def test_every_lapack_call_goes_through_the_guard():
+    assert [s for path in sorted(SRC.glob("*.py")) for s in _stray_linalg(path)] == []
