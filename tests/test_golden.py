@@ -52,6 +52,8 @@ CASES = [
     ("gauge_simplify_coalescent_exact", True,
      ["gauge", "simplify", "--input", "conn_coalescent_exact.json",
       "--order", "3", "--mode", "coalescent"]),
+    ("gauge_simplify_regular_exact", True,
+     ["gauge", "simplify", "--input", "conn_regular_exact.json", "--order", "3"]),
     ("gauge_simplify_coalescent_float", False,
      ["gauge", "simplify", "--input", "conn_coalescent_float.json",
       "--order", "3", "--mode", "coalescent"]),

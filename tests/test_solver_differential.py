@@ -1,0 +1,90 @@
+"""Differential checks of the exact solver stack on drawn problems.
+
+The routes that compute one jet independently must agree on small random
+exact problems: the order-by-order solver, the stacked per-degree oracle
+and, for n = 2 at a regular base point, the closed form.  The residual
+substitutes the solver's jet back into both equation families, and the
+gauge ladder built from that jet must leave no determined residual.
+
+Problems have n <= 3, d <= 3 and order K <= 4.  One draw in four is
+coalescent in the pair (0, 1), with a non-integer b_1 - b_0 there so that
+no order is resonant, and an F0 that meets the degree-0 constraint
+kappa_kh F_kh = sum_l (f_l - f_k)(x_o) F_kl F_lh of that pair.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strata.darboux import DEProblem, de_closed_form_n2, de_oracle_solve, de_residual, de_solve_jet
+from strata.gauge import connection_from_de, formal_simplify, gauge_residual
+from strata.polynomials import Poly
+
+_SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+_NONZERO = _SMALL.filter(bool)
+
+
+@st.composite
+def _problems(draw, n: int, coalescent: bool):
+    d = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 4))
+    x0 = draw(st.lists(_SMALL, min_size=d, max_size=d))
+    if coalescent:
+        v = draw(_SMALL)
+        values = [v, v] + draw(st.lists(_SMALL.filter(lambda w: w != v), min_size=n - 2,
+                                        max_size=n - 2))
+    else:
+        values = draw(st.lists(_SMALL, min_size=n, max_size=n, unique=True))
+    grads = draw(st.lists(st.tuples(*[_SMALL] * d), min_size=n, max_size=n, unique=True))
+    shifted = [Poly.variable(d, a, exact=True) - x0[a] for a in range(d)]
+    f = []
+    for i in range(n):
+        fi = values[i] + sum((g * y for g, y in zip(grads[i], shifted)), Poly(d, exact=True))
+        a, c = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        f.append(fi + draw(_SMALL) * shifted[a] * shifted[c])
+    b = draw(st.lists(_SMALL, min_size=n, max_size=n))
+    if coalescent:
+        num = draw(st.integers(-7, 7))
+        den = draw(st.integers(2, 4))
+        if num % den == 0:
+            num += 1
+        b[1] = b[0] + Fraction(num, den)
+    F0 = [[Fraction(0) if i == j else draw(_NONZERO) for j in range(n)] for i in range(n)]
+    if coalescent:
+        for k, h in ((0, 1), (1, 0)):
+            kappa = b[h] - b[k] - 1
+            F0[k][h] = sum((values[l] - values[k]) * F0[k][l] * F0[l][h]
+                           for l in range(2, n)) / kappa
+    problem = DEProblem(d, n, x0, f, b)
+    assert problem.exact and bool(problem.coalescent) == coalescent
+    return problem, F0, K
+
+
+def _coeffs(jet):
+    n = jet.n
+    return {(k, h): dict(jet.entry(k, h).items()) for k in range(n) for h in range(n) if k != h}
+
+
+def _check(case):
+    problem, F0, K = case
+    jet, feasible, _ = de_solve_jet(problem, F0, K)
+    assert feasible
+    assert _coeffs(jet) == _coeffs(de_oracle_solve(problem, F0, K))
+    assert de_residual(problem, jet, K - 1).exact_zero
+    if problem.n == 2 and not problem.coalescent:
+        assert _coeffs(jet) == _coeffs(de_closed_form_n2(problem, F0, K))
+    if problem.d <= 2:
+        conn = connection_from_de(problem, jet)
+        mode = "coalescent" if problem.coalescent else "regular"
+        gs = formal_simplify(conn, min(K, 3), mode=mode)
+        assert gauge_residual(conn, gs).is_zero_determined()
+
+
+@pytest.mark.parametrize("n, coalescent, examples",
+                         [(2, False, 12), (3, False, 12), (2, True, 4), (3, True, 4)])
+def test_exact_routes_agree(n, coalescent, examples):
+    run = settings(max_examples=examples, deadline=None, derandomize=True)(
+        given(_problems(n, coalescent))(_check))
+    run()
