@@ -409,10 +409,7 @@ def _cmd_appendix_families(args) -> int:
 
 
 def _cmd_appendix_classify2x2(args) -> int:
-    doc = _load_json(args.input)
-    exact = schemas.document_is_exact(doc)
-    d = int(doc["d"])
-    entries = [schemas.decode_poly(doc[name], d, exact) for name in ("g", "h", "l", "m")]
+    entries = schemas.decode_2x2_model(_load_json(args.input))
     result = appendix_mod.classify_2x2(*entries, tol=_tol(args, 1e-9))
     _emit(result.to_dict())
     return 0

@@ -336,7 +336,9 @@ class _Engine:
             acc = acc + c * v
         return acc
 
-    def _conv_FF(self, P: TruncatedSeries, kl, lh, beta: tuple, exclude) -> object:
+    def _conv_FF(self, P: TruncatedSeries, kl, lh, beta: tuple) -> object:
+        """Coefficient at beta of P * F_kl * F_lh.  Callers mask only the
+        pair (k, h), never (k, l) or (l, h), so no unknown is excluded."""
         acc = self.zero
         A, B = self.C[kl], self.C[lh]
         for g1, c1 in P.items():
@@ -344,11 +346,9 @@ class _Engine:
                 continue
             rem = _sub_e(beta, g1)
             for g2, v2 in A.items():
-                if not _leq(g2, rem) or (kl, g2) in exclude:
+                if not _leq(g2, rem):
                     continue
                 g3 = _sub_e(rem, g2)
-                if (lh, g3) in exclude:
-                    continue
                 v3 = B.get(g3)
                 if v3 is None:
                     continue
@@ -362,7 +362,7 @@ class _Engine:
         for l in range(self.n):
             if l == k or l == h:
                 continue
-            acc = acc - self._conv_FF(self._w(i, j, l, k, h), (k, l), (l, h), beta, exclude)
+            acc = acc - self._conv_FF(self._w(i, j, l, k, h), (k, l), (l, h), beta)
         return acc
 
     def de2_coeff(self, i: int, k: int, h: int, beta: tuple, exclude=frozenset()):
@@ -372,8 +372,8 @@ class _Engine:
         for l in range(self.n):
             if l == k or l == h:
                 continue
-            acc = acc - self._conv_FF(self._p1(i, l, k, h), (k, l), (l, h), beta, exclude)
-            acc = acc + self._conv_FF(self._p2(i, l, k, h), (k, l), (l, h), beta, exclude)
+            acc = acc - self._conv_FF(self._p1(i, l, k, h), (k, l), (l, h), beta)
+            acc = acc + self._conv_FF(self._p2(i, l, k, h), (k, l), (l, h), beta)
         return acc
 
     # -- base point constraint -------------------------------------------------------
@@ -480,7 +480,7 @@ class _Engine:
             if _numerical_rank(A, _RANK_TOL) < len(rhs):
                 return None
             return list(_lapack(np.linalg.solve, A, b, what="the linear system"))
-        sol = _exact_eliminate(rows, rhs, len(rows))
+        sol = _exact_solve([(dict(enumerate(r)), -v) for r, v in zip(rows, rhs)], len(rows))
         return None if isinstance(sol, str) else sol
 
     def to_jet(self) -> DEJet:
@@ -633,86 +633,47 @@ def de_closed_form_n2(problem: DEProblem, F0, K: int) -> DEJet:
     return DEJet(SeriesMatrix([[z, f01], [f10, z]]))
 
 
-def _exact_eliminate(rows, rhs, ncols: int):
-    """Exact Gauss-Jordan solve of rows * x = rhs in ncols unknowns.
+def _exact_solve(rows, ncols: int):
+    """Exact sparse Gauss-Jordan solve of the rows sum(coeff * u) + const = 0.
 
-    rows is a list of coefficient lists of length ncols, possibly more
-    rows than unknowns; the pivot is the first nonzero entry at or below
-    the diagonal.  Returns the values list, "singular" when some unknown
-    has no pivot, or "inconsistent" when a row reduced to zero keeps a
-    nonzero right-hand side.
+    rows: list of (dict col->ComplexRational, const); zero coefficients are
+    dropped.  Rows are taken shortest first, the fewest-entries pivot order
+    of Markowitz, so a unit row pins its unknown before any coupled row is
+    pivoted.  Each row has the known pivots substituted; its lowest
+    remaining unknown becomes a new pivot, which is then eliminated from
+    the earlier pivot rows.  Returns the values list, "inconsistent" when a
+    row reduces to a nonzero constant, or "singular" when some unknown has
+    no pivot.
     """
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for colj in range(ncols):
-        piv = next((r for r in range(colj, len(m)) if m[r][colj] != 0), None)
-        if piv is None:
-            return "singular"
-        m[colj], m[piv] = m[piv], m[colj]
-        inv = ComplexRational(1) / m[colj][colj]
-        m[colj] = [v * inv for v in m[colj]]
-        for r in range(len(m)):
-            if r != colj and m[r][colj] != 0:
-                factor = m[r][colj]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[colj])]
-    if any(row[-1] != 0 for row in m[ncols:]):
-        return "inconsistent"
-    return [row[-1] for row in m[:ncols]]
 
+    def add(dst: dict, a, src: dict):
+        for c, w in src.items():
+            dst[c] = dst[c] + a * w if c in dst else a * w
 
-def _exact_sparse_solve(rows, ncols: int):
-    """Solve sum(coeff * u) + const = 0 rows exactly.
-
-    rows: list of (dict col->ComplexRational, const).  Returns the values
-    list, or the strings "singular" / "inconsistent".  Unit rows are
-    propagated first, which resolves regular-pair blocks immediately and
-    leaves only small coupled cores for _exact_eliminate.
-    """
-    rows = [(dict(e), c) for e, c in rows]
-    values = [None] * ncols
-    col_rows = {}
-    for rid, (entries, _) in enumerate(rows):
-        for colj in entries:
-            col_rows.setdefault(colj, set()).add(rid)
-
-    queue = [rid for rid, (e, _) in enumerate(rows) if len(e) == 1]
-    while queue:
-        rid = queue.pop()
-        entries, const = rows[rid]
-        if len(entries) != 1:
+    # pivot col -> {col: coeff, None: const}: u_pivot = sum(coeff * u) + const,
+    # over columns that are not pivots
+    exprs = {}
+    for entries, const in sorted(rows, key=lambda r: len(r[0])):
+        row = {None: const}
+        for col, v in entries.items():
+            if v != 0:
+                add(row, v, exprs.get(col, {col: 1}))
+        unknowns = [c for c, v in row.items() if c is not None and v != 0]
+        if not unknowns:
+            if row[None] != 0:
+                return "inconsistent"
             continue
-        # colj has no value yet: assigning one removes it from every row
-        colj, coeff = next(iter(entries.items()))
-        val = -const / coeff
-        values[colj] = val
-        for other in list(col_rows.get(colj, ())):
-            oe, oc = rows[other]
-            if colj in oe:
-                oc = oc + oe.pop(colj) * val
-                rows[other] = (oe, oc)
-                if len(oe) == 1:
-                    queue.append(other)
-        col_rows.pop(colj, None)
-    if any(not entries and const != 0 for entries, const in rows):
-        return "inconsistent"
-    # every row holding an unknown was reached when that unknown got its
-    # value, so the rows left with entries involve only live columns
-    live_cols = [c for c in range(ncols) if values[c] is None]
-    if live_cols:
-        index = {c: i for i, c in enumerate(live_cols)}
-        dense, rhs = [], []
-        for entries, const in rows:
-            if entries:
-                row = [ComplexRational(0)] * len(live_cols)
-                for colj, coeff in entries.items():
-                    row[index[colj]] = coeff
-                dense.append(row)
-                rhs.append(-const)
-        sol = _exact_eliminate(dense, rhs, len(live_cols))
-        if isinstance(sol, str):
-            return sol
-        for colj, v in zip(live_cols, sol):
-            values[colj] = v
-    return values
+        p = min(unknowns)
+        inv = ComplexRational(-1) / row.pop(p)
+        expr = {c: v * inv for c, v in row.items() if v != 0 or c is None}
+        for e in exprs.values():
+            a = e.pop(p, None)
+            if a is not None:
+                add(e, a, expr)
+        exprs[p] = expr
+    if len(exprs) < ncols:
+        return "singular"
+    return [exprs[c][None] for c in range(ncols)]
 
 
 def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
@@ -740,10 +701,6 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
         col_index = {key: idx for idx, key in enumerate(cols)}
         rows = []
 
-        def add_row(entries: dict, const):
-            clean = {c: v for c, v in entries.items() if v != 0}
-            rows.append((clean, const))
-
         for kh in eng.pairs:
             k, h = kh
             D = eng.D[kh]
@@ -755,13 +712,13 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                             col_index[(kh, _bump(beta, i))]: D[j] * (beta[i] + 1),
                             col_index[(kh, _bump(beta, j))]: -D[i] * (beta[j] + 1),
                         }
-                        add_row(entries, eng.de1_coeff(i, j, k, h, beta))
+                        rows.append((entries, eng.de1_coeff(i, j, k, h, beta)))
             for i in range(d):
                 for beta in exps_prev:
                     entries = {}
                     if d0 != 0:
                         entries[col_index[(kh, _bump(beta, i))]] = d0 * (beta[i] + 1)
-                    add_row(entries, eng.de2_coeff(i, k, h, beta))
+                    rows.append((entries, eng.de2_coeff(i, k, h, beta)))
             if eng.coalescent[kh]:
                 kappa = eng.kappa[kh]
                 for i in range(d):
@@ -792,10 +749,10 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                                 entries[ci] = entries.get(ci, eng.zero) + p20 * flh0
                                 ci = col_index[((l, h), delta_e)]
                                 entries[ci] = entries.get(ci, eng.zero) + p20 * fkl0
-                        add_row(entries, eng.de2_coeff(i, k, h, delta_e))
+                        rows.append((entries, eng.de2_coeff(i, k, h, delta_e)))
 
         if exact:
-            sol = _exact_sparse_solve(rows, len(cols))
+            sol = _exact_solve(rows, len(cols))
             failure = sol if isinstance(sol, str) else None
         else:
             A = np.zeros((len(rows), len(cols)), dtype=complex)

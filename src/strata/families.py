@@ -473,10 +473,7 @@ def jordanizability_report(
         branch_limits = []
         ok = True
         for pi, path, offs in usable:
-            try:
-                lim, final_gap = _probe_path(family, bi, path, offs, tol, sep_tol)
-            except CoalescencePathError:
-                continue
+            lim, final_gap = _probe_path(family, bi, path, offs, tol, sep_tol)
             converged = lim is not None
             probes.append(
                 PathProbe(

@@ -203,13 +203,14 @@ def _resonance_guard(conn: FramedConnection, k: int):
 def formal_simplify(conn: FramedConnection, K: int, mode: str = "regular") -> GaugeSeries:
     """Gauge terms F_1..F_K reducing the frame to normal form.
 
-    Regular mode requires pairwise distinct center values f_i and solves the
-    ladder identity by series division for every off-diagonal entry.
-    Coalescent mode seeds F_1'' = L, divides by f_j - f_i only at pairs that
-    stay separated at the center, and continues the coalescent entries with
-    the pivot-derivative identity; it raises the resonance error when
+    One recursion serves every frame.  F_1'' = L, since the first ladder
+    rung reads B_ij = (f_j - f_i) L_ij off the diagonal.  Later off-diagonal
+    entries come from series division by f_j - f_i at pairs that stay
+    separated at the center, and at coalescent pairs from the
+    pivot-derivative identity; the resonance error is raised when
     b_i - b_j + k + 1 vanishes for a coalescent pair at a computed order.
-    Diagonal entries come from the next ladder rung in both modes.
+    Diagonal entries come from the next ladder rung.  At a regular center
+    both modes give the same terms; regular mode refuses a coalescent one.
     """
     if mode not in ("regular", "coalescent"):
         raise ValidationError(f"unknown mode {mode!r}, expected 'regular' or 'coalescent'")
@@ -221,10 +222,7 @@ def formal_simplify(conn: FramedConnection, K: int, mode: str = "regular") -> Ga
             f"center has coalescent branch pairs {list(conn.coalescent_pairs)}; "
             "regular mode needs pairwise distinct f_i"
         )
-    pivots = {}
-    if mode == "coalescent":
-        for (i, j) in conn.coalescent_pairs:
-            pivots[(i, j)] = conn.pivot(i, j)
+    pivots = {(i, j): conn.pivot(i, j) for (i, j) in conn.coalescent_pairs}
 
     inv, dinv = {}, {}
     for i in range(n):
@@ -240,10 +238,9 @@ def formal_simplify(conn: FramedConnection, K: int, mode: str = "regular") -> Ga
     terms = []
     Fk = ring.identity_matrix(n)
     for k in range(K):
-        if mode == "coalescent":
-            _resonance_guard(conn, k)
+        _resonance_guard(conn, k)
         rows = [[ring.zero() for _ in range(n)] for _ in range(n)]
-        if mode == "coalescent" and k == 0:
+        if k == 0:
             for i in range(n):
                 for j in range(n):
                     if i != j:

@@ -25,6 +25,10 @@ Document shapes:
   "varpi": [[[terms]]; d] in place of "Bdiag" and "L".
 * gauge series: {"K", "F": [series matrix]}.
 * path: [polynomial; d] in one parameter.
+* 2x2 model: {"d", "g", "h", "l", "m": polynomial}.
+
+Every integer field (d, n, K, exponents, valid, valids, multiplicity) is
+read by _decode_int: a JSON integer, never a boolean or a float.
 """
 
 from __future__ import annotations
@@ -86,6 +90,16 @@ def decode_scalar(obj):
     return ComplexRational(re) if re_exact else complex(re, 0.0)
 
 
+def _decode_int(v, what: str, low: int | None = None) -> int:
+    """An integer field of a document: a JSON integer, never a bool, and at
+    least low when low is given."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValidationError(f"{what} must be an integer, got {v!r}")
+    if low is not None and v < low:
+        raise ValidationError(f"{what} must be at least {low}, got {v}")
+    return v
+
+
 def _leaf_floats(obj) -> bool:
     if isinstance(obj, float):
         return True
@@ -121,7 +135,7 @@ def _decode_terms(obj, d: int, exact: bool) -> dict:
     for term in obj:
         if not isinstance(term, dict) or "exps" not in term:
             raise ValidationError("each term needs an exps list")
-        exps = tuple(int(e) for e in term["exps"])
+        exps = tuple(_decode_int(e, "an exponent", low=0) for e in term["exps"])
         if len(exps) != d:
             raise ShapeError(f"term exponents {exps} do not match d={d}")
         c = decode_scalar([term.get("re", 0), term.get("im", 0)])
@@ -152,11 +166,11 @@ def encode_series(s: TruncatedSeries) -> dict:
 
 
 def _ring_from_doc(obj, exact: bool) -> SeriesRing:
-    d = int(obj["d"])
+    d = _decode_int(obj["d"], "d")
     center = [coerce(decode_scalar(c), exact) for c in obj["center"]]
     if len(center) != d:
         raise ShapeError("center length must equal d")
-    return SeriesRing(d, int(obj["K"]), center, exact)
+    return SeriesRing(d, _decode_int(obj["K"], "K"), center, exact)
 
 
 def decode_series(obj, ring: SeriesRing | None = None) -> TruncatedSeries:
@@ -164,7 +178,7 @@ def decode_series(obj, ring: SeriesRing | None = None) -> TruncatedSeries:
     if ring is None:
         ring = _ring_from_doc(obj, exact)
     coeffs = _decode_terms(obj["terms"], ring.d, ring.exact)
-    valid = int(obj.get("valid", ring.K))
+    valid = _decode_int(obj.get("valid", ring.K), "valid")
     return TruncatedSeries(ring, coeffs, valid)
 
 
@@ -189,7 +203,7 @@ def decode_series_matrix(obj, ring: SeriesRing | None = None) -> SeriesMatrix:
     if ring is None:
         ring = _ring_from_doc(obj, exact)
     entries = obj["entries"]
-    n = int(obj.get("n", len(entries)))
+    n = _decode_int(obj.get("n", len(entries)), "n")
     if len(entries) != n:
         raise ShapeError("entry grid does not match n")
     valids = obj.get("valids")
@@ -199,7 +213,7 @@ def decode_series_matrix(obj, ring: SeriesRing | None = None) -> SeriesMatrix:
             raise ShapeError("entry grid must be rectangular")
         out_row = []
         for j, terms in enumerate(row):
-            valid = int(valids[i][j]) if valids is not None else ring.K
+            valid = _decode_int(valids[i][j], "valids") if valids is not None else ring.K
             out_row.append(TruncatedSeries(ring, _decode_terms(terms, ring.d, ring.exact), valid))
         rows.append(out_row)
     return SeriesMatrix(rows)
@@ -240,12 +254,12 @@ def encode_matrix_family(fam: MatrixFamily) -> dict:
 
 def decode_matrix_family(obj) -> MatrixFamily:
     exact = document_is_exact(obj)
-    d, n = int(obj["d"]), int(obj["n"])
+    d, n = _decode_int(obj["d"], "d"), _decode_int(obj["n"], "n")
     entries = [[decode_poly(t, d, exact) for t in row] for row in obj["entries"]]
     branches = None
     if obj.get("branches") is not None:
         branches = [
-            (decode_poly(b["poly"], d, exact), int(b["multiplicity"]))
+            (decode_poly(b["poly"], d, exact), _decode_int(b["multiplicity"], "multiplicity"))
             for b in obj["branches"]
         ]
     return MatrixFamily(d, n, entries, branches)
@@ -270,7 +284,7 @@ def encode_de_problem(problem: DEProblem, F0=None) -> dict:
 def decode_de_problem(obj, tol: float = 1e-10):
     """Returns (problem, F0) with F0 None when the document has none."""
     exact = document_is_exact(obj)
-    d, n = int(obj["d"]), int(obj["n"])
+    d, n = _decode_int(obj["d"], "d"), _decode_int(obj["n"], "n")
     x0 = [coerce(decode_scalar(c), exact) for c in obj["x0"]]
     f = [decode_poly(t, d, exact) for t in obj["f"]]
     b = [coerce(decode_scalar(c), exact) for c in obj["b"]]
@@ -318,7 +332,7 @@ def _decode_frame(obj):
     """The series ring and the diagonal matrix Delta0 of a framed document,
     with a reader for its entry grids."""
     exact = document_is_exact(obj)
-    d, n = int(obj["d"]), int(obj["n"])
+    d, n = _decode_int(obj["d"], "d"), _decode_int(obj["n"], "n")
     ring = _ring_from_doc(obj, exact)
     fpolys = [decode_poly(t, d, exact) for t in obj["Delta0"]]
     if len(fpolys) != n:
@@ -359,9 +373,19 @@ def encode_gauge_series(gs: GaugeSeries) -> dict:
 
 def decode_gauge_series(obj) -> GaugeSeries:
     mats = [decode_series_matrix(m) for m in obj["F"]]
-    if len(mats) != int(obj.get("K", len(mats))):
+    if len(mats) != _decode_int(obj.get("K", len(mats)), "K"):
         raise ValidationError("gauge series K does not match the number of terms")
     return GaugeSeries(mats)
+
+
+# -- appendix models -------------------------------------------------------------------
+
+
+def decode_2x2_model(obj) -> tuple:
+    """The entry polynomials (g, h, l, m) of a 2x2 model document."""
+    exact = document_is_exact(obj)
+    d = _decode_int(obj["d"], "d")
+    return tuple(decode_poly(obj[name], d, exact) for name in ("g", "h", "l", "m"))
 
 
 # -- paths -----------------------------------------------------------------------------

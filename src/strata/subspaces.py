@@ -62,21 +62,15 @@ class Subspace:
 
     @staticmethod
     def from_spanning(vectors: np.ndarray, tol: float = 1e-10) -> "Subspace":
-        """Orthonormalize a (possibly dependent) spanning set via SVD."""
+        """Orthonormalize a (possibly dependent) spanning set via SVD; its
+        dimension is the _cutoff_rank of the singular values at tol."""
         vectors = np.asarray(vectors, dtype=complex)
         if vectors.ndim == 1:
             vectors = vectors.reshape(-1, 1)
         if vectors.ndim != 2:
             raise ShapeError("spanning set must be a 2-d array")
-        n = vectors.shape[0]
-        if vectors.shape[1] == 0:
-            return Subspace(np.zeros((n, 0), dtype=complex))
         u, s, _ = _lapack(np.linalg.svd, vectors, full_matrices=False, what="the spanning set")
-        smax = s[0] if len(s) else 0.0
-        if smax <= tol:
-            return Subspace(np.zeros((n, 0), dtype=complex))
-        rank = int(np.sum(s > tol * max(1.0, smax)))
-        return Subspace(u[:, :rank])
+        return Subspace(u[:, :_cutoff_rank(s, tol)])
 
     @staticmethod
     def zero(n: int) -> "Subspace":

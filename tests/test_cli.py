@@ -216,6 +216,13 @@ class TestGap:
         assert abs(doc["distance"] - 1.0) <= 1e-12
         assert doc["dim_a"] == doc["dim_b"] == 1
 
+    def test_distance_dimension_does_not_depend_on_scale(self, capsys, tmp_path):
+        f = tmp_path / "pair.json"
+        f.write_text(json.dumps({"a": [[1e-11, 0]], "b": [[0, 1]]}))
+        doc = run_json(capsys, "gap", "distance", "--input", str(f))
+        assert doc["dim_a"] == doc["dim_b"] == 1
+        assert abs(doc["distance"] - 1.0) <= 1e-12
+
     def test_kernel(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(json.dumps([[0, 1], [0, 0]]))

@@ -6,7 +6,8 @@ straight to the file descriptors.  Here each command runs in its own
 process and the contract is checked on its raw output: stdout is empty or
 strict JSON (plain text for `partitions count`), exit status 0 leaves
 stderr empty, and exit status 2 leaves exactly one JSON line on stderr.
-The inputs are a fixed sample of the kinds the CLI fuzzer draws.
+The inputs are a fixed sample of the kinds the CLI fuzzer draws, plus
+documents with a malformed integer field, which must exit 2.
 """
 
 import json
@@ -44,6 +45,37 @@ DOCS = {
         {"poly": [{"exps": [1], "re": -1e308, "im": 0.0}], "multiplicity": 1}]}),
 }
 
+
+def _term(exps, re="1"):
+    return {"exps": exps, "re": re, "im": "0"}
+
+
+def _de_doc(d=1, exps=(1,)):
+    f = [[_term(list(exps))], [_term([0]), _term([1], "2")]]
+    return json.dumps({"d": d, "n": 2, "x0": ["0"], "f": f, "b": ["0", "1/2"],
+                       "F0": [["0", "1"], ["1", "0"]]})
+
+
+# documents with a malformed integer field: each must be refused with exit 2
+BAD_INTS = {
+    "de_d_string": _de_doc(d="x"),
+    "de_d_bool": _de_doc(d=True),
+    "de_exps_string": _de_doc(exps=["a"]),
+    "de_exps_float": _de_doc(exps=[1.7]),
+    "de_exps_bool": _de_doc(exps=[True]),
+    "family_multiplicity_string": json.dumps({"d": 1, "n": 2, "entries": [
+        [[_term([1])], []], [[], [_term([1], "-1")]]], "branches": [
+        {"poly": [_term([1])], "multiplicity": "one"},
+        {"poly": [_term([1], "-1")], "multiplicity": 1}]}),
+    # a d=1 frame whose L holds x^-1
+    "frame_negative_exponent": json.dumps({"d": 1, "n": 2, "center": ["0"], "K": 2,
+        "Delta0": [[_term([1])], [_term([0]), _term([1], "2")]], "Bdiag": ["0", "1/2"],
+        "L": [[[], [_term([-1])]], [[], []]]}),
+    "model_d_float": json.dumps({"d": 1.0, "g": [_term([1])], "h": [], "l": [],
+                                 "m": [_term([1], "-1")]}),
+}
+DOCS.update(BAD_INTS)
+
 CASES = [
     ["partitions", "count", "--r", "100000", "--n", "3"],
     ["bundles", "classify", "--input", "huge_diag"],
@@ -70,6 +102,11 @@ CASES = [
     ["partitions", "count", "--r", "2", "--n", "1e308"],
     ["appendix", "curve", "--alpha0", "nan", "--beta0", "1", "--gamma0", "1", "--c", "1"],
     ["appendix", "curve", "--alpha0", "1", "--beta0", "1", "--gamma0", "1", "--c", "1e308"],
+    *[["de", "solve", "--input", name, "--order", "2"] for name in BAD_INTS
+      if name.startswith("de_")],
+    ["gap", "report", "--input", "family_multiplicity_string", "--point", "[0]"],
+    ["gauge", "build", "--input", "frame_negative_exponent"],
+    ["appendix", "classify2x2", "--input", "model_d_float"],
 ]
 
 
@@ -86,6 +123,8 @@ def _run(argv):
 def _breach(argv, proc):
     """Why a finished process breaks the contract, or None."""
     out, err = proc.stdout, proc.stderr
+    if proc.returncode == 0 and any(Path(a).stem in BAD_INTS for a in argv):
+        return "exit 0 on a malformed integer field"
     if proc.returncode == 0:
         if err:
             return f"exit 0 with stderr {err!r}"

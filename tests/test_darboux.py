@@ -7,8 +7,7 @@ import pytest
 from strata.darboux import (
     DEJet,
     DEProblem,
-    _exact_eliminate,
-    _exact_sparse_solve,
+    _exact_solve,
     de_closed_form_n2,
     de_oracle_solve,
     de_residual,
@@ -192,23 +191,28 @@ def Q(v):
     return ComplexRational(Fraction(v))
 
 
+def _dense(rows, rhs):
+    """rows * x = rhs as the sparse rows sum(coeff * u) + const = 0."""
+    return [(dict(enumerate(r)), -v) for r, v in zip(rows, rhs)]
+
+
 class TestExactElimination:
     def test_square_solution(self):
         rows = [[Q(2), Q(1)], [Q(1), Q(3)]]
-        assert _exact_eliminate(rows, [Q(3), Q(5)], 2) == [Q("4/5"), Q("7/5")]
+        assert _exact_solve(_dense(rows, [Q(3), Q(5)]), 2) == [Q("4/5"), Q("7/5")]
 
     def test_singular(self):
         rows = [[Q(1), Q(2)], [Q(2), Q(4)]]
-        assert _exact_eliminate(rows, [Q(1), Q(2)], 2) == "singular"
-        assert _exact_eliminate([], [], 1) == "singular"
+        assert _exact_solve(_dense(rows, [Q(1), Q(2)]), 2) == "singular"
+        assert _exact_solve([], 1) == "singular"
 
     def test_inconsistent(self):
         rows = [[Q(1), Q(1)], [Q(1), Q(-1)], [Q(2), Q(0)]]
-        assert _exact_eliminate(rows, [Q(2), Q(0), Q(3)], 2) == "inconsistent"
+        assert _exact_solve(_dense(rows, [Q(2), Q(0), Q(3)]), 2) == "inconsistent"
 
     def test_overdetermined_consistent(self):
         rows = [[Q(1), Q(1)], [Q(1), Q(-1)], [Q(2), Q(0)]]
-        assert _exact_eliminate(rows, [Q(2), Q(0), Q(2)], 2) == [Q(1), Q(1)]
+        assert _exact_solve(_dense(rows, [Q(2), Q(0), Q(2)]), 2) == [Q(1), Q(1)]
 
     def test_sparse_rows(self):
         # rows read sum(coeff * u) + const = 0; u0 comes from a unit row,
@@ -218,10 +222,13 @@ class TestExactElimination:
             ({0: Q(1), 1: Q(1), 2: Q(1)}, Q(-6)),
             ({1: Q(1), 2: Q(-1)}, Q(0)),
         ]
-        assert _exact_sparse_solve(rows, 3) == [Q(2), Q(2), Q(2)]
-        assert _exact_sparse_solve(rows[:2], 3) == "singular"
-        assert _exact_sparse_solve(rows + [({0: Q(1)}, Q(0))], 3) == "inconsistent"
-        assert _exact_sparse_solve(rows + [({}, Q(1))], 3) == "inconsistent"
+        assert _exact_solve(rows, 3) == [Q(2), Q(2), Q(2)]
+        assert _exact_solve(rows[:2], 3) == "singular"
+        assert _exact_solve(rows + [({0: Q(1)}, Q(0))], 3) == "inconsistent"
+        assert _exact_solve(rows + [({}, Q(1))], 3) == "inconsistent"
+        # zero coefficients are dropped, not pivoted on
+        assert _exact_solve([({0: Q(1), 1: Q(0)}, Q(-1)), ({1: Q(1)}, Q(-2))], 2) == [Q(1), Q(2)]
+        assert _exact_solve([({0: Q(0)}, Q(1))], 1) == "inconsistent"
 
 
 class TestNonzeroInt:

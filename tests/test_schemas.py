@@ -1,7 +1,9 @@
 """JSON document encoding: exactness inference and round trips."""
 
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +170,33 @@ class TestPathDocuments:
         t = X(1, 0)
         with pytest.raises(ValidationError):
             schemas.decode_path(schemas.encode_path([t, t]), 3)
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", ["1", 1.0, 1.7, True, None, [1]])
+    def test_only_json_integers_are_read(self, value):
+        with pytest.raises(ValidationError):
+            schemas._decode_int(value, "d")
+
+    def test_lower_bound(self):
+        assert schemas._decode_int(0, "an exponent", low=0) == 0
+        with pytest.raises(ValidationError):
+            schemas._decode_int(-1, "an exponent", low=0)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "strata"
+
+
+def _int_calls(path):
+    """Calls of int(...) in a module outside schemas._decode_int; argparse's
+    type=int names the builtin without calling it."""
+    tree = ast.parse(path.read_text())
+    reader = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_decode_int" for n in ast.walk(f)}
+    return [f"{path.name}:{n.lineno} {ast.unparse(n)}" for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "int"
+            and id(n) not in reader]
+
+
+def test_integer_fields_have_one_reader():
+    assert [c for name in ("schemas.py", "cli.py") for c in _int_calls(SRC / name)] == []

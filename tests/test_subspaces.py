@@ -112,6 +112,14 @@ class TestKernels:
         assert kernel_subspace(m).dim == 1
         assert kernel_subspace(m * 1e12).dim == 1
 
+    def test_span_threshold_is_relative(self):
+        # a span's dimension is the rank rule of the kernel, so it does not
+        # depend on the scale of the spanning vectors
+        m = np.array([[1.0, 1.0], [1e-14, 0.0]])
+        for scale in (1e-11, 1.0, 1e11):
+            assert Subspace.from_spanning(scale * m).dim == 1
+            assert Subspace.from_spanning(scale * m[:, :1]).dim == 1
+
     def test_generalized_eigenspace_fixtures(self):
         j2 = np.array([[3.0, 1.0], [0.0, 3.0]])
         assert generalized_eigenspace(j2, 3.0).dim == 2
