@@ -13,11 +13,24 @@ Storage contract: ``coeffs`` maps exponent tuples to scalars, each one
 nonzero and of total degree <= K.  Only this module reads it; the read API
 is ``coeff``, ``constant_term`` and ``items`` (``coeffs`` stays readable
 for perfbench and the tests).
+
+Products: exact series multiply through the sparse ``polynomials._mul``.
+Floating series multiply through ``_dense_mul``, multivariate Taylor
+arithmetic over one cached table per (d, K) (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13): the operands are scattered
+into float vectors over the table's monomials, every pair of occupied
+slots whose degrees sum to at most K is gathered at once, and each product
+coefficient is summed in pair order.  Storage stays the dict on both
+routes; a ring whose table would pass ``_MAX_PAIRS`` pairs keeps the
+sparse product, so the table's memory stays bounded.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import NotInvertibleError, ShapeError, ValidationError
 from .polynomials import Poly, _add, _diff, _eval, _matmul, _max_abs, _mul, _shift
@@ -34,6 +47,84 @@ def exponents_of_degree(d: int, deg: int) -> tuple:
         for rest in exponents_of_degree(d - 1, deg - first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+# Largest pair table _dense_mul builds: 3 int32 arrays of 2^18 entries (3 MB).
+# d=3, K=8 has 3,003 pairs and d=3, K=20 has 230,230.
+_MAX_PAIRS = 1 << 18
+
+
+@lru_cache(maxsize=32)
+def _pair_table(d: int, K: int):
+    """The product table of the ring shape (d, K).
+
+    Returns (monos, slot, I, J, T): the monomials of degree <= K, degree by
+    degree in exponents_of_degree order; the exponent -> slot index; and
+    int32 arrays listing, sorted by (i, j), every slot pair whose degrees
+    sum to at most K, with T the slot of the product monomial.
+    """
+    monos = [e for deg in range(K + 1) for e in exponents_of_degree(d, deg)]
+    n = len(monos)
+    # slots are graded, so the partners of slot i are the first
+    # C(K - deg_i + d, d) slots: those of degree <= K - deg_i
+    below = np.array([math.comb(m + d, d) for m in range(K + 1)], dtype=np.int64)
+    lens = below[K - np.array([sum(e) for e in monos], dtype=np.int64)]
+    starts = np.cumsum(lens) - lens
+    I = np.repeat(np.arange(n, dtype=np.int64), lens)
+    J = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(starts, lens)
+    E = np.array(monos, dtype=np.int64).reshape(n, d)
+    T = _slots(E[I] + E[J], K)
+    slot = {e: i for i, e in enumerate(monos)}
+    return monos, slot, I.astype(np.int32), J.astype(np.int32), T.astype(np.int32)
+
+
+def _slots(E: np.ndarray, K: int) -> np.ndarray:
+    """Table slots of the exponent rows E, by the combinatorial number system.
+
+    With s_a the degree of e_a + ... + e_{d-1}, the monomials before e are
+    sum_a C(s_a + d - a - 1, d - a): for a = 0 those of lower degree, for
+    a > 0 those of e's degree that agree with e before index a - 1 and are
+    larger there, which exponents_of_degree lists first.
+    """
+    n, d = E.shape
+    tails = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
+    weight = np.array([[math.comb(s + d - a - 1, d - a) for s in range(K + 1)]
+                       for a in range(d)], dtype=np.int64)
+    return weight[np.arange(d), tails].sum(axis=1)
+
+
+def _scatter(c: dict, slot: dict, n: int):
+    """c as a complex vector over n table slots, and the occupied slots."""
+    at = [slot[e] for e in c]
+    z, occupied = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool)
+    z[at], occupied[at] = list(c.values()), True
+    return z, occupied
+
+
+def _dense_mul(a: dict, b: dict, d: int, K: int) -> dict:
+    """The float product of two coefficient dicts through the (d, K) table.
+
+    It forms the terms _mul forms, each in the same floating-point
+    operations as Python's complex product, and sums each coefficient in
+    (i, j) slot order, so operands stored in table order give _mul's floats.
+    Pairs with an empty slot are skipped, so no 0 * inf term makes a NaN
+    that _mul would not.
+    """
+    if not a or not b:
+        return {}
+    monos, slot, I, J, T = _pair_table(d, K)
+    n = len(monos)
+    x, xon = _scatter(a, slot, n)
+    y, yon = _scatter(b, slot, n)
+    live = xon[I] & yon[J]
+    i, j, t = I[live], J[live], T[live]
+    xr, xi, yr, yi = x.real[i], x.imag[i], y.real[j], y.imag[j]
+    out = np.empty(n, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as Python makes them
+        out.real = np.bincount(t, xr * yr - xi * yi, n)
+        out.imag = np.bincount(t, xr * yi + xi * yr, n)
+    keep = np.flatnonzero(out).tolist()
+    return dict(zip(map(monos.__getitem__, keep), out[keep].tolist()))
 
 
 def _bump(e: tuple, a: int, k: int = 1) -> tuple:
@@ -213,7 +304,12 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check(other)
-        return self._like(_mul(self.coeffs, other.coeffs, self.ring.K), min(self.valid, other.valid))
+        d, K = self.ring.d, self.ring.K
+        if self.ring.exact or math.comb(2 * d + K, K) > _MAX_PAIRS:
+            coeffs = _mul(self.coeffs, other.coeffs, K)
+        else:
+            coeffs = _dense_mul(self.coeffs, other.coeffs, d, K)
+        return self._like(coeffs, min(self.valid, other.valid))
 
     __rmul__ = scale
 

@@ -10,7 +10,10 @@ matrices: numerical rank, eigenvalue clusters and Segre data.
 It owns every LAPACK call in strata as well: each SVD, eigenvalue, solve,
 least-squares and matrix 2-norm goes through _lapack, which refuses a
 non-finite matrix before LAPACK sees it (LAPACK may print to fd 1 or not
-return on one) and a non-finite result after, as ValidationError.
+return on one) and a non-finite result after, as ValidationError.  The
+SVDs behind rank and kernel decisions go through _svd, which answers a
+finite matrix whose singular values overflow by an exact power-of-two
+scaling instead of refusing it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,25 @@ def _lapack(routine, a, *args, what: str = "the matrix", **kw):
     if not all(np.all(np.isfinite(x)) for x in (out if isinstance(out, tuple) else (out,))):
         raise ValidationError(f"{what} is beyond the float range")
     return out
+
+
+def _svd(a: np.ndarray, **kw):
+    """_lapack's SVD of a, decomposing 2^-e a when a is finite but refused.
+
+    A finite a is refused when its singular values pass the float range (or
+    LAPACK fails on it); 2^e is the binade of a's largest part.  The scaling
+    is exact in binary floating point, so the singular vectors and the
+    ratios of the singular values, all that rank and kernel decisions read,
+    are a's own.  Every a that decomposes unscaled keeps numpy's result bit
+    for bit.
+    """
+    try:
+        return _lapack(np.linalg.svd, a, **kw)
+    except ValidationError:
+        if not np.all(np.isfinite(a)):
+            raise
+    e = np.frexp(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))))[1]
+    return _lapack(np.linalg.svd, np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), **kw)
 
 
 class Subspace:
@@ -69,7 +91,7 @@ class Subspace:
             vectors = vectors.reshape(-1, 1)
         if vectors.ndim != 2:
             raise ShapeError("spanning set must be a 2-d array")
-        u, s, _ = _lapack(np.linalg.svd, vectors, full_matrices=False, what="the spanning set")
+        u, s, _ = _svd(vectors, full_matrices=False, what="the spanning set")
         return Subspace(u[:, :_cutoff_rank(s, tol)])
 
     @staticmethod
@@ -147,11 +169,12 @@ def kernel_subspace(a: np.ndarray, tol: float = 1e-10) -> Subspace:
 
 
 def _kernel_svd(a: np.ndarray, tol: float):
-    """kernel_subspace of a, with the singular values and numerical rank."""
+    """kernel_subspace of a, with the singular values (of a or, where _svd
+    scales, of 2^-e a) and numerical rank."""
     m, n = a.shape
     if m == 0 or n == 0:
         return Subspace.full(n), np.zeros(0), 0
-    _, s, vh = _lapack(np.linalg.svd, a)
+    _, s, vh = _svd(a)
     rank = _cutoff_rank(s, tol)
     return Subspace(vh[rank:, :].conj().T), s, rank
 
@@ -194,7 +217,7 @@ def _cutoff_rank(s: np.ndarray, tol: float) -> int:
 
 def _numerical_rank(m: np.ndarray, tol: float) -> int:
     """_cutoff_rank of the singular values of m."""
-    return _cutoff_rank(_lapack(np.linalg.svd, m, compute_uv=False), tol)
+    return _cutoff_rank(_svd(m, compute_uv=False), tol)
 
 
 def _power_ranks(m: np.ndarray, powers: int, tol: float) -> list:

@@ -5,14 +5,20 @@ stdout with the recorded ``<case>.out``.  Exact-mode outputs must match
 byte for byte.  Floating-mode outputs are compared as parsed JSON with
 ``==``, because an equivalent rearrangement of float arithmetic may flip
 the sign of a zero component (``-c`` and ``0j - c`` differ there).
+
+A float case and the exact case of the same command run one problem in the
+two modes, so each recorded float output must also lie within the float
+bound of SCHEMAS.md of its exact output.
 """
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_solver_differential import FLOAT_EXACT_BOUND
 
 from strata import cli
 
@@ -94,3 +100,44 @@ def test_golden_output(name, exact, argv):
         assert out == expected
     else:
         assert json.loads(out) == json.loads(expected)
+
+
+PAIRS = [name[:-6] for name, _, _ in CASES
+         if name.endswith("_float") and name[:-6] + "_exact" in {c[0] for c in CASES}]
+# report fields that only exact arithmetic can set
+MODE_FLAGS = {"exact", "exact_zero", "determined_exact_zero"}
+
+
+def _leaves(doc, path=()):
+    """(path, leaf) for every leaf of an output document.  A term list gives
+    one complex leaf per exponent tuple, and a fraction string its value."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaves(v, path + (k,))
+    elif isinstance(doc, list) and doc and isinstance(doc[0], dict) and "exps" in doc[0]:
+        for t in doc:
+            yield path + (tuple(t["exps"]),), complex(*(Fraction(t[p]) for p in ("re", "im")))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path, Fraction(doc) if isinstance(doc, str) else doc
+
+
+def _is_number(v):
+    return isinstance(v, (float, complex, Fraction))
+
+
+@pytest.mark.parametrize("base", PAIRS)
+def test_float_golden_tracks_its_exact_golden(base):
+    f, e = ({k: v for k, v in _leaves(json.loads((GOLDEN / f"{base}_{m}.out").read_text()))
+             if k[-1] not in MODE_FLAGS} for m in ("float", "exact"))
+    # the same structure; a term may be absent in one mode only, where it is 0
+    structure = [{k: v for k, v in x.items() if not _is_number(v)} for x in (f, e)]
+    assert structure[0] == structure[1]
+    assert {k for k in f if not isinstance(k[-1], tuple)} == {
+        k for k in e if not isinstance(k[-1], tuple)}
+    scale = max([1.0] + [abs(v) for v in e.values() if _is_number(v)])
+    worst = max(abs(complex(f.get(k, 0j)) - complex(e.get(k, 0j)))
+                for k in set(f) | set(e) if _is_number(f.get(k, 0j)) and _is_number(e.get(k, 0j)))
+    assert worst <= FLOAT_EXACT_BOUND * scale

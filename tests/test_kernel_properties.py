@@ -6,15 +6,22 @@ least the degree it loses nothing: evaluation agrees with the polynomial
 and expanding back to absolute coordinates returns the polynomial.
 The results of series arithmetic keep the storage contract: no stored
 zero and no stored degree above K, also where float products underflow.
+The dense float product agrees with the sparse reference ``_mul``: within
+the rounding of a reordered sum everywhere, and bit for bit when both
+operands are stored in table order.
 """
 
+import math
+from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strata.polynomials import Poly
+from strata import series
+from strata.polynomials import Poly, _mul
 from strata.scalars import ComplexRational
 from strata.schemas import _series_to_absolute_poly
 from strata.series import SeriesRing, TruncatedSeries, exponents_of_degree
@@ -128,3 +135,132 @@ def test_arithmetic_results_keep_the_storage_contract(exact, data):
         for t in range(-1, s.ring.K + 2):
             assert list(s.items(t)) == [(e, c) for e, c in s.coeffs.items() if sum(e) <= t]
     assert (a - a).is_zero() and not (a - a).coeffs
+
+
+# -- the dense float product against the sparse reference ---------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", range(9))
+def test_pair_table_lists_every_product_in_slot_order(d, K):
+    monos, slot, I, J, T = series._pair_table(d, K)
+    assert monos == [e for deg in range(K + 1) for e in exponents_of_degree(d, deg)]
+    assert slot == {e: i for i, e in enumerate(monos)}
+    pairs = [(i, j) for i in range(len(monos)) for j in range(len(monos))
+             if sum(monos[i]) + sum(monos[j]) <= K]
+    assert list(zip(I.tolist(), J.tolist())) == pairs
+    assert len(pairs) == math.comb(2 * d + K, K)
+    assert [monos[t] for t in T.tolist()] == [
+        tuple(x + y for x, y in zip(monos[i], monos[j])) for i, j in pairs]
+    assert I.dtype == J.dtype == T.dtype == np.int32
+
+
+def test_pair_table_size_at_d3_k8():
+    monos, _, I, _, _ = series._pair_table(3, 8)
+    assert (len(monos), len(I)) == (165, 3003)
+
+
+def _part(rnd):
+    return rnd.choice([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, rnd.uniform(-4, 4), rnd.uniform(-4, 4)])
+
+
+@st.composite
+def _float_product(draw):
+    """(ring, a, b): coefficient dicts of a float ring, each empty, sparse or
+    dense and stored in a shuffled order; or a pair whose product cancels to
+    an exact zero; either one may hold an infinite part."""
+    d, K = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    rnd = draw(st.randoms(use_true_random=True))
+    monos = [e for deg in range(K + 1) for e in exponents_of_degree(d, deg)]
+    kinds = draw(st.sampled_from(["empty", "sparse", "dense", "cancel"]))
+
+    def operand(kind):
+        support = {"empty": [], "sparse": rnd.sample(monos, min(len(monos), rnd.randint(1, 6))),
+                   "dense": list(monos)}[kind]
+        rnd.shuffle(support)
+        return {e: complex(_part(rnd), _part(rnd)) for e in support}
+
+    if kinds == "cancel":
+        # (c + s m)(c - s m): the two products at m are negatives of each other
+        m, c, v = rnd.choice(monos[1:] or monos), complex(_part(rnd), 1.0), complex(_part(rnd), 2.0)
+        a, b = {(0,) * d: c, m: v}, {(0,) * d: c, m: -v}
+    else:
+        a = operand(kinds)
+        b = operand(draw(st.sampled_from(["empty", "sparse", "dense"])))
+    if a and draw(st.booleans()):
+        e = rnd.choice(list(a))
+        a[e] = complex(math.inf, a[e].imag) if rnd.random() < 0.5 else complex(a[e].real, -math.inf)
+    ring = SeriesRing(d, K, [0] * d)
+    return ring, TruncatedSeries(ring, a).coeffs, TruncatedSeries(ring, b).coeffs
+
+
+def _terms(a, b, K):
+    """The terms of each product coefficient, in the sparse loop's order."""
+    terms = defaultdict(list)
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if sum(e1) + sum(e2) <= K:
+                terms[tuple(x + y for x, y in zip(e1, e2))].append(c1 * c2)
+    return terms
+
+
+def _within_reordering(x, y, parts):
+    """x and y are sums of the floats parts in two orders: equal where not
+    finite, and within 2 gamma_(m-1) sum |parts| otherwise (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 4.2)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return x == y or (math.isnan(x) and math.isnan(y))
+    m = len(parts)
+    gamma = (m - 1) * 2.0 ** -53 / (1 - (m - 1) * 2.0 ** -53)
+    return abs(x - y) <= 2 * gamma * math.fsum(abs(t) for t in parts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_float_product())
+def test_dense_product_agrees_with_sparse(case):
+    ring, a, b = case
+    product = TruncatedSeries(ring, a) * TruncatedSeries(ring, b)
+    assert _keeps_contract(product)
+    dense = product.coeffs
+    sparse = _mul(a, b, ring.K)
+    terms = _terms(a, b, ring.K)
+    assert set(dense) <= set(terms) and set(sparse) <= set(terms)
+    for e, ts in terms.items():
+        x, y = dense.get(e, 0j), sparse.get(e, 0j)
+        assert _within_reordering(x.real, y.real, [t.real for t in ts]), (e, x, y)
+        assert _within_reordering(x.imag, y.imag, [t.imag for t in ts]), (e, x, y)
+
+
+def _bits(c: dict) -> dict:
+    """Each coefficient's parts as exact hex strings; a zero part's sign is
+    not counted, as == and the encoder do not count it."""
+    return {e: ((z.real + 0.0).hex(), (z.imag + 0.0).hex()) for e, z in c.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_float_product())
+def test_dense_product_is_bit_equal_in_table_order(case):
+    ring, a, b = case
+    monos = series._pair_table(ring.d, ring.K)[0]
+    a, b = ({e: c[e] for e in monos if e in c} for c in (a, b))
+    assert _bits(series._dense_mul(a, b, ring.d, ring.K)) == _bits(_mul(a, b, ring.K))
+
+
+def _no_table(*args):
+    raise AssertionError("the product used the dense table")
+
+
+def test_exact_products_never_touch_the_table(monkeypatch):
+    monkeypatch.setattr(series, "_pair_table", _no_table)
+    ring = SeriesRing(2, 4, [0, Fraction(1, 2)], exact=True)
+    s = ring.var(0) + ring.var(1)
+    assert (s * s).coeffs == _mul(s.coeffs, s.coeffs, ring.K)
+
+
+def test_rings_beyond_the_pair_cap_multiply_sparsely(monkeypatch):
+    d, K = 10, 10
+    assert math.comb(2 * d + K, K) > series._MAX_PAIRS
+    monkeypatch.setattr(series, "_pair_table", _no_table)
+    ring = SeriesRing(d, K, [0] * d)
+    s = ring.var(0) + ring.var(9).scale(2.5)
+    assert (s * s).coeffs == _mul(s.coeffs, s.coeffs, K)

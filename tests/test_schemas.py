@@ -6,14 +6,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_solver_differential import _floated, _problems
 
 from strata import schemas
 from strata.darboux import DEProblem, de_solve_jet
 from strata.errors import ShapeError, ValidationError
+from strata.families import MatrixFamily
 from strata.gauge import build_connection, connection_from_de, formal_simplify
 from strata.polynomials import Poly
 from strata.scalars import ComplexRational
-from strata.series import SeriesMatrix, SeriesRing
+from strata.series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
 
 
 def X(d, a):
@@ -200,3 +204,165 @@ def _int_calls(path):
 
 def test_integer_fields_have_one_reader():
     assert [c for name in ("schemas.py", "cli.py") for c in _int_calls(SRC / name)] == []
+
+
+# -- encode -> decode is the identity for every document type -----------------------
+#
+# Each document the encoders write, and each decode-only document (witness,
+# 2x2 model) assembled from the encoders of its parts, decodes to the object
+# it was written from and encodes back to the same document, in both modes.
+# The subspace pair and the Pfaffian input are made of constant matrices and
+# series matrices, whose round trips are checked here.
+
+_FRACTIONS = st.fractions(-3, 3, max_denominator=4)
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)  # -0.0 and subnormals too
+_SMALL_FLOATS = st.sampled_from([0.0, -0.0, 0.5, -1.25, 2.0, 0.1])
+
+
+def _scalars(exact, small=False):
+    if exact:
+        return st.builds(ComplexRational, _FRACTIONS, _FRACTIONS)
+    part = _SMALL_FLOATS if small else _FLOATS
+    return st.builds(complex, part, part)
+
+
+@st.composite
+def _polys(draw, d, exact, small=False):
+    """A polynomial of degree <= 3; a float one has a term, since an empty
+    term list holds no float leaf and so reads as exact."""
+    monos = [e for deg in range(4) for e in exponents_of_degree(d, deg)]
+    terms = st.dictionaries(st.sampled_from(monos), _scalars(exact, small), max_size=4)
+    return draw(terms.map(lambda c: Poly(d, c, exact)).filter(lambda p: exact or p.coeffs))
+
+
+@st.composite
+def _series_matrices(draw, exact, rows, cols):
+    """A series matrix whose entries each have their own valid in -1..K."""
+    d, K = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    ring = SeriesRing(d, K, draw(st.lists(_scalars(exact), min_size=d, max_size=d)), exact)
+    monos = [e for deg in range(K + 1) for e in exponents_of_degree(d, deg)]
+    terms = st.dictionaries(st.sampled_from(monos), _scalars(exact), max_size=4)
+    return SeriesMatrix([[TruncatedSeries(ring, draw(terms), draw(st.integers(-1, K)))
+                          for _ in range(cols)] for _ in range(rows)])
+
+
+def _json(doc):
+    return json.loads(json.dumps(doc))
+
+
+def _round_trip(encode, decode, x):
+    """decode(encode(x)) through JSON text, after checking that it encodes
+    back to the same document."""
+    doc = _json(encode(x))
+    y = decode(doc)
+    assert encode(y) == doc
+    return y
+
+
+def _same_series(a, b):
+    return (a.ring.compatible(b.ring) and a.valid == b.valid
+            and dict(a.items(a.valid)) == dict(b.items(b.valid)))
+
+
+def _same_matrix(a, b):
+    return a.shape == b.shape and all(
+        _same_series(a[i, j], b[i, j]) for i in range(a.shape[0]) for j in range(a.shape[1]))
+
+
+_MODES = pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+_IDENTITY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+class TestEncodeDecodeIdentity:
+    @_MODES
+    @_IDENTITY
+    @given(data=st.data())
+    def test_scalar(self, exact, data):
+        v = data.draw(_scalars(exact))
+        w = _round_trip(schemas.encode_scalar, schemas.decode_scalar, v)
+        assert w == v and type(w) is type(v)
+
+    @_MODES
+    @_IDENTITY
+    @given(data=st.data())
+    def test_polynomial_and_path(self, exact, data):
+        d = data.draw(st.integers(1, 3))
+        p = data.draw(_polys(d, exact))
+        q = _round_trip(schemas.encode_poly, lambda doc: schemas.decode_poly(doc, d), p)
+        assert q == p and q.exact == exact
+        path = [data.draw(_polys(1, exact)) for _ in range(d)]
+        assert _round_trip(schemas.encode_path, lambda doc: schemas.decode_path(doc, d), path) == path
+
+    @_MODES
+    @_IDENTITY
+    @given(data=st.data())
+    def test_series_and_series_matrix(self, exact, data):
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        m = data.draw(_series_matrices(exact, rows, cols))
+        assert _same_matrix(_round_trip(schemas.encode_series_matrix,
+                                        schemas.decode_series_matrix, m), m)
+        s = m[rows - 1, cols - 1]
+        assert _same_series(_round_trip(schemas.encode_series, schemas.decode_series, s), s)
+
+    @_MODES
+    @_IDENTITY
+    @given(data=st.data())
+    def test_constant_matrix(self, exact, data):
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        m = data.draw(st.lists(st.lists(_scalars(exact), min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+        back = _round_trip(schemas.encode_const_matrix, schemas.decode_const_matrix, m)
+        assert back == m and all(type(v) is type(m[0][0]) for row in back for v in row)
+
+    @_MODES
+    @_IDENTITY
+    @given(data=st.data())
+    def test_matrix_family_and_2x2_model(self, exact, data):
+        d, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+        zero = Poly(d, None, exact)
+        # upper triangular, so its eigenvalue branches are the diagonal, kept
+        # apart by the constants 0, 3, 6
+        diag = [data.draw(_polys(d, exact, small=True)) + 3 * i for i in range(n)]
+        entries = [[diag[i] if i == j else data.draw(_polys(d, exact, small=True)) if i < j
+                    else zero for j in range(n)] for i in range(n)]
+        fam = MatrixFamily(d, n, entries, [(p, 1) for p in diag])
+        back = _round_trip(schemas.encode_matrix_family, schemas.decode_matrix_family, fam)
+        assert (back.d, back.n, back.entries, back.branches) == (d, n, fam.entries, fam.branches)
+        model = [data.draw(_polys(d, exact)) for _ in range(4)]
+        doc = _json({"d": d, **{k: schemas.encode_poly(p) for k, p in zip("ghlm", model)}})
+        assert list(schemas.decode_2x2_model(doc)) == model
+
+    @_MODES
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_solver_documents(self, exact, data):
+        # problem, jet, framed connection, witness and gauge series of one problem
+        problem, F0, K = data.draw(_problems(data.draw(st.integers(2, 3)), data.draw(st.booleans())))
+        if not exact:
+            problem, F0 = _floated(problem, F0)
+        back, F0b = _round_trip(lambda x: schemas.encode_de_problem(*x),
+                                schemas.decode_de_problem, (problem, F0))
+        assert (back.d, back.n, back.x0, back.f, back.b, F0b) == (
+            problem.d, problem.n, problem.x0, problem.f, problem.b, F0)
+        assert back.exact == problem.exact == exact
+        jet, _, _ = de_solve_jet(problem, F0, K)
+        assert _same_matrix(_round_trip(schemas.encode_jet, schemas.decode_jet, jet).F, jet.F)
+        conn = connection_from_de(problem, jet)
+        conn2 = _round_trip(schemas.encode_framed_connection, schemas.decode_framed_connection,
+                            conn)
+        assert _same_matrix(conn2.L, conn.L) and list(conn2.b) == list(conn.b)
+        frame = schemas.encode_framed_connection(conn)
+        witness = _json({**{k: frame[k] for k in ("d", "n", "center", "K", "Delta0")},
+                         "B": schemas.encode_series_matrix(conn.B)["entries"],
+                         "varpi": [schemas.encode_series_matrix(w)["entries"] for w in conn.omega]})
+        delta0, bmat, varpi = schemas.decode_witness(witness)
+        assert all(_same_series(delta0[i, i], conn.f[i]) for i in range(conn.n))
+        for m, m2 in [(conn.B, bmat), *zip(conn.omega, varpi)]:
+            # a witness grid carries no valids, so its entries read through K
+            assert [[dict(s.items(s.valid)) for s in r] for r in m.rows] == [
+                [dict(s.items()) for s in r] for r in m2.rows]
+        if problem.d <= 2:
+            gs = formal_simplify(conn, min(K, 3), mode="coalescent" if problem.coalescent
+                                 else "regular")
+            gs2 = _round_trip(schemas.encode_gauge_series, schemas.decode_gauge_series, gs)
+            assert len(gs2.F) == len(gs.F) and all(map(_same_matrix, gs2.F, gs.F))

@@ -10,6 +10,9 @@ Problems have n <= 3, d <= 3 and order K <= 4.  One draw in four is
 coalescent in the pair (0, 1), with a non-integer b_1 - b_0 there so that
 no order is resonant, and an F0 that meets the degree-0 constraint
 kappa_kh F_kh = sum_l (f_l - f_k)(x_o) F_kl F_lh of that pair.
+
+The same problems in float mode must track the exact jet within the float
+bound that SCHEMAS.md states.
 """
 
 from fractions import Fraction
@@ -21,6 +24,11 @@ from hypothesis import strategies as st
 from strata.darboux import DEProblem, de_closed_form_n2, de_oracle_solve, de_residual, de_solve_jet
 from strata.gauge import connection_from_de, formal_simplify, gauge_residual
 from strata.polynomials import Poly
+from strata.scalars import to_complex
+
+# SCHEMAS.md, "Float mode against exact mode": the largest float/exact
+# coefficient distance, relative to max(1, max |exact coefficient|)
+FLOAT_EXACT_BOUND = 1e-12
 
 _SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 _NONZERO = _SMALL.filter(bool)
@@ -87,4 +95,33 @@ def _check(case):
 def test_exact_routes_agree(n, coalescent, examples):
     run = settings(max_examples=examples, deadline=None, derandomize=True)(
         given(_problems(n, coalescent))(_check))
+    run()
+
+
+def _floated(problem, F0):
+    """The problem and F0 with every scalar rounded to a complex float."""
+    p = DEProblem(problem.d, problem.n, [to_complex(x) for x in problem.x0],
+                  [f.to_float() for f in problem.f], [to_complex(b) for b in problem.b])
+    return p, [[to_complex(v) for v in row] for row in F0]
+
+
+def _check_float(case):
+    problem, F0, K = case
+    exact, _, _ = de_solve_jet(problem, F0, K)
+    want = {kh: {e: to_complex(c) for e, c in cs.items()} for kh, cs in _coeffs(exact).items()}
+    scale = max([1.0] + [abs(c) for cs in want.values() for c in cs.values()])
+    fproblem, fF0 = _floated(problem, F0)
+    jet, feasible, _ = de_solve_jet(fproblem, fF0, K)
+    assert feasible and not jet.F.ring.exact
+    for got in (_coeffs(jet), _coeffs(de_oracle_solve(fproblem, fF0, K))):
+        worst = max([0.0] + [abs(got[kh].get(e, 0j) - want[kh].get(e, 0j))
+                             for kh in want for e in set(got[kh]) | set(want[kh])])
+        assert worst <= FLOAT_EXACT_BOUND * scale
+
+
+@pytest.mark.parametrize("n, coalescent, examples",
+                         [(2, False, 12), (3, False, 12), (2, True, 4), (3, True, 4)])
+def test_float_routes_track_exact(n, coalescent, examples):
+    run = settings(max_examples=examples, deadline=None, derandomize=True)(
+        given(_problems(n, coalescent))(_check_float))
     run()

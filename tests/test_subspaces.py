@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from strata.errors import ShapeError, ValidationError
 from strata.subspaces import (
     Subspace,
+    _numerical_rank,
     gap_distance,
     generalized_eigenspace,
     intertwiner_dimension,
@@ -157,13 +158,13 @@ class TestFiniteValueGuard:
     """Every LAPACK call refuses a matrix, or a result, beyond the float range."""
 
     def test_rank_one_matrix_with_overflowing_norm(self):
-        # the largest singular value overflows; a rank cutoff relative to
-        # inf read the rank as 0 and the kernel as all of C^2
-        try:
-            dim = kernel_subspace(np.full((2, 2), 1e308)).dim
-        except ValidationError:
-            return
-        assert dim == 1
+        # the largest singular value overflows, so the SVD runs on the
+        # matrix times 2^-1024 (exact); a rank cutoff relative to inf would
+        # read the rank as 0 and the kernel as all of C^2
+        a = np.full((2, 2), 1e308)
+        assert kernel_subspace(a).dim == 1
+        assert _numerical_rank(a, 1e-10) == 1
+        assert Subspace.from_spanning(a).dim == 1
 
     def test_overflowing_shift_is_refused(self):
         with pytest.raises(ValidationError):
