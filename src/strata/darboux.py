@@ -38,7 +38,7 @@ from .polynomials import Poly
 from .scalars import ComplexRational, coerce, magnitude, nonzero_int, scalar_abs2, zero_test
 from .series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
 from .series import _bump, _leq, _sub_e, _support
-from .subspaces import _cutoff_rank, _lapack, _numerical_rank
+from .subspaces import _cutoff_rank, _lapack
 
 _NEAR_COALESCENT = 1e-6
 _RANK_TOL = 1e-12  # a float linear system is singular when s_min <= _RANK_TOL * s_max
@@ -239,20 +239,20 @@ class _Engine:
     """Coefficient store plus single-coefficient evaluators for DE1/DE2.
 
     Every equation coefficient is linear in the top-degree jet
-    coefficients, so the level recursions read one equation coefficient
-    with selected unknowns masked (`exclude`) and divide by the known
-    multiplier of the remaining unknown.
+    coefficients.  A level recursion snapshots the store (load), which
+    then holds none of the unknowns it solves for, reads one equation
+    coefficient from the snapshot and divides by the known multiplier of
+    the unknown.
     """
 
     def __init__(self, problem: DEProblem, K: int, exact: bool, F0):
-        self.p = problem
         self.K = int(K)
         self.exact = exact
         self.d, self.n = problem.d, problem.n
         self.ring = SeriesRing(problem.d, self.K, problem.x0, exact)
         self.zero = self.ring.zero_scalar()
-        self.fc = problem.f_series(self.ring)
-        self.dfc = [[f.diff(a) for a in range(self.d)] for f in self.fc]
+        fc = problem.f_series(self.ring)
+        df = [[f.diff(a) for a in range(self.d)] for f in fc]
         self.b = [self.ring.scalar(v) for v in problem.b]
         self.pairs = [(k, h) for k in range(self.n) for h in range(self.n) if k != h]
         self.delta, self.ddelta, self.D, self.kappa, self.bdiff = {}, {}, {}, {}, {}
@@ -260,8 +260,8 @@ class _Engine:
         one = self.ring.scalar(1)
         for kh in self.pairs:
             k, h = kh
-            self.delta[kh] = self.fc[h] - self.fc[k]
-            self.ddelta[kh] = [self.dfc[h][a] - self.dfc[k][a] for a in range(self.d)]
+            self.delta[kh] = fc[h] - fc[k]
+            self.ddelta[kh] = [df[h][a] - df[k][a] for a in range(self.d)]
             D = [dd.constant_term() for dd in self.ddelta[kh]]
             self.D[kh] = D
             self.bdiff[kh] = self.b[h] - self.b[k]
@@ -270,110 +270,64 @@ class _Engine:
             j0 = self.j0[kh] = _pivot(D, f"pair ({k},{h})")
             flat = zero_test(exact, problem.tol, lambda: max(1.0, scalar_abs2(D[j0]) ** 0.5))
             self.zero_dirs[kh] = {a for a in range(self.d) if flat(D[a])}
+        # coefficients of F_kl F_lh: q1[i, j, l, k, h] in DE1, q2[i, l, k, h] in DE2
+        self.q1, self.q2 = {}, {}
+        for k, h in self.pairs:
+            for l in range(self.n):
+                if l == k or l == h:
+                    continue
+                for i in range(self.d):
+                    p1 = (df[l][i] - df[k][i]) * (fc[h] - fc[l])
+                    self.q2[i, l, k, h] = p1 - (fc[l] - fc[k]) * (df[h][i] - df[l][i])
+                    for j in range(i + 1, self.d):
+                        w = (df[l][i] - df[k][i]) * (df[h][j] - df[l][j])
+                        w = w - (df[l][j] - df[k][j]) * (df[h][i] - df[l][i])
+                        self.q1[i, j, l, k, h], self.q1[j, i, l, k, h] = w, -w
         self.C = {}
         for kh in self.pairs:
             k, h = kh
             v = F0[k][h]
             self.C[kh] = {} if v == 0 else {(0,) * self.d: v}
-        self._products = {}
 
-    # -- coefficient products of the quadratic terms, cached by name and indices ---
+    # -- snapshot and single-coefficient evaluator ---------------------------------
 
-    def _w(self, i: int, j: int, l: int, k: int, h: int) -> TruncatedSeries:
-        key = ("w", i, j, l, k, h)
-        got = self._products.get(key)
-        if got is None:
-            df = self.dfc
-            w = (df[l][i] - df[k][i]) * (df[h][j] - df[l][j])
-            got = self._products[key] = w - (df[l][j] - df[k][j]) * (df[h][i] - df[l][i])
-        return got
+    def load(self, m: int):
+        """Snapshot the store through degree m, the highest an evaluator
+        reads at level m: each F_kh, its partials, and each F_kl F_lh from
+        the series kernel, as exponent -> coefficient dicts."""
+        ring = SeriesRing(self.d, m, self.ring.center, self.exact)
+        F = {kh: TruncatedSeries(ring, c) for kh, c in self.C.items()}
+        self.F = {kh: dict(s.items()) for kh, s in F.items()}
+        self.dF = {kh: [dict(s.diff(a).items()) for a in range(self.d)] for kh, s in F.items()}
+        self.FF = {(k, l, h): dict((F[k, l] * F[l, h]).items())
+                   for k, h in self.pairs for l in range(self.n) if l != k and l != h}
 
-    def _p1(self, i: int, l: int, k: int, h: int) -> TruncatedSeries:
-        key = ("p1", i, l, k, h)
-        got = self._products.get(key)
-        if got is None:
-            got = self._products[key] = (self.dfc[l][i] - self.dfc[k][i]) * (self.fc[h] - self.fc[l])
-        return got
-
-    def _p2(self, i: int, l: int, k: int, h: int) -> TruncatedSeries:
-        key = ("p2", i, l, k, h)
-        got = self._products.get(key)
-        if got is None:
-            got = self._products[key] = (self.fc[l] - self.fc[k]) * (self.dfc[h][i] - self.dfc[l][i])
-        return got
-
-    # -- single-coefficient evaluators ---------------------------------------------
-
-    def _conv_dF(self, P: TruncatedSeries, kh, a: int, beta: tuple, exclude) -> object:
-        """Coefficient at beta of P * d_a F_kh from the current store."""
+    def _at(self, P: TruncatedSeries, Q: dict, beta: tuple):
+        """Coefficient at beta of P * Q, with Q a snapshot dict."""
         acc = self.zero
-        store = self.C[kh]
         for g, c in P.items():
-            if not _leq(g, beta):
-                continue
-            delta = _sub_e(beta, g)
-            target = _bump(delta, a)
-            if (kh, target) in exclude:
-                continue
-            v = store.get(target)
-            if v is None:
-                continue
-            acc = acc + c * v * (delta[a] + 1)
+            if _leq(g, beta):
+                v = Q.get(_sub_e(beta, g))
+                if v is not None:
+                    acc = acc + c * v
         return acc
 
-    def _conv_F(self, P: TruncatedSeries, kh, beta: tuple, exclude) -> object:
-        acc = self.zero
-        store = self.C[kh]
-        for g, c in P.items():
-            if not _leq(g, beta):
-                continue
-            target = _sub_e(beta, g)
-            if (kh, target) in exclude:
-                continue
-            v = store.get(target)
-            if v is None:
-                continue
-            acc = acc + c * v
-        return acc
-
-    def _conv_FF(self, P: TruncatedSeries, kl, lh, beta: tuple) -> object:
-        """Coefficient at beta of P * F_kl * F_lh.  Callers mask only the
-        pair (k, h), never (k, l) or (l, h), so no unknown is excluded."""
-        acc = self.zero
-        A, B = self.C[kl], self.C[lh]
-        for g1, c1 in P.items():
-            if not _leq(g1, beta):
-                continue
-            rem = _sub_e(beta, g1)
-            for g2, v2 in A.items():
-                if not _leq(g2, rem):
-                    continue
-                g3 = _sub_e(rem, g2)
-                v3 = B.get(g3)
-                if v3 is None:
-                    continue
-                acc = acc + c1 * v2 * v3
-        return acc
-
-    def de1_coeff(self, i: int, j: int, k: int, h: int, beta: tuple, exclude=frozenset()):
+    def de1_coeff(self, i: int, j: int, k: int, h: int, beta: tuple):
         kh = (k, h)
-        acc = self._conv_dF(self.ddelta[kh][j], kh, i, beta, exclude)
-        acc = acc - self._conv_dF(self.ddelta[kh][i], kh, j, beta, exclude)
+        acc = self._at(self.ddelta[kh][j], self.dF[kh][i], beta)
+        acc = acc - self._at(self.ddelta[kh][i], self.dF[kh][j], beta)
         for l in range(self.n):
-            if l == k or l == h:
-                continue
-            acc = acc - self._conv_FF(self._w(i, j, l, k, h), (k, l), (l, h), beta)
+            if l != k and l != h:
+                acc = acc - self._at(self.q1[i, j, l, k, h], self.FF[k, l, h], beta)
         return acc
 
-    def de2_coeff(self, i: int, k: int, h: int, beta: tuple, exclude=frozenset()):
+    def de2_coeff(self, i: int, k: int, h: int, beta: tuple):
         kh = (k, h)
-        acc = self._conv_dF(self.delta[kh], kh, i, beta, exclude)
-        acc = acc - self.kappa[kh] * self._conv_F(self.ddelta[kh][i], kh, beta, exclude)
+        acc = self._at(self.delta[kh], self.dF[kh][i], beta)
+        acc = acc - self.kappa[kh] * self._at(self.ddelta[kh][i], self.F[kh], beta)
         for l in range(self.n):
-            if l == k or l == h:
-                continue
-            acc = acc - self._conv_FF(self._p1(i, l, k, h), (k, l), (l, h), beta)
-            acc = acc + self._conv_FF(self._p2(i, l, k, h), (k, l), (l, h), beta)
+            if l != k and l != h:
+                acc = acc - self._at(self.q2[i, l, k, h], self.FF[k, l, h], beta)
         return acc
 
     # -- base point constraint -------------------------------------------------------
@@ -382,6 +336,7 @@ class _Engine:
         """Degree-0 DE2 coefficients at coalescent pairs: pure constraints on F0."""
         zexp = (0,) * self.d
         worst, exact_zero = 0.0, True
+        self.load(0)
         for kh in self.pairs:
             if not self.coalescent[kh]:
                 continue
@@ -409,6 +364,7 @@ class _Engine:
 
     def advance_level(self, level: int):
         exps = exponents_of_degree(self.d, level)
+        self.load(level)
         for kh in self.pairs:
             if self.coalescent[kh]:
                 continue
@@ -419,9 +375,11 @@ class _Engine:
                 beta = _bump(alpha, a, -1)
                 val = self.de2_coeff(a, k, h, beta)
                 self._store(kh, alpha, -val / (d0 * alpha[a]))
-        for kh in self.pairs:
-            if not self.coalescent[kh]:
-                continue
+        coalescent = [kh for kh in self.pairs if self.coalescent[kh]]
+        if coalescent:
+            # the degree-level DE2 rows read the regular pairs' new coefficients
+            self.load(level)
+        for kh in coalescent:
             self._resonance_guard(kh, level)
             k, h = kh
             j0, D = self.j0[kh], self.D[kh]
@@ -432,8 +390,7 @@ class _Engine:
                 if flat:
                     a = flat[0]
                     beta = _bump(alpha, a, -1)
-                    exclude = {(kh, alpha), (kh, _bump(beta, j0))}
-                    val = self.de1_coeff(a, j0, k, h, beta, exclude)
+                    val = self.de1_coeff(a, j0, k, h, beta)
                     self._store(kh, alpha, -val / (D[j0] * alpha[a]))
                 else:
                     self._solve_w_system(kh, alpha, level)
@@ -448,15 +405,13 @@ class _Engine:
         cs = [c for c in supp if c != j0]
         keys = [alpha] + [_bump(_bump(alpha, c, -1), j0) for c in cs]
         col = {key: idx for idx, key in enumerate(keys)}
-        exclude = {(kh, key) for key in keys}
-        rows, rhs = [], []
+        rows = []
         for c in cs:
             beta = _bump(alpha, c, -1)
             row = [self.zero] * len(keys)
             row[0] = D[j0] * alpha[c]
             row[col[_bump(beta, j0)]] = row[col[_bump(beta, j0)]] - D[c] * (alpha[j0] + 1)
-            rows.append(row)
-            rhs.append(-self.de1_coeff(c, j0, k, h, beta, exclude))
+            rows.append((dict(enumerate(row)), self.de1_coeff(c, j0, k, h, beta)))
         delta_e = _bump(_bump(alpha, i_star, -1), j0)
         row = [self.zero] * len(keys)
         for c in _support(delta_e):
@@ -464,24 +419,13 @@ class _Engine:
             coeff = D[c] * (delta_e[i_star] - (1 if c == i_star else 0) + 1)
             row[col[tau]] = row[col[tau]] + coeff
         row[col[delta_e]] = row[col[delta_e]] - self.kappa[kh] * D[i_star]
-        rows.append(row)
-        rhs.append(-self.de2_coeff(i_star, k, h, delta_e, exclude))
-        sol = self._solve_dense(rows, rhs)
-        if sol is None:
+        rows.append((dict(enumerate(row)), self.de2_coeff(i_star, k, h, delta_e)))
+        sol = _solve(rows, len(keys), self.exact)
+        if isinstance(sol, str):
             raise ResonanceError(
                 f"singular linear step for pair ({k},{h}) at degree {level}"
             )
         self._store(kh, alpha, sol[0])
-
-    def _solve_dense(self, rows, rhs):
-        if not self.exact:
-            A = np.array([[complex(v) for v in r] for r in rows], dtype=complex)
-            b = np.array([complex(v) for v in rhs], dtype=complex)
-            if _numerical_rank(A, _RANK_TOL) < len(rhs):
-                return None
-            return list(_lapack(np.linalg.solve, A, b, what="the linear system"))
-        sol = _exact_solve([(dict(enumerate(r)), -v) for r, v in zip(rows, rhs)], len(rows))
-        return None if isinstance(sol, str) else sol
 
     def to_jet(self) -> DEJet:
         entries = []
@@ -676,6 +620,26 @@ def _exact_solve(rows, ncols: int):
     return [exprs[c][None] for c in range(ncols)]
 
 
+def _solve(rows, ncols: int, exact: bool):
+    """Solve the rows sum(coeff * u) + const = 0 of _exact_solve for u.
+
+    Exact mode eliminates exactly; floating mode takes the least-squares
+    solution and calls the system singular when its numerical rank, cut at
+    _RANK_TOL, is below ncols.  Returns the values list or the failure
+    string.
+    """
+    if exact:
+        return _exact_solve(rows, ncols)
+    A = np.zeros((len(rows), ncols), dtype=complex)
+    bvec = np.zeros(len(rows), dtype=complex)
+    for rid, (entries, const) in enumerate(rows):
+        for cidx, v in entries.items():
+            A[rid, cidx] = complex(v)
+        bvec[rid] = -complex(const)
+    sol, _, _, sv = _lapack(np.linalg.lstsq, A, bvec, rcond=None, what="the linear system")
+    return "singular" if _cutoff_rank(sv, _RANK_TOL) < ncols else list(sol)
+
+
 def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
     """Degree-by-degree stacked linear solve for the same jet.
 
@@ -695,6 +659,7 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
     d, n = problem.d, problem.n
     zexp = (0,) * d
     for m in range(1, K + 1):
+        eng.load(m)
         exps_m = exponents_of_degree(d, m)
         exps_prev = exponents_of_degree(d, m - 1)
         cols = [(kh, a) for kh in eng.pairs for a in exps_m]
@@ -735,39 +700,20 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                         for l in range(n):
                             if l == k or l == h:
                                 continue
-                            p10 = eng._p1(i, l, k, h).constant_term()
-                            p20 = eng._p2(i, l, k, h).constant_term()
-                            fkl0 = eng.C[(k, l)].get(zexp, eng.zero)
-                            flh0 = eng.C[(l, h)].get(zexp, eng.zero)
-                            if p10 != 0:
-                                ci = col_index[((k, l), delta_e)]
-                                entries[ci] = entries.get(ci, eng.zero) - p10 * flh0
-                                ci = col_index[((l, h), delta_e)]
-                                entries[ci] = entries.get(ci, eng.zero) - p10 * fkl0
-                            if p20 != 0:
-                                ci = col_index[((k, l), delta_e)]
-                                entries[ci] = entries.get(ci, eng.zero) + p20 * flh0
-                                ci = col_index[((l, h), delta_e)]
-                                entries[ci] = entries.get(ci, eng.zero) + p20 * fkl0
+                            q0 = eng.q2[i, l, k, h].constant_term()
+                            if q0 != 0:
+                                for pair, other in (((k, l), (l, h)), ((l, h), (k, l))):
+                                    ci = col_index[(pair, delta_e)]
+                                    f0 = eng.F[other].get(zexp, eng.zero)
+                                    entries[ci] = entries.get(ci, eng.zero) - q0 * f0
                         rows.append((entries, eng.de2_coeff(i, k, h, delta_e)))
 
-        if exact:
-            sol = _exact_solve(rows, len(cols))
-            failure = sol if isinstance(sol, str) else None
-        else:
-            A = np.zeros((len(rows), len(cols)), dtype=complex)
-            bvec = np.zeros(len(rows), dtype=complex)
-            for rid, (entries, const) in enumerate(rows):
-                for cidx, v in entries.items():
-                    A[rid, cidx] = complex(v)
-                bvec[rid] = -complex(const)
-            sol, _, _, sv = _lapack(np.linalg.lstsq, A, bvec, rcond=None, what="the linear system")
-            failure = "singular" if _cutoff_rank(sv, _RANK_TOL) < len(cols) else None
-        if failure:
+        sol = _solve(rows, len(cols), exact)
+        if isinstance(sol, str):
             for kh in eng.pairs:
                 if eng.coalescent[kh]:
                     eng._resonance_guard(kh, m)
-            raise OracleError(f"{failure} linear system at degree {m}")
+            raise OracleError(f"{sol} linear system at degree {m}")
         for (kh, a), v in zip(cols, sol):
             if v != 0:
                 eng.C[kh][a] = v

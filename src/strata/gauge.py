@@ -236,6 +236,7 @@ def formal_simplify(conn: FramedConnection, K: int, mode: str = "regular") -> Ga
                 inv[(i, j)] = (conn.f[j] - conn.f[i]).invert()
 
     terms = []
+    brackets = {}  # pivot h -> [F_1, d_h Delta0], built at its first use
     Fk = ring.identity_matrix(n)
     for k in range(K):
         _resonance_guard(conn, k)
@@ -255,8 +256,9 @@ def formal_simplify(conn: FramedConnection, K: int, mode: str = "regular") -> Ga
                     if (i, j) in pivots:
                         h = pivots[(i, j)]
                         if h not in dnum:
-                            bracket = terms[0].commutator(conn.delta0.diff(h))
-                            dnum[h] = bracket @ Fk - Fk.diff(h)
+                            if h not in brackets:
+                                brackets[h] = terms[0].commutator(conn.delta0.diff(h))
+                            dnum[h] = brackets[h] @ Fk - Fk.diff(h)
                         rows[i][j] = dnum[h].entry(i, j) * dinv[(i, j)]
                     else:
                         rows[i][j] = rhs.entry(i, j) * inv[(i, j)]
@@ -328,10 +330,11 @@ class GaugeResidualReport:
         return max(mags) if mags else 0.0
 
     def is_zero_determined(self) -> bool:
+        """Every determined coefficient is checked and zero; a matrix with
+        validity below 0 has no checked coefficient, so it is not zero."""
         dz, dx = self.determined()
-        return all(M.is_zero() for M in dz.values()) and all(
-            M.is_zero() for p in dx for M in p.values()
-        )
+        mats = list(dz.values()) + [M for p in dx for M in p.values()]
+        return all(M.min_valid() >= 0 and M.is_zero() for M in mats)
 
     def to_dict(self) -> dict:
         dz, dx = self.determined()

@@ -276,6 +276,28 @@ class TestGauge:
                        "--gauge", str(f))
         assert doc["determined_exact_zero"] is True
 
+    @pytest.mark.parametrize("valids, worst", [(None, 8.0), ([[-1, -1], [-1, -1]], 0.0)])
+    def test_residual_of_an_unchecked_gauge_is_not_zero(self, capsys, tmp_path, valids, worst):
+        # Delta0 = (x, 1 - x), b = (0, 1/2), L = [[0, 1], [0, 0]]; F_1 should be L
+        ring = SeriesRing(1, 2, ["0"], exact=True)
+        enc = {v: schemas.encode_series(ring.const(v))["terms"] for v in (0, 1, 5)}
+        conn = {
+            "d": 1, "n": 2, "center": [["0", "0"]], "K": 2,
+            "Delta0": [schemas.encode_poly(X(1, 0)), schemas.encode_poly(c(1) - X(1, 0))],
+            "Bdiag": [["0", "0"], ["1/2", "0"]],
+            "L": [[enc[0], enc[1]], [enc[0], enc[0]]],
+        }
+        F1 = {"d": 1, "n": 2, "center": [["0", "0"]], "K": 2,
+              "entries": [[enc[0], enc[5]], [enc[0], enc[0]]]}
+        if valids is not None:
+            F1["valids"] = valids
+        (tmp_path / "conn.json").write_text(json.dumps(conn))
+        (tmp_path / "gs.json").write_text(json.dumps({"K": 1, "F": [F1]}))
+        doc = run_json(capsys, "gauge", "residual", "--input", str(tmp_path / "conn.json"),
+                       "--gauge", str(tmp_path / "gs.json"))
+        assert doc["determined_max"] == worst
+        assert doc["determined_exact_zero"] is False
+
     def test_witness(self, capsys, tmp_path):
         ring = SeriesRing(2, 4, ["0", "1"], exact=True)
         one = schemas.encode_series(ring.one())["terms"]

@@ -1,10 +1,9 @@
 """Golden CLI outputs: fixed documents in tests/data/golden and their stdout.
 
 Each case runs one command on committed input documents and compares its
-stdout with the recorded ``<case>.out``.  Exact-mode outputs must match
-byte for byte.  Floating-mode outputs are compared as parsed JSON with
-``==``, because an equivalent rearrangement of float arithmetic may flip
-the sign of a zero component (``-c`` and ``0j - c`` differ there).
+stdout with the recorded ``<case>.out`` byte for byte, in both modes:
+every printed float goes through ``scalars.float_pair``, which prints
+zeros unsigned, so a float stdout is as byte-stable as an exact one.
 
 A float case and the exact case of the same command run one problem in the
 two modes, so each recorded float output must also lie within the float
@@ -24,60 +23,60 @@ from strata import cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
-# (case name, exact output, argv); argv entries ending in .json name
+# (case name, argv); argv entries ending in .json name
 # documents in GOLDEN
 CASES = [
-    ("de_solve_coalescent_exact", True,
+    ("de_solve_coalescent_exact",
      ["de", "solve", "--input", "de_coalescent_exact.json", "--order", "3"]),
-    ("de_oracle_coalescent_exact", True,
+    ("de_oracle_coalescent_exact",
      ["de", "oracle", "--input", "de_coalescent_exact.json", "--order", "3"]),
-    ("de_residual_coalescent_exact", True,
+    ("de_residual_coalescent_exact",
      ["de", "residual", "--input", "de_coalescent_exact.json",
       "--jet", "jet_coalescent_exact.json", "--order", "2"]),
-    ("de_solve_regular_exact", True,
+    ("de_solve_regular_exact",
      ["de", "solve", "--input", "de_regular_exact.json", "--order", "3"]),
-    ("de_oracle_regular_exact", True,
+    ("de_oracle_regular_exact",
      ["de", "oracle", "--input", "de_regular_exact.json", "--order", "3"]),
-    ("de_solve_coalescent_float", False,
+    ("de_solve_coalescent_float",
      ["de", "solve", "--input", "de_coalescent_float.json", "--order", "3"]),
-    ("de_oracle_coalescent_float", False,
+    ("de_oracle_coalescent_float",
      ["de", "oracle", "--input", "de_coalescent_float.json", "--order", "3"]),
-    ("de_residual_coalescent_float", False,
+    ("de_residual_coalescent_float",
      ["de", "residual", "--input", "de_coalescent_float.json",
       "--jet", "jet_coalescent_float.json", "--order", "2"]),
-    ("de_solve_regular_float", False,
+    ("de_solve_regular_float",
      ["de", "solve", "--input", "de_regular_float.json", "--order", "3"]),
-    ("de_oracle_regular_float", False,
+    ("de_oracle_regular_float",
      ["de", "oracle", "--input", "de_regular_float.json", "--order", "3"]),
-    ("gauge_build_coalescent_exact", True,
+    ("gauge_build_coalescent_exact",
      ["gauge", "build", "--input", "conn_coalescent_exact.json"]),
-    ("gauge_build_pnr_exact", True,
+    ("gauge_build_pnr_exact",
      ["gauge", "build", "--input", "conn_pnr_exact.json"]),
-    ("gauge_build_coalescent_float", False,
+    ("gauge_build_coalescent_float",
      ["gauge", "build", "--input", "conn_coalescent_float.json"]),
-    ("gauge_simplify_coalescent_exact", True,
+    ("gauge_simplify_coalescent_exact",
      ["gauge", "simplify", "--input", "conn_coalescent_exact.json",
       "--order", "3", "--mode", "coalescent"]),
-    ("gauge_simplify_regular_exact", True,
+    ("gauge_simplify_regular_exact",
      ["gauge", "simplify", "--input", "conn_regular_exact.json", "--order", "3"]),
-    ("gauge_simplify_coalescent_float", False,
+    ("gauge_simplify_coalescent_float",
      ["gauge", "simplify", "--input", "conn_coalescent_float.json",
       "--order", "3", "--mode", "coalescent"]),
-    ("gauge_residual_coalescent_exact", True,
+    ("gauge_residual_coalescent_exact",
      ["gauge", "residual", "--input", "conn_coalescent_exact.json",
       "--gauge", "gauge_coalescent_exact.json"]),
-    ("gauge_residual_coalescent_float", False,
+    ("gauge_residual_coalescent_float",
      ["gauge", "residual", "--input", "conn_coalescent_float.json",
       "--gauge", "gauge_coalescent_float.json"]),
-    ("bundles_classify_semisimple_distinct", False,
+    ("bundles_classify_semisimple_distinct",
      ["bundles", "classify", "--input", "matrix_semisimple_distinct.json"]),
-    ("bundles_classify_semisimple_repeated", False,
+    ("bundles_classify_semisimple_repeated",
      ["bundles", "classify", "--input", "matrix_semisimple_repeated.json"]),
-    ("bundles_classify_jordan_block", False,
+    ("bundles_classify_jordan_block",
      ["bundles", "classify", "--input", "matrix_jordan_block.json"]),
-    ("bundles_classify_two_blocks", False,
+    ("bundles_classify_two_blocks",
      ["bundles", "classify", "--input", "matrix_two_blocks.json"]),
-    ("gap_report_upper_3x3", False,
+    ("gap_report_upper_3x3",
      ["gap", "report", "--input", "family_upper_3x3.json", "--point", "[0]"]),
 ]
 
@@ -92,17 +91,12 @@ def run_case(argv) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("name, exact, argv", CASES, ids=[c[0] for c in CASES])
-def test_golden_output(name, exact, argv):
-    out = run_case(argv)
-    expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
-    if exact:
-        assert out == expected
-    else:
-        assert json.loads(out) == json.loads(expected)
+@pytest.mark.parametrize("name, argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(name, argv):
+    assert run_case(argv) == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-PAIRS = [name[:-6] for name, _, _ in CASES
+PAIRS = [name[:-6] for name, _ in CASES
          if name.endswith("_float") and name[:-6] + "_exact" in {c[0] for c in CASES}]
 # report fields that only exact arithmetic can set
 MODE_FLAGS = {"exact", "exact_zero", "determined_exact_zero"}

@@ -5,15 +5,18 @@ commutes with differentiation below the truncation order, and for K at
 least the degree it loses nothing: evaluation agrees with the polynomial
 and expanding back to absolute coordinates returns the polynomial.
 The results of series arithmetic keep the storage contract: no stored
-zero and no stored degree above K, also where float products underflow.
+zero and no stored degree above K, also where float products underflow;
+and the solvers, the gauge ladder and the CLI never read that storage.
 The dense float product agrees with the sparse reference ``_mul``: within
 the rounding of a reordered sum everywhere, and bit for bit when both
 operands are stored in table order.
 """
 
+import ast
 import math
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +138,17 @@ def test_arithmetic_results_keep_the_storage_contract(exact, data):
         for t in range(-1, s.ring.K + 2):
             assert list(s.items(t)) == [(e, c) for e, c in s.coeffs.items() if sum(e) <= t]
     assert (a - a).is_zero() and not (a - a).coeffs
+
+
+def test_solver_gauge_and_cli_code_never_read_series_storage():
+    # series owns TruncatedSeries.coeffs; these modules read coeff, items
+    # and constant_term
+    src = Path(series.__file__).parent
+    reads = [f"{name}:{n.lineno} {ast.unparse(n)}"
+             for name in ("darboux.py", "gauge.py", "cli.py")
+             for n in ast.walk(ast.parse((src / name).read_text()))
+             if isinstance(n, ast.Attribute) and n.attr == "coeffs"]
+    assert reads == []
 
 
 # -- the dense float product against the sparse reference ---------------------------

@@ -72,6 +72,11 @@ class TestPolyDocuments:
         assert not q.exact
         assert abs(q.eval([0.5, 0.25]) - 0.75) < 1e-15
 
+    def test_zero_polynomial_has_no_float_leaf(self):
+        # SCHEMAS.md, "Polynomial": [] decodes exact on its own
+        doc = schemas.encode_poly(Poly(2, None, exact=False))
+        assert doc == [] and schemas.decode_poly(doc, 2).exact
+
     def test_terms_sorted_deterministically(self):
         p = X(2, 1) + X(2, 0)
         doc1 = json.dumps(schemas.encode_poly(p))
