@@ -577,25 +577,24 @@ def de_closed_form_n2(problem: DEProblem, F0, K: int) -> DEJet:
     return DEJet(SeriesMatrix([[z, f01], [f10, z]]))
 
 
-def _exact_solve(rows, ncols: int):
-    """Exact sparse Gauss-Jordan solve of the rows sum(coeff * u) + const = 0.
+def _eliminate(rows):
+    """Exact sparse Gauss-Jordan elimination of the rows sum(coeff * u) + const = 0.
 
     rows: list of (dict col->ComplexRational, const); zero coefficients are
     dropped.  Rows are taken shortest first, the fewest-entries pivot order
     of Markowitz, so a unit row pins its unknown before any coupled row is
     pivoted.  Each row has the known pivots substituted; its lowest
     remaining unknown becomes a new pivot, which is then eliminated from
-    the earlier pivot rows.  Returns the values list, "inconsistent" when a
-    row reduces to a nonzero constant, or "singular" when some unknown has
-    no pivot.
+    the earlier pivot rows.  Returns {pivot: {col: coeff, None: const}},
+    u_pivot = sum(coeff * u_col) + const over the columns that are no
+    pivot (the free columns), or "inconsistent" when a row reduces to a
+    nonzero constant.
     """
 
     def add(dst: dict, a, src: dict):
         for c, w in src.items():
             dst[c] = dst[c] + a * w if c in dst else a * w
 
-    # pivot col -> {col: coeff, None: const}: u_pivot = sum(coeff * u) + const,
-    # over columns that are not pivots
     exprs = {}
     for entries, const in sorted(rows, key=lambda r: len(r[0])):
         row = {None: const}
@@ -615,6 +614,15 @@ def _exact_solve(rows, ncols: int):
             if a is not None:
                 add(e, a, expr)
         exprs[p] = expr
+    return exprs
+
+
+def _exact_solve(rows, ncols: int):
+    """The values list of _eliminate's rows in the unknowns u_0 .. u_{ncols-1},
+    "inconsistent", or "singular" when some unknown has no pivot."""
+    exprs = _eliminate(rows)
+    if exprs == "inconsistent":
+        return exprs
     if len(exprs) < ncols:
         return "singular"
     return [exprs[c][None] for c in range(ncols)]

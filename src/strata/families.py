@@ -17,7 +17,12 @@ checker probes three conditions at a point:
 
 Condition 2 is probed on finitely many polynomial paths with geometric
 sample schedules; the exact kernel-sheaf value of a univariate family
-gives an independent check of each path limit.
+gives an independent check of each path limit.  That value at x0 is
+
+  V_N = { v_0 : v(t) = v_0 + ... + v_{N-1} t^{N-1}, A(x0 + t) v(t) = 0 mod t^N }
+
+for N = n deg A + 1 (the bound is proved at _order_bound), computed by
+the exact elimination of darboux over ComplexRational.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+from .darboux import _eliminate
 from .partitions import SegreSymbol, forgetful
 from .polynomials import Poly, _matmul
-from .scalars import coerce, float_pair, to_complex, to_exact
+from .scalars import ComplexRational, coerce, float_pair, to_complex, to_exact
 from .subspaces import Subspace, _clusters, _lapack, _numerical_rank, _root_space, _segre, gap_distance
 
 DEFAULT_SEP_TOL = 1e-12
@@ -150,90 +156,89 @@ def segre_at_eigenvalue(a: np.ndarray, mu: complex, multiplicity: int, tol: floa
 # -- exact kernel-sheaf value for univariate families ---------------------------
 
 
-def _vanishing_order(expr, x, x0, cap: int):
-    import sympy
+def _order_bound(family: MatrixFamily) -> int:
+    """n deg A + 1: the truncation order N at which V_N is the sheaf value.
 
-    if expr == 0:
-        return cap
-    order = 0
-    p = expr
-    while order < cap and sympy.simplify(p.subs(x, x0)) == 0:
-        p = sympy.cancel(p / (x - x0))
-        order += 1
-    return order
+    Over the discrete valuation ring of germs at x0, A(x0 + t) has a Smith
+    form U diag(t^e_1, .., t^e_r, 0, .., 0) V with U and V invertible and r
+    the generic rank.  With w = V v, A v = 0 mod t^N asks w_i = 0 mod
+    t^(N - e_i) for i <= r and nothing of the other w_i; so once N > max e_i,
+    V_N = V(0)^-1 {w : w_i = 0 for i <= r}, the value of the kernel sheaf
+    V^-1 {w : w_i = 0 for i <= r}.  And max e_i <= e_1 + .. + e_r, the order
+    at x0 of the gcd of the r x r minors, which is at most the order, so
+    the degree, of any nonzero r x r minor: r deg A <= n deg A.
+    """
+    deg = max(p.degree() for row in family.entries for p in row)
+    return family.n * max(deg, 0) + 1
+
+
+def _truncated_values(family: MatrixFamily, x0: ComplexRational, order: int) -> list:
+    """An exactly independent basis of V_order at x0, as coordinate lists.
+
+    The unknowns are the coefficients v_0 .. v_{order-1} of v(t) and the
+    equations the coefficients sum_{j <= m} A_{m-j} v_j = 0 of t^m, m < order,
+    in A(x0 + t) v(t).  The free columns of their elimination span the
+    solutions; the v_0 parts of those span V_order, and a second
+    elimination of them as rows leaves one independent row per pivot.
+    """
+    n = family.n
+    shift = [Poly.constant(1, x0, True) + Poly.variable(1, 0, True)]
+    taylor = [[p.subs_univariate(shift).coeffs for p in row] for row in family.entries]
+    zero = ComplexRational(0)
+    # v_j's coordinate k is column n (order - 1 - j) + k: the elimination
+    # pivots on the lowest column of a row, so the later coefficients are
+    # pivoted before v_0, which keeps the fill-in (and the time) ~5x smaller
+    rows = [
+        ({n * (order - 1 - j) + k: taylor[i][k][(m - j,)]
+          for j in range(m + 1) for k in range(n) if (m - j,) in taylor[i][k]}, zero)
+        for m in range(order)
+        for i in range(n)
+    ]
+    exprs = _eliminate(rows)
+    v0 = range(n * (order - 1), n * order)
+    values = [
+        ({i: exprs[c].get(f, zero) if c in exprs else ComplexRational(int(c == f))
+          for i, c in enumerate(v0)}, zero)
+        for f in range(n * order)
+        if f not in exprs
+    ]
+    basis = _eliminate(values)
+    return [
+        [ComplexRational(1) if i == p else -basis[p].get(i, zero) for i in range(n)]
+        for p in sorted(basis)
+    ]
 
 
 def kernel_sheaf_value_1d(family: MatrixFamily, x0) -> Subspace:
     """Value at x0 of the kernel sheaf of a univariate polynomial matrix.
 
-    Exact computation over the rational function field: take a kernel
-    basis, clear denominators, strip common (x - x0) factors, then refine
-    to a local module basis so that the evaluations at x0 are independent;
-    their span is the space of values of kernel germs.  Requires exact
-    (rational complex) coefficients.
+    V_N at the order N of _order_bound, from exact (rational complex)
+    coefficients.  Its basis from _truncated_values holds an identity block
+    on the pivot coordinates, so its smallest singular value is at least 1
+    and no cutoff decides the dimension.
     """
-    import sympy
-
     if family.d != 1:
         raise ShapeError("kernel sheaf value requires a one-variable family")
     if not family.exact:
         raise ExactnessError(
             "kernel sheaf values need exact rational coefficients; floating input is refused"
         )
-    x0 = to_exact(x0)
-    n = family.n
-    x = sympy.Symbol("x")
-    sx0 = sympy.Rational(x0.re.numerator, x0.re.denominator) + sympy.I * sympy.Rational(
-        x0.im.numerator, x0.im.denominator
-    )
-    mat = sympy.Matrix([[p.to_sympy([x]) for p in row] for row in family.entries])
-    null = mat.nullspace()
-    if not null:
-        return Subspace.zero(n)
+    basis = _truncated_values(family, to_exact(x0), _order_bound(family))
+    return Subspace.from_spanning(np.array(basis, dtype=complex).reshape(-1, family.n).T, tol=0.0)
 
-    cols = []
-    for v in null:
-        v = v.applyfunc(sympy.cancel)
-        dens = [sympy.fraction(e)[1] for e in v]
-        lcm = sympy.lcm(dens)
-        w = v.applyfunc(lambda e: sympy.expand(sympy.cancel(e * lcm)))
-        ordv = min(_vanishing_order(w[i], x, sx0, cap=64) for i in range(n))
-        if ordv > 0:
-            w = w.applyfunc(lambda e: sympy.expand(sympy.cancel(e / (x - sx0) ** ordv)))
-        cols.append(w)
 
-    k = len(cols)
-    # refine to a module basis: combinations vanishing at x0 can be divided
-    # down, which only enlarges the span of values
-    for _ in range(64 * n):
-        ev = sympy.Matrix([[sympy.simplify(cols[j][i].subs(x, sx0)) for j in range(k)] for i in range(n)])
-        if ev.rank() == k:
-            break
-        null_comb = ev.nullspace()[0]
-        w = sympy.zeros(n, 1)
-        for j in range(k):
-            if null_comb[j] != 0:
-                w = w + null_comb[j] * cols[j]
-        w = w.applyfunc(sympy.expand)
-        ordv = min(_vanishing_order(w[i], x, sx0, cap=64) for i in range(n))
-        if ordv == 0:
-            raise ValidationError("kernel refinement failed to vanish; input may be inconsistent")
-        w = w.applyfunc(lambda e: sympy.expand(sympy.cancel(e / (x - sx0) ** ordv)))
-        pivot = next(j for j in range(k) if null_comb[j] != 0)
-        cols[pivot] = w
-    else:
-        raise ValidationError("kernel refinement did not terminate")
-
-    ev = np.array(
-        [[complex(cols[j][i].subs(x, sx0)) for j in range(k)] for i in range(n)], dtype=complex
-    )
-    return Subspace.from_spanning(ev)
+def _branch(family: MatrixFamily, branch_index: int):
+    """The declared (branch, multiplicity) at branch_index."""
+    if family.branches is None:
+        raise ValidationError("family has no declared branches")
+    if not 0 <= branch_index < len(family.branches):
+        raise ValidationError("branch index out of range")
+    return family.branches[branch_index]
 
 
 def kernel_sheaf_limit(family: MatrixFamily, branch_index: int, curves: list) -> Subspace:
     """K[(A - lam_i)^n ; 0] along the polynomial path x(t), exact route."""
-    if family.branches is None:
-        raise ValidationError("family has no declared branches")
+    _branch(family, branch_index)
     restricted = family.restrict_to_path(curves)
     lam, _ = restricted.branches[branch_index]
     n = family.n
@@ -259,6 +264,9 @@ def _probe_path(family: MatrixFamily, branch_index: int, path: list, samples: li
                 tol: float, sep_tol: float):
     """Sample a branch's generalized eigenspace along a path, shallow first.
 
+    The space at a sample is the kernel of (A - mu I)^m, m the branch's
+    multiplicity: the other branches lie only ~t away, and at power n their
+    t^n would fall below the rank cutoff at deep samples.
     samples are positive and decreasing, at least four of them (a subset
     of DEEP_SAMPLES).  Stops as soon as three consecutive gap distances
     settle below tol plus a capped numerical-noise allowance, returning
@@ -266,10 +274,7 @@ def _probe_path(family: MatrixFamily, branch_index: int, path: list, samples: li
     for SVD noise.
     Returns (limit or None, final consecutive gap).
     """
-    if family.branches is None:
-        raise ValidationError("family has no declared branches")
-    if not 0 <= branch_index < len(family.branches):
-        raise ValidationError("branch index out of range")
+    _, m = _branch(family, branch_index)
     window = 3
     spaces, noises, gaps, settled = [], [], [], []
     for t in samples:
@@ -278,7 +283,7 @@ def _probe_path(family: MatrixFamily, branch_index: int, path: list, samples: li
             raise CoalescencePathError(f"sample t={t!r} lies on the coalescence locus")
         a = family.eval(pt)
         mu = family.branch_values(pt)[branch_index]
-        sp, s, r = _root_space(a, mu, PATH_RANK_TOL)
+        sp, s, r = _root_space(a, mu, m, PATH_RANK_TOL)
         spaces.append(sp)
         # eps * sigma_max / sigma_r bounds the rotation of the computed
         # kernel caused by SVD backward error; it grows as the rank gap of

@@ -273,24 +273,6 @@ class Poly:
         p.coeffs = {e: to_complex(c) for e, c in self.coeffs.items()}
         return p
 
-    def to_sympy(self, symbols):
-        import sympy
-
-        expr = sympy.Integer(0)
-        for e, c in self.coeffs.items():
-            if self.exact:
-                cc = sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
-                    c.im.numerator, c.im.denominator
-                )
-            else:
-                z = to_complex(c)
-                cc = sympy.Float(z.real) + sympy.I * sympy.Float(z.imag)
-            mono = sympy.Integer(1)
-            for s, k in zip(symbols, e):
-                mono *= s ** k
-            expr += cc * mono
-        return expr
-
 
 def poly_from_terms(d: int, terms, exact: bool | None = None) -> Poly:
     """Build a Poly from [(exps, re, im), ...] or [{"exps":..,"re":..,"im":..}].

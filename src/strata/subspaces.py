@@ -190,9 +190,9 @@ def _unit_shift(a: np.ndarray, mu: complex) -> np.ndarray:
     return m
 
 
-def _root_space(a: np.ndarray, lam: complex, tol: float):
-    """_kernel_svd of _unit_shift(A, lam)^n."""
-    return _kernel_svd(np.linalg.matrix_power(_unit_shift(a, lam), a.shape[0]), tol)
+def _root_space(a: np.ndarray, lam: complex, power: int, tol: float):
+    """_kernel_svd of _unit_shift(A, lam)^power."""
+    return _kernel_svd(np.linalg.matrix_power(_unit_shift(a, lam), power), tol)
 
 
 def generalized_eigenspace(a: np.ndarray, lam: complex, tol: float = 1e-10) -> Subspace:
@@ -201,7 +201,7 @@ def generalized_eigenspace(a: np.ndarray, lam: complex, tol: float = 1e-10) -> S
     n = a.shape[0]
     if a.shape != (n, n):
         raise ShapeError("square matrix expected")
-    return _root_space(a, lam, tol)[0]
+    return _root_space(a, lam, n, tol)[0]
 
 
 def _cutoff_rank(s: np.ndarray, tol: float) -> int:

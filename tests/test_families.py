@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from strata.bundles import classify_matrix_detailed
-from strata.errors import CoalescencePathError, ExactnessError, ShapeError
+from strata.errors import CoalescencePathError, ExactnessError, ShapeError, ValidationError
 from strata.families import (
     MatrixFamily,
     default_paths,
@@ -110,6 +110,12 @@ class TestKernelSheaf:
         # pointwise kernel at 0 is everything; the sheaf value is smaller
         assert s.dim == 1
         assert s.contains(np.array([1.0, -1.0]) / math.sqrt(2))
+
+    @pytest.mark.parametrize("branch", [-1, 2, 5])
+    def test_branch_index_out_of_range(self, family_planar_3x3, branch):
+        t = X(1, 0)
+        with pytest.raises(ValidationError):
+            kernel_sheaf_limit(family_planar_3x3, branch, [t, t])
 
     def test_float_input_refused(self):
         x = Poly.variable(1, 0, exact=False)

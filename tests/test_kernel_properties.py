@@ -7,6 +7,7 @@ and expanding back to absolute coordinates returns the polynomial.
 The results of series arithmetic keep the storage contract: no stored
 zero and no stored degree above K, also where float products underflow;
 and the solvers, the gauge ladder and the CLI never read that storage.
+No module imports sympy.
 The dense float product agrees with the sparse reference ``_mul``: within
 the rounding of a reordered sum everywhere, and bit for bit when both
 operands are stored in table order.
@@ -149,6 +150,24 @@ def test_solver_gauge_and_cli_code_never_read_series_storage():
              for n in ast.walk(ast.parse((src / name).read_text()))
              if isinstance(n, ast.Attribute) and n.attr == "coeffs"]
     assert reads == []
+
+
+def _import_roots(node) -> list:
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module.split(".")[0]]
+    return []
+
+
+def test_no_module_imports_sympy():
+    # numpy is the one runtime dependency; exact algebra is strata's own
+    src = Path(series.__file__).parent
+    imports = [f"{path.name}:{n.lineno} {ast.unparse(n)}"
+               for path in sorted(src.glob("*.py"))
+               for n in ast.walk(ast.parse(path.read_text()))
+               if "sympy" in _import_roots(n)]
+    assert imports == []
 
 
 # -- the dense float product against the sparse reference ---------------------------
