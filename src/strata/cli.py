@@ -40,7 +40,7 @@ from .bundles import (
 )
 from .darboux import de_oracle_solve, de_residual, de_solve_jet
 from .errors import StrataError, ValidationError
-from .families import jordanizability_report
+from .families import DEFAULT_SEP_TOL, jordanizability_report
 from .gauge import dv_witness, formal_simplify, gauge_residual, holcon_check
 from .partitions import (
     SegreSymbol,
@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="JSON matrix-family file")
     p.add_argument("--point", required=True, help="JSON list of coordinates")
     p.add_argument("--paths", default=None, help="JSON file with probe paths")
-    p.add_argument("--sep-tol", type=float, default=1e-8)
+    p.add_argument("--sep-tol", type=float, default=DEFAULT_SEP_TOL)
     _add_tol(p)
     p.set_defaults(func=_cmd_gap_report)
 

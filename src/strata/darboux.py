@@ -376,8 +376,9 @@ class _Engine:
                 val = self.de2_coeff(a, k, h, beta)
                 self._store(kh, alpha, -val / (d0 * alpha[a]))
         coalescent = [kh for kh in self.pairs if self.coalescent[kh]]
-        if coalescent:
-            # the degree-level DE2 rows read the regular pairs' new coefficients
+        if coalescent and self.n > 2:
+            # the degree-level DE2 rows read the regular pairs' new
+            # coefficients through F_kl F_lh, which n = 2 does not have
             self.load(level)
         for kh in coalescent:
             self._resonance_guard(kh, level)

@@ -14,27 +14,32 @@ nonzero and of total degree <= K.  Only this module reads it; the read API
 is ``coeff``, ``constant_term`` and ``items`` (``coeffs`` stays readable
 for perfbench and the tests).
 
-Products: exact series multiply through the sparse ``polynomials._mul``.
-Floating series multiply through ``_dense_mul``, multivariate Taylor
+Products: both modes multiply through ``_dense_mul``, multivariate Taylor
 arithmetic over one cached table per (d, K) (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13): the operands are scattered
-into float vectors over the table's monomials, every pair of occupied
-slots whose degrees sum to at most K is gathered at once, and each product
-coefficient is summed in pair order.  Storage stays the dict on both
-routes; a ring whose table would pass ``_MAX_PAIRS`` pairs keeps the
-sparse product, so the table's memory stays bounded.
+*Evaluating Derivatives*, 2nd ed., ch. 13): every pair of occupied slots
+whose degrees sum to at most K is gathered at once, and each product
+coefficient is summed in pair order.  Floating operands are scattered into
+complex vectors over the table's monomials.  Exact operands are lifted to
+Gaussian-integer numerators over one common denominator each, summed as
+Python ints and reduced once per coefficient.  Storage stays the dict on
+both routes.  The sparse ``polynomials._mul`` stays the product of a ring
+whose table would pass ``_MAX_PAIRS`` pairs, so the table's memory stays
+bounded, and of an exact operand whose common denominator passes
+``_LIFT_SLACK`` bits beyond twice its longest single denominator, where
+the integer terms would outgrow the ``Fraction`` terms.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotInvertibleError, ShapeError, ValidationError
 from .polynomials import Poly, _add, _diff, _eval, _matmul, _max_abs, _mul, _shift
-from .scalars import coerce, to_complex
+from .scalars import ComplexRational, coerce, to_complex
 
 
 @lru_cache(maxsize=None)
@@ -52,6 +57,14 @@ def exponents_of_degree(d: int, deg: int) -> tuple:
 # Largest pair table _dense_mul builds: 3 int32 arrays of 2^18 entries (3 MB).
 # d=3, K=8 has 3,003 pairs and d=3, K=20 has 230,230.
 _MAX_PAIRS = 1 << 18
+
+# An exact operand goes through the table only if its common denominator is
+# at most this many bits longer than twice its longest single denominator.
+# The solvers' and verifiers' operands stay below twice; 84 complex
+# coefficients over unrelated 25-bit primes (a 4,200-bit denominator)
+# multiply 3.6 times slower through the table than through _mul.
+_LIFT_SLACK = 64
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=32)
@@ -93,38 +106,95 @@ def _slots(E: np.ndarray, K: int) -> np.ndarray:
     return weight[np.arange(d), tails].sum(axis=1)
 
 
-def _scatter(c: dict, slot: dict, n: int):
-    """c as a complex vector over n table slots, and the occupied slots."""
-    at = [slot[e] for e in c]
-    z, occupied = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool)
-    z[at], occupied[at] = list(c.values()), True
-    return z, occupied
+def _lift(c: dict):
+    """The exact values of c as Gaussian-integer numerators over their common
+    denominator: (real numerators, imaginary numerators, denominator), or
+    None if that denominator is more than _LIFT_SLACK bits longer than
+    twice the longest single one."""
+    res, ims = [v.re for v in c.values()], [v.im for v in c.values()]
+    dens = {q.denominator for q in res} | {q.denominator for q in ims}
+    den = math.lcm(*dens)
+    if den.bit_length() > 2 * max(dens).bit_length() + _LIFT_SLACK:
+        return None
+    scale = {q: den // q for q in dens}
+    return ([q.numerator * scale[q.denominator] for q in res],
+            [q.numerator * scale[q.denominator] if q else 0 for q in ims], den)
 
 
-def _dense_mul(a: dict, b: dict, d: int, K: int) -> dict:
-    """The float product of two coefficient dicts through the (d, K) table.
+def _placed(values, at: list, n: int) -> list:
+    """values at the slots at of a list of n zeros."""
+    out = [0] * n
+    for s, v in zip(at, values):
+        out[s] = v
+    return out
 
-    It forms the terms _mul forms, each in the same floating-point
-    operations as Python's complex product, and sums each coefficient in
-    (i, j) slot order, so operands stored in table order give _mul's floats.
-    Pairs with an empty slot are skipped, so no 0 * inf term makes a NaN
-    that _mul would not.
-    """
-    if not a or not b:
-        return {}
-    monos, slot, I, J, T = _pair_table(d, K)
+
+def _float_sum(x, xat, y, yat, i, j, t, monos: list) -> dict:
+    """The product coefficients: each slot's sum of x_i y_j over the pairs
+    (i, j, t) of occupied slots, in pair order, as complex floats."""
     n = len(monos)
-    x, xon = _scatter(a, slot, n)
-    y, yon = _scatter(b, slot, n)
-    live = xon[I] & yon[J]
-    i, j, t = I[live], J[live], T[live]
-    xr, xi, yr, yi = x.real[i], x.imag[i], y.real[j], y.imag[j]
+    xv, yv = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    xv[xat], yv[yat] = x, y
+    xr, xi, yr, yi = xv.real[i], xv.imag[i], yv.real[j], yv.imag[j]
     out = np.empty(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as Python makes them
         out.real = np.bincount(t, xr * yr - xi * yi, n)
         out.imag = np.bincount(t, xr * yi + xi * yr, n)
     keep = np.flatnonzero(out).tolist()
     return dict(zip(map(monos.__getitem__, keep), out[keep].tolist()))
+
+
+def _exact_sum(x, xat, y, yat, i, j, t, monos: list) -> dict:
+    """The product coefficients: each slot's sum of x_i y_j over the pairs
+    (i, j, t) of occupied slots, in integers, as a reduced ComplexRational
+    over the product of the two denominators."""
+    n = len(monos)
+    (xr, xi, dx), (yr, yi, dy) = x, y
+    pairs = zip(i.tolist(), j.tolist(), t.tolist())
+    re, im = [0] * n, [0] * n
+    if any(xi) or any(yi):
+        xr, xi = _placed(xr, xat, n), _placed(xi, xat, n)
+        yr, yi = _placed(yr, yat, n), _placed(yi, yat, n)
+        for p, q, s in pairs:
+            a, b, c, e = xr[p], xi[p], yr[q], yi[q]
+            re[s] += a * c - b * e
+            im[s] += a * e + b * c
+    else:  # real operands, as every problem with rational data has
+        xr, yr = _placed(xr, xat, n), _placed(yr, yat, n)
+        for p, q, s in pairs:
+            re[s] += xr[p] * yr[q]
+    den = dx * dy
+    return {m: ComplexRational(Fraction(u, den) if u else _ZERO, Fraction(v, den) if v else _ZERO)
+            for m, u, v in zip(monos, re, im) if u or v}
+
+
+def _dense_mul(a: dict, b: dict, d: int, K: int, exact: bool):
+    """The product of two coefficient dicts through the (d, K) table, or None,
+    before the table is read, when an exact operand's lift is refused.
+
+    Both modes sum every (i, j) pair of occupied slots, in (i, j) order,
+    into its product slot and return the nonzero slots in table order.
+    Floats form the terms _mul forms, each in the same floating-point
+    operations as Python's complex product, so operands stored in table
+    order give _mul's floats; pairs with an empty slot are skipped, so no
+    0 * inf term makes a NaN that _mul would not.  Exact terms sum in
+    integers over one denominator per operand, which gives _mul's values.
+    """
+    if not a or not b:
+        return {}
+    if exact:
+        x, y, total = _lift(a), _lift(b), _exact_sum
+        if x is None or y is None:
+            return None
+    else:
+        x, y, total = list(a.values()), list(b.values()), _float_sum
+    monos, slot, I, J, T = _pair_table(d, K)
+    n = len(monos)
+    xat, yat = [slot[e] for e in a], [slot[e] for e in b]
+    xon, yon = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    xon[xat], yon[yat] = True, True
+    live = xon[I] & yon[J]
+    return total(x, xat, y, yat, I[live], J[live], T[live], monos)
 
 
 def _bump(e: tuple, a: int, k: int = 1) -> tuple:
@@ -305,10 +375,11 @@ class TruncatedSeries:
             return self.scale(other)
         self._check(other)
         d, K = self.ring.d, self.ring.K
-        if self.ring.exact or math.comb(2 * d + K, K) > _MAX_PAIRS:
+        coeffs = None
+        if math.comb(2 * d + K, K) <= _MAX_PAIRS:
+            coeffs = _dense_mul(self.coeffs, other.coeffs, d, K, self.ring.exact)
+        if coeffs is None:
             coeffs = _mul(self.coeffs, other.coeffs, K)
-        else:
-            coeffs = _dense_mul(self.coeffs, other.coeffs, d, K)
         return self._like(coeffs, min(self.valid, other.valid))
 
     __rmul__ = scale

@@ -3,12 +3,13 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from strata import cli, schemas
 from strata.darboux import DEProblem, de_solve_jet
-from strata.families import MatrixFamily
+from strata.families import MatrixFamily, jordanizability_report
 from strata.gauge import connection_from_de, formal_simplify
 from strata.polynomials import Poly
 from strata.series import SeriesRing
@@ -243,6 +244,15 @@ class TestGap:
         doc = run_json(capsys, "gap", "report", "--input", str(f), "--point", "[0, 1]")
         assert doc["verdict"] is False
         assert doc["cond3"] is False and all(doc["cond2"])
+
+    def test_report_is_the_library_report(self, capsys):
+        # the CLI's default tolerances are the library's, so both probe the same samples
+        path = Path(__file__).parent / "data" / "golden" / "family_upper_3x3.json"
+        family = schemas.decode_matrix_family(json.loads(path.read_text()))
+        library = json.loads(json.dumps(jordanizability_report(family, [0]).to_dict()))
+        doc = run_json(capsys, "gap", "report", "--input", str(path), "--point", "[0]")
+        assert doc == library
+        assert doc["cond2"] == [True, True] and doc["limit_dims"] == [1, 2]
 
 
 class TestDE:

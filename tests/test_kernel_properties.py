@@ -10,7 +10,9 @@ and the solvers, the gauge ladder and the CLI never read that storage.
 No module imports sympy.
 The dense float product agrees with the sparse reference ``_mul``: within
 the rounding of a reordered sum everywhere, and bit for bit when both
-operands are stored in table order.
+operands are stored in table order.  The exact product through the same
+table equals ``_mul``, and operands whose common denominator is too long,
+or rings past the pair cap, never touch the table.
 """
 
 import ast
@@ -18,6 +20,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -276,24 +279,80 @@ def test_dense_product_is_bit_equal_in_table_order(case):
     ring, a, b = case
     monos = series._pair_table(ring.d, ring.K)[0]
     a, b = ({e: c[e] for e in monos if e in c} for c in (a, b))
-    assert _bits(series._dense_mul(a, b, ring.d, ring.K)) == _bits(_mul(a, b, ring.K))
+    assert _bits(series._dense_mul(a, b, ring.d, ring.K, False)) == _bits(_mul(a, b, ring.K))
 
 
 def _no_table(*args):
     raise AssertionError("the product used the dense table")
 
 
-def test_exact_products_never_touch_the_table(monkeypatch):
+@st.composite
+def _exact_product(draw):
+    """(ring, a, b): exact coefficient dicts of every kind the route must
+    keep apart: empty, single-term, integer-only (denominator 1), real,
+    purely imaginary, general, and a pair whose product cancels to zero
+    in one slot."""
+    d, K = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    monos = [e for deg in range(K + 1) for e in exponents_of_degree(d, deg)]
+    ints = st.builds(ComplexRational, st.integers(-5, 5), st.integers(-5, 5))
+    real = st.builds(ComplexRational, _parts)
+    imaginary = st.builds(ComplexRational, st.just(0), _parts)
+    kind = {"integer": ints, "real": real, "imaginary": imaginary, "general": _scalars}
+
+    def operand():
+        size = draw(st.sampled_from(["empty", "single", "sparse", "dense"]))
+        support = {"empty": [], "single": [draw(st.sampled_from(monos))],
+                   "sparse": draw(st.lists(st.sampled_from(monos), max_size=6)),
+                   "dense": monos}[size]
+        values = kind[draw(st.sampled_from(sorted(kind)))]
+        return {e: draw(values) for e in support}
+
+    if draw(st.booleans()):
+        # (c + v m)(c - v m): the two terms at m cancel
+        m = draw(st.sampled_from(monos[1:] or monos))
+        c, v = (draw(_scalars.filter(bool)) for _ in range(2))
+        a, b = {(0,) * d: c, m: v}, {(0,) * d: c, m: -v}
+    else:
+        a, b = operand(), operand()
+    ring = SeriesRing(d, K, [0] * d, exact=True)
+    return ring, TruncatedSeries(ring, a).coeffs, TruncatedSeries(ring, b).coeffs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_exact_product())
+def test_exact_dense_product_equals_sparse(case):
+    ring, a, b = case
+    product = (TruncatedSeries(ring, a) * TruncatedSeries(ring, b)).coeffs
+    assert product == _mul(a, b, ring.K)
+    assert all(c != 0 and sum(e) <= ring.K for e, c in product.items())
+    monos = series._pair_table(ring.d, ring.K)[0]
+    assert list(product) == [e for e in monos if e in product]
+    assert series._dense_mul(a, b, ring.d, ring.K, True) == product
+
+
+def _no_table(*args):
+    raise AssertionError("the product used the dense table")
+
+
+def test_unrelated_denominators_multiply_sparsely(monkeypatch):
+    # 84 coefficients over distinct primes near 2^25: the common denominator
+    # has thousands of bits, and the lift refuses it before the table is read
+    rnd = Random(7)
+    primes = [p for p in range(2 ** 25 - 4000, 2 ** 25) if all(p % q for q in range(2, 5793))]
+    ring = SeriesRing(3, 6, [0] * 3, exact=True)
+    monos = [e for deg in range(7) for e in exponents_of_degree(3, deg)]
+    s = TruncatedSeries(ring, {e: ComplexRational(Fraction(rnd.randrange(1, 2 ** 25), p))
+                               for e, p in zip(monos, rnd.sample(primes, len(monos)))})
+    assert len(s.coeffs) == 84 and series._lift(s.coeffs) is None
     monkeypatch.setattr(series, "_pair_table", _no_table)
-    ring = SeriesRing(2, 4, [0, Fraction(1, 2)], exact=True)
-    s = ring.var(0) + ring.var(1)
     assert (s * s).coeffs == _mul(s.coeffs, s.coeffs, ring.K)
 
 
-def test_rings_beyond_the_pair_cap_multiply_sparsely(monkeypatch):
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_rings_beyond_the_pair_cap_multiply_sparsely(monkeypatch, exact):
     d, K = 10, 10
     assert math.comb(2 * d + K, K) > series._MAX_PAIRS
     monkeypatch.setattr(series, "_pair_table", _no_table)
-    ring = SeriesRing(d, K, [0] * d)
-    s = ring.var(0) + ring.var(9).scale(2.5)
+    ring = SeriesRing(d, K, [0] * d, exact=exact)
+    s = ring.var(0) + ring.var(9).scale(Fraction(5, 2))
     assert (s * s).coeffs == _mul(s.coeffs, s.coeffs, K)
