@@ -122,7 +122,7 @@ def _lift(c: dict):
 
 
 def _placed(values, at: list, n: int) -> list:
-    """values at the slots at of a list of n zeros."""
+    """A list of n zeros with values placed at the slots at."""
     out = [0] * n
     for s, v in zip(at, values):
         out[s] = v

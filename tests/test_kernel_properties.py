@@ -282,10 +282,6 @@ def test_dense_product_is_bit_equal_in_table_order(case):
     assert _bits(series._dense_mul(a, b, ring.d, ring.K, False)) == _bits(_mul(a, b, ring.K))
 
 
-def _no_table(*args):
-    raise AssertionError("the product used the dense table")
-
-
 @st.composite
 def _exact_product(draw):
     """(ring, a, b): exact coefficient dicts of every kind the route must
