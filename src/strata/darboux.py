@@ -37,7 +37,7 @@ from .errors import (
 from .polynomials import Poly
 from .scalars import ComplexRational, coerce, magnitude, nonzero_int, scalar_abs2, zero_test
 from .series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
-from .series import _bump, _leq, _sub_e, _support
+from .series import _bump, _product_coeff, _support
 from .subspaces import _cutoff_rank, _lapack
 
 _NEAR_COALESCENT = 1e-6
@@ -304,13 +304,7 @@ class _Engine:
 
     def _at(self, P: TruncatedSeries, Q: dict, beta: tuple):
         """Coefficient at beta of P * Q, with Q a snapshot dict."""
-        acc = self.zero
-        for g, c in P.items():
-            if _leq(g, beta):
-                v = Q.get(_sub_e(beta, g))
-                if v is not None:
-                    acc = acc + c * v
-        return acc
+        return _product_coeff(P.items(), Q, beta, self.zero)
 
     def de1_coeff(self, i: int, j: int, k: int, h: int, beta: tuple):
         kh = (k, h)
@@ -376,9 +370,9 @@ class _Engine:
                 val = self.de2_coeff(a, k, h, beta)
                 self._store(kh, alpha, -val / (d0 * alpha[a]))
         coalescent = [kh for kh in self.pairs if self.coalescent[kh]]
-        if coalescent and self.n > 2:
+        if coalescent:
             # the degree-level DE2 rows read the regular pairs' new
-            # coefficients through F_kl F_lh, which n = 2 does not have
+            # coefficients through F_kl F_lh
             self.load(level)
         for kh in coalescent:
             self._resonance_guard(kh, level)
@@ -600,16 +594,16 @@ def _eliminate(rows):
     for entries, const in sorted(rows, key=lambda r: len(r[0])):
         row = {None: const}
         for col, v in entries.items():
-            if v != 0:
+            if v:
                 add(row, v, exprs.get(col, {col: 1}))
-        unknowns = [c for c, v in row.items() if c is not None and v != 0]
+        unknowns = [c for c, v in row.items() if c is not None and v]
         if not unknowns:
-            if row[None] != 0:
+            if row[None]:
                 return "inconsistent"
             continue
         p = min(unknowns)
         inv = ComplexRational(-1) / row.pop(p)
-        expr = {c: v * inv for c, v in row.items() if v != 0 or c is None}
+        expr = {c: v * inv for c, v in row.items() if v or c is None}
         for e in exprs.values():
             a = e.pop(p, None)
             if a is not None:

@@ -26,7 +26,7 @@ def _add(a: dict, b: dict) -> dict:
     for e, c in b.items():
         s = out.get(e, None)
         s = c if s is None else s + c
-        if s == 0:
+        if not s:
             out.pop(e, None)
         else:
             out[e] = s
@@ -45,7 +45,7 @@ def _mul(a: dict, b: dict, K: int) -> dict:
             v = c1 * c2
             s = out.get(e, None)
             s = v if s is None else s + v
-            if s == 0:
+            if not s:
                 out.pop(e, None)
             else:
                 out[e] = s

@@ -1,14 +1,16 @@
 """Exact complex scalars with rational real and imaginary parts.
 
 The series and jet solvers run either on Python ``complex`` (floating mode)
-or on :class:`ComplexRational` (exact mode).  Both expose the same operator
-surface, and this module owns everything that depends on the mode: the
-converter ``coerce`` (constants, inverses and inputs of a mode all pass
-through it), the zero test ``zero_test`` (an exact decision never forms a
-float magnitude), ``magnitude`` for reporting, the resonance test
-``nonzero_int``, and ``float_pair``, the one encoder of printed complex
-floats.  Code above branches on the mode only where the method itself
-differs (exact elimination against LAPACK, for instance).
+or on :class:`ComplexRational` (exact mode), a Gaussian rational stored as
+(a + b*i)/q in lowest terms.  Both expose the same operator surface, + - * /
+(reflected too), unary -, ==, bool, hash, abs and complex(), and this module
+owns everything that depends on the mode: the converter ``coerce``
+(constants, inverses and inputs of a mode all pass through it), the zero
+test ``zero_test`` (an exact decision never forms a float magnitude),
+``magnitude`` for reporting, the resonance test ``nonzero_int``, and
+``float_pair``, the one encoder of printed complex floats.  Code above
+branches on the mode only where the method itself differs (exact
+elimination against LAPACK, for instance).
 """
 
 from __future__ import annotations
@@ -23,13 +25,25 @@ RESONANCE_TOL = 1e-8
 
 
 class ComplexRational:
-    """A Gaussian rational a + b*i with Fraction components."""
+    """The Gaussian rational (a + b*i)/q in normal form: ints a, b, q with
+    q > 0 and gcd(a, b, q) = 1, so equal values have equal fields.  ``re``
+    and ``im`` are read-only Fraction views, for printing."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "q")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+    def __new__(cls, re=0, im=0):
+        re = re if isinstance(re, (int, Fraction)) else Fraction(re)
+        im = im if isinstance(im, (int, Fraction)) else Fraction(im)
+        p, r = re.denominator, im.denominator
+        return _reduced(re.numerator * r, im.numerator * p, p * r)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.q)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.q)
 
     # -- ring operations ----------------------------------------------------
 
@@ -37,7 +51,8 @@ class ComplexRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        q, r = self.q, other.q
+        return _reduced(self.a * r + other.a * q, self.b * r + other.b * q, q * r)
 
     __radd__ = __add__
 
@@ -45,22 +60,22 @@ class ComplexRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        q, r = self.q, other.q
+        return _reduced(self.a * r - other.a * q, self.b * r - other.b * q, q * r)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexRational(other.re - self.re, other.im - self.im)
+        q, r = self.q, other.q
+        return _reduced(other.a * q - self.a * r, other.b * q - self.b * r, q * r)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.q * other.q)
 
     __rmul__ = __mul__
 
@@ -68,13 +83,12 @@ class ComplexRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = other.re * other.re + other.im * other.im
+        # (a + b*i)/q / ((c + e*i)/r) = r (a + b*i)(c - e*i) / (q (c^2 + e^2))
+        a, b, c, e, r = self.a, self.b, other.a, other.b, other.q
+        den = c * c + e * e
         if den == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        return _reduced(r * (a * c + b * e), r * (b * c - a * e), self.q * den)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -83,38 +97,28 @@ class ComplexRational:
         return other / self
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
-
-    def conjugate(self):
-        return ComplexRational(self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.q)
 
     # -- predicates and conversions ------------------------------------------
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.q == other.q
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    def abs2(self):
-        """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
 
     def __abs__(self):
         return magnitude(self)
 
     def __complex__(self):
         try:
-            return complex(float(self.re), float(self.im))
+            return complex(self.a / self.q, self.b / self.q)
         except OverflowError:
             raise ValidationError("an exact value is beyond the float range") from None
 
@@ -122,16 +126,24 @@ class ComplexRational:
         return f"ComplexRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
+        if self.b == 0:
             return str(self.re)
         return f"({self.re}+{self.im}i)"
+
+
+def _reduced(a: int, b: int, q: int) -> ComplexRational:
+    """The normalizing constructor: (a + b*i)/q, for q > 0, in lowest terms."""
+    g = math.gcd(a, b, q)
+    z = object.__new__(ComplexRational)
+    z.a, z.b, z.q = a // g, b // g, q // g
+    return z
 
 
 def _coerce(x):
     if isinstance(x, ComplexRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return ComplexRational(x, 0)
+        return _reduced(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
@@ -175,7 +187,7 @@ def coerce(x, exact: bool):
 def scalar_abs2(x):
     """|x|^2, exact Fraction in exact mode, float otherwise."""
     if isinstance(x, ComplexRational):
-        return x.abs2()
+        return Fraction(x.a * x.a + x.b * x.b, x.q * x.q)
     z = complex(x)
     return z.real * z.real + z.imag * z.imag
 
@@ -236,9 +248,7 @@ def nonzero_int(v, exact: bool):
     """
     v = coerce(v, exact)
     if exact:
-        if v.im != 0 or v.re.denominator != 1 or v.re == 0:
-            return None
-        return int(v.re)
+        return v.a if v.a and not v.b and v.q == 1 else None
     m = round(v.real)
     if abs(v.imag) > RESONANCE_TOL or abs(v.real - m) > RESONANCE_TOL or m == 0:
         return None

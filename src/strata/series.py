@@ -21,25 +21,24 @@ whose degrees sum to at most K is gathered at once, and each product
 coefficient is summed in pair order.  Floating operands are scattered into
 complex vectors over the table's monomials.  Exact operands are lifted to
 Gaussian-integer numerators over one common denominator each, summed as
-Python ints and reduced once per coefficient.  Storage stays the dict on
-both routes.  The sparse ``polynomials._mul`` stays the product of a ring
-whose table would pass ``_MAX_PAIRS`` pairs, so the table's memory stays
-bounded, and of an exact operand whose common denominator passes
-``_LIFT_SLACK`` bits beyond twice its longest single denominator, where
-the integer terms would outgrow the ``Fraction`` terms.
+Python ints and brought to normal form once per coefficient.  Storage
+stays the dict on both routes.  The sparse ``polynomials._mul`` stays the
+product of a ring whose table would pass ``_MAX_PAIRS`` pairs, so the
+table's memory stays bounded, and of an exact operand whose common
+denominator passes ``_LIFT_SLACK`` bits beyond twice its longest single
+denominator, where the rescaled numerators would outgrow the scalars' own.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotInvertibleError, ShapeError, ValidationError
 from .polynomials import Poly, _add, _diff, _eval, _matmul, _max_abs, _mul, _shift
-from .scalars import ComplexRational, coerce, to_complex
+from .scalars import _reduced, coerce, to_complex
 
 
 @lru_cache(maxsize=None)
@@ -62,9 +61,8 @@ _MAX_PAIRS = 1 << 18
 # at most this many bits longer than twice its longest single denominator.
 # The solvers' and verifiers' operands stay below twice; 84 complex
 # coefficients over unrelated 25-bit primes (a 4,200-bit denominator)
-# multiply 3.6 times slower through the table than through _mul.
+# multiply 7.8 times slower through the table than through _mul.
 _LIFT_SLACK = 64
-_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=32)
@@ -111,14 +109,13 @@ def _lift(c: dict):
     denominator: (real numerators, imaginary numerators, denominator), or
     None if that denominator is more than _LIFT_SLACK bits longer than
     twice the longest single one."""
-    res, ims = [v.re for v in c.values()], [v.im for v in c.values()]
-    dens = {q.denominator for q in res} | {q.denominator for q in ims}
+    values = c.values()
+    dens = {v.q for v in values}
     den = math.lcm(*dens)
     if den.bit_length() > 2 * max(dens).bit_length() + _LIFT_SLACK:
         return None
     scale = {q: den // q for q in dens}
-    return ([q.numerator * scale[q.denominator] for q in res],
-            [q.numerator * scale[q.denominator] if q else 0 for q in ims], den)
+    return [v.a * scale[v.q] for v in values], [v.b * scale[v.q] for v in values], den
 
 
 def _placed(values, at: list, n: int) -> list:
@@ -146,8 +143,8 @@ def _float_sum(x, xat, y, yat, i, j, t, monos: list) -> dict:
 
 def _exact_sum(x, xat, y, yat, i, j, t, monos: list) -> dict:
     """The product coefficients: each slot's sum of x_i y_j over the pairs
-    (i, j, t) of occupied slots, in integers, as a reduced ComplexRational
-    over the product of the two denominators."""
+    (i, j, t) of occupied slots, in integers, over the product of the two
+    denominators, brought to normal form once per coefficient."""
     n = len(monos)
     (xr, xi, dx), (yr, yi, dy) = x, y
     pairs = zip(i.tolist(), j.tolist(), t.tolist())
@@ -164,8 +161,7 @@ def _exact_sum(x, xat, y, yat, i, j, t, monos: list) -> dict:
         for p, q, s in pairs:
             re[s] += xr[p] * yr[q]
     den = dx * dy
-    return {m: ComplexRational(Fraction(u, den) if u else _ZERO, Fraction(v, den) if v else _ZERO)
-            for m, u, v in zip(monos, re, im) if u or v}
+    return {m: _reduced(u, v, den) for m, u, v in zip(monos, re, im) if u or v}
 
 
 def _dense_mul(a: dict, b: dict, d: int, K: int, exact: bool):
@@ -207,12 +203,16 @@ def _support(e: tuple) -> list:
     return [a for a, k in enumerate(e) if k > 0]
 
 
-def _leq(e: tuple, f: tuple) -> bool:
-    return all(x <= y for x, y in zip(e, f))
-
-
-def _sub_e(e: tuple, f: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(e, f))
+def _product_coeff(items, Q: dict, beta: tuple, acc):
+    """acc plus the coefficient at beta of P * Q, for items the stored
+    (exponent, coefficient) pairs of P: each P_g Q_{beta - g} with g <= beta
+    and beta - g stored in Q is added in the order of items."""
+    for g, c in items:
+        if all(x <= y for x, y in zip(g, beta)):
+            v = Q.get(tuple(y - x for x, y in zip(g, beta)))
+            if v is not None:
+                acc = acc + c * v
+    return acc
 
 
 class SeriesRing:
@@ -300,7 +300,7 @@ class TruncatedSeries:
     def __init__(self, ring: SeriesRing, coeffs: dict | None = None, valid: int | None = None):
         self.ring = ring
         items = coeffs.items() if coeffs else ()
-        self.coeffs = {tuple(e): c for e, c in items if sum(e) <= ring.K and c != 0}
+        self.coeffs = {tuple(e): c for e, c in items if sum(e) <= ring.K and c}
         self.valid = ring.K if valid is None else min(int(valid), ring.K)
 
     def _like(self, coeffs: dict, valid: int) -> "TruncatedSeries":
@@ -396,21 +396,14 @@ class TruncatedSeries:
         if c0 == 0:
             raise NotInvertibleError("series vanishes at the center")
         inv0 = self.ring.scalar(1) / c0
-        neg_inv0 = -inv0
+        neg_inv0, zero = -inv0, self.ring.zero_scalar()
         d, K = self.ring.d, self.ring.K
         out = {(0,) * d: inv0}
         for deg in range(1, min(self.valid, K) + 1):
             for alpha in exponents_of_degree(d, deg):
-                acc = None
-                for gamma, bg in self.coeffs.items():
-                    if sum(gamma) == 0 or not _leq(gamma, alpha):
-                        continue
-                    u = out.get(_sub_e(alpha, gamma))
-                    if u is None:
-                        continue
-                    term = bg * u
-                    acc = term if acc is None else acc + term
-                if acc is not None and acc != 0:
+                # out[alpha] is not stored yet, so the constant term adds nothing
+                acc = _product_coeff(self.coeffs.items(), out, alpha, zero)
+                if acc:
                     out[alpha] = neg_inv0 * acc
         return TruncatedSeries(self.ring, out, self.valid)
 

@@ -7,7 +7,7 @@ and expanding back to absolute coordinates returns the polynomial.
 The results of series arithmetic keep the storage contract: no stored
 zero and no stored degree above K, also where float products underflow;
 and the solvers, the gauge ladder and the CLI never read that storage.
-No module imports sympy.
+No module imports sympy, and the series kernel does not import fractions.
 The dense float product agrees with the sparse reference ``_mul``: within
 the rounding of a reordered sum everywhere, and bit for bit when both
 operands are stored in table order.  The exact product through the same
@@ -170,6 +170,14 @@ def test_no_module_imports_sympy():
                for path in sorted(src.glob("*.py"))
                for n in ast.walk(ast.parse(path.read_text()))
                if "sympy" in _import_roots(n)]
+    assert imports == []
+
+
+def test_series_does_not_import_fractions():
+    # exact products sum the scalars' integer fields; Fraction arithmetic
+    # belongs to the printing views of strata.scalars
+    tree = ast.parse(Path(series.__file__).read_text())
+    imports = [ast.unparse(n) for n in ast.walk(tree) if "fractions" in _import_roots(n)]
     assert imports == []
 
 
