@@ -9,6 +9,10 @@ One subcommand per library operation, grouped by module:
     strata gauge      {build,residual,simplify,witness,holcon}
     strata appendix   {pfaffian,curve,families,classify2x2}
 
+``COMMANDS`` declares every group, command and flag once.  A handler only
+computes: it returns a JSON-able result, or text, and ``main`` alone writes
+stdout.
+
 Inputs are JSON documents in the shapes described in ``schemas``; outputs are
 JSON on stdout (DOT text for ``bundles hasse --format dot``).  Exit status is
 0 on success and 2 on any validation or usage failure, with a one-line
@@ -136,17 +140,14 @@ def _pairs(items) -> list:
 # -- partitions ------------------------------------------------------------------
 
 
-def _cmd_partitions_list(args) -> int:
+def _cmd_partitions_list(args):
     symbols = enumerate_double_partitions(_weight(args.n, "--n"))
     if args.format == "text":
-        for s in symbols:
-            sys.stdout.write(mu_string(s) + "\n")
-    else:
-        _emit([s.to_lists() for s in symbols])
-    return 0
+        return "".join(mu_string(s) + "\n" for s in symbols)
+    return [s.to_lists() for s in symbols]
 
 
-def _cmd_partitions_count(args) -> int:
+def _cmd_partitions_count(args):
     r, n = args.r, args.n
     if args.method == "enumerate":
         _weight(n, "--n")
@@ -164,21 +165,19 @@ def _cmd_partitions_count(args) -> int:
         value = count_double_partitions_sigma(n)
     else:
         value = count_fold_partitions(r, n)
-    sys.stdout.write(f"{value}\n")
-    return 0
+    return f"{value}\n"
 
 
-def _cmd_partitions_conjugate(args) -> int:
-    _emit(conjugate_symbol(_parse_symbol(args.symbol)).to_lists())
-    return 0
+def _cmd_partitions_conjugate(args):
+    return conjugate_symbol(_parse_symbol(args.symbol)).to_lists()
 
 
 # -- bundles ----------------------------------------------------------------------
 
 
-def _cmd_bundles_describe(args) -> int:
+def _cmd_bundles_describe(args):
     d = describe(_parse_symbol(args.symbol))
-    _emit({
+    return {
         "symbol": d.symbol.to_lists(),
         "label": d.label,
         "n": d.n,
@@ -186,51 +185,45 @@ def _cmd_bundles_describe(args) -> int:
         "dim": d.dim,
         "is_regular": d.is_regular,
         "is_diagonalizable": d.is_diagonalizable,
-    })
-    return 0
+    }
 
 
-def _cmd_bundles_moves(args) -> int:
+def _cmd_bundles_moves(args):
     moves = elementary_moves(_parse_symbol(args.symbol))
-    _emit([{"kind": kind, "symbol": t.to_lists()} for kind, t in moves])
-    return 0
+    return [{"kind": kind, "symbol": t.to_lists()} for kind, t in moves]
 
 
-def _cmd_bundles_closure(args) -> int:
+def _cmd_bundles_closure(args):
     a = _parse_symbol(args.a)
     b = _parse_symbol(args.b)
     _weight(max(a.weight, b.weight), "the symbol weight")
-    _emit({"leq": closure_leq(a, b)})
-    return 0
+    return {"leq": closure_leq(a, b)}
 
 
-def _cmd_bundles_hasse(args) -> int:
+def _cmd_bundles_hasse(args):
     h = hasse_diagram(_weight(args.n, "--n"))
     if args.format == "dot":
-        sys.stdout.write(h.to_dot() + "\n")
-        return 0
-    _emit({
+        return h.to_dot() + "\n"
+    return {
         "n": h.n,
         "symbols": [s.to_lists() for s in h.symbols],
         "labels": [mu_string(s) for s in h.symbols],
         "dims": h.dims(),
         "edges": _pairs(h.edges),
-    })
-    return 0
+    }
 
 
-def _cmd_bundles_classify(args) -> int:
+def _cmd_bundles_classify(args):
     doc = _load_json(args.input)
     mat = schemas.decode_const_matrix(doc, exact=False)
     result = classify_matrix_detailed(np.array(mat, dtype=complex), tol=_tol(args, 1e-8))
-    _emit({
+    return {
         "symbol": result.symbol.to_lists(),
         "label": mu_string(result.symbol),
         "eigenvalues": [float_pair(z) for z in result.eigenvalues],
         "ill_conditioned": result.ill_conditioned,
         "cluster_gap": result.cluster_gap,
-    })
-    return 0
+    }
 
 
 # -- gap ---------------------------------------------------------------------------
@@ -243,25 +236,23 @@ def _vectors_to_subspace(doc, tol: float) -> Subspace:
     return Subspace.from_spanning(np.array(mat, dtype=complex).T, tol=tol)
 
 
-def _cmd_gap_distance(args) -> int:
+def _cmd_gap_distance(args):
     doc = _load_json(args.input)
     tol = _tol(args, 1e-10)
     a = _vectors_to_subspace(doc["a"], tol)
     b = _vectors_to_subspace(doc["b"], tol)
-    _emit({"distance": gap_distance(a, b), "dim_a": a.dim, "dim_b": b.dim})
-    return 0
+    return {"distance": gap_distance(a, b), "dim_a": a.dim, "dim_b": b.dim}
 
 
-def _cmd_gap_kernel(args) -> int:
+def _cmd_gap_kernel(args):
     doc = _load_json(args.input)
     mat = schemas.decode_const_matrix(doc, exact=False)
     sub = kernel_subspace(np.array(mat, dtype=complex), tol=_tol(args, 1e-10))
     basis = [[float_pair(z) for z in sub.basis[:, k]] for k in range(sub.dim)]
-    _emit({"dim": sub.dim, "basis": basis})
-    return 0
+    return {"dim": sub.dim, "basis": basis}
 
 
-def _cmd_gap_report(args) -> int:
+def _cmd_gap_report(args):
     family = schemas.decode_matrix_family(_load_json(args.input))
     point = [schemas.decode_scalar(v) for v in _parse_json_arg(args.point, "point")]
     paths = None
@@ -271,8 +262,7 @@ def _cmd_gap_report(args) -> int:
         family, point, paths=paths, tol=_tol(args, 1e-8),
         sep_tol=_positive(args.sep_tol, "--sep-tol"),
     )
-    _emit(report.to_dict())
-    return 0
+    return report.to_dict()
 
 
 # -- de ----------------------------------------------------------------------------
@@ -285,32 +275,29 @@ def _de_inputs(args, need_f0: bool):
     return problem, f0
 
 
-def _cmd_de_solve(args) -> int:
+def _cmd_de_solve(args):
     problem, f0 = _de_inputs(args, need_f0=True)
     jet, feasible, report = de_solve_jet(problem, f0, args.order, tol=_tol(args, 1e-9))
-    _emit({
+    return {
         "feasible": feasible,
         "jet": schemas.encode_jet(jet),
         "residual": report.to_dict(),
-    })
-    return 0
+    }
 
 
-def _cmd_de_oracle(args) -> int:
+def _cmd_de_oracle(args):
     problem, f0 = _de_inputs(args, need_f0=True)
     jet = de_oracle_solve(problem, f0, args.order)
     out = {"jet": schemas.encode_jet(jet)}
     if args.order >= 1:
         out["residual"] = de_residual(problem, jet, args.order - 1).to_dict()
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_de_residual(args) -> int:
+def _cmd_de_residual(args):
     problem, _ = _de_inputs(args, need_f0=False)
     jet = schemas.decode_jet(_load_json(args.jet))
-    _emit(de_residual(problem, jet, args.order).to_dict())
-    return 0
+    return de_residual(problem, jet, args.order).to_dict()
 
 
 # -- gauge --------------------------------------------------------------------------
@@ -320,9 +307,9 @@ def _connection(args):
     return schemas.decode_framed_connection(_load_json(args.input), tol=_tol(args, 1e-10))
 
 
-def _cmd_gauge_build(args) -> int:
+def _cmd_gauge_build(args):
     conn = _connection(args)
-    _emit({
+    return {
         "d": conn.d,
         "n": conn.n,
         "K": conn.ring.K,
@@ -330,35 +317,31 @@ def _cmd_gauge_build(args) -> int:
         "pnr_violations": _pairs(conn.pnr_violations),
         "B": schemas.encode_series_matrix(conn.B),
         "omega": [schemas.encode_series_matrix(w) for w in conn.omega],
-    })
-    return 0
+    }
 
 
-def _cmd_gauge_simplify(args) -> int:
+def _cmd_gauge_simplify(args):
     conn = _connection(args)
     gs = formal_simplify(conn, args.order, mode=args.mode)
-    _emit(schemas.encode_gauge_series(gs))
-    return 0
+    return schemas.encode_gauge_series(gs)
 
 
-def _cmd_gauge_residual(args) -> int:
+def _cmd_gauge_residual(args):
     conn = _connection(args)
     gs = schemas.decode_gauge_series(_load_json(args.gauge))
-    _emit(gauge_residual(conn, gs).to_dict())
-    return 0
+    return gauge_residual(conn, gs).to_dict()
 
 
-def _cmd_gauge_witness(args) -> int:
+def _cmd_gauge_witness(args):
     delta0, bmat, varpi = schemas.decode_witness(_load_json(args.input))
     report = dv_witness(delta0, bmat, varpi, tol=_tol(args, 1e-10))
     out = report.to_dict()
     if report.L is not None:
         out["L"] = schemas.encode_series_matrix(report.L)
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_gauge_holcon(args) -> int:
+def _cmd_gauge_holcon(args):
     conn = _connection(args)
     curves = [p.to_float() for p in schemas.decode_path(_load_json(args.path), conn.d)]
 
@@ -366,14 +349,13 @@ def _cmd_gauge_holcon(args) -> int:
         return tuple(c.eval([t]) for c in curves)
 
     report = holcon_check(conn, tuple(args.pair), path, tol=_tol(args, 1e-8))
-    _emit(report.to_dict())
-    return 0
+    return report.to_dict()
 
 
 # -- appendix -------------------------------------------------------------------------
 
 
-def _cmd_appendix_pfaffian(args) -> int:
+def _cmd_appendix_pfaffian(args):
     doc = _load_json(args.input)
     a0 = schemas.decode_const_matrix(doc["A0"])
     b0 = schemas.decode_const_matrix(doc["B0"])
@@ -381,11 +363,10 @@ def _cmd_appendix_pfaffian(args) -> int:
     report = appendix_mod.malgrange_pfaffian_residual(a0, b0, kjet, order=args.order)
     out = report.to_dict()
     out["A"] = schemas.encode_series_matrix(report.A)
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_appendix_curve(args) -> int:
+def _cmd_appendix_curve(args):
     if args.points < 1:
         raise ValidationError("need at least one grid point")
     if not math.isfinite(args.tmax):
@@ -399,27 +380,121 @@ def _cmd_appendix_curve(args) -> int:
         tgrid=tgrid,
         tol=_tol(args, 1e-10),
     )
-    _emit(report.to_dict())
-    return 0
+    return report.to_dict()
 
 
-def _cmd_appendix_families(args) -> int:
-    _emit([f.to_dict() for f in appendix_mod.rational_c_families(args.p, args.q)])
-    return 0
+def _cmd_appendix_families(args):
+    return [f.to_dict() for f in appendix_mod.rational_c_families(args.p, args.q)]
 
 
-def _cmd_appendix_classify2x2(args) -> int:
+def _cmd_appendix_classify2x2(args):
     entries = schemas.decode_2x2_model(_load_json(args.input))
     result = appendix_mod.classify_2x2(*entries, tol=_tol(args, 1e-9))
-    _emit(result.to_dict())
-    return 0
+    return result.to_dict()
 
 
-# -- parser ----------------------------------------------------------------------------
+# -- command table ---------------------------------------------------------------------
+
+_TOL = ("--tol", dict(type=float, default=None, help="tolerance override (also STRATA_TOL)"))
+_ORDER = ("--order", dict(type=int, required=True))
+_CONN = ("--input", dict(required=True, help="JSON framed-connection file"))
+_F0_PROBLEM = ("--input", dict(required=True, help="JSON problem file with F0"))
+
+# group -> (help, commands); each command is (name, handler, help, flags), and each
+# flag is (flag, add_argument keywords), added in the order listed
+COMMANDS = {
+    "partitions": ("double partitions and counting", [
+        ("list", _cmd_partitions_list, "all symbols of weight n", [
+            ("--n", dict(type=int, required=True)),
+            ("--format", dict(choices=("json", "text"), default="json")),
+        ]),
+        ("count", _cmd_partitions_count, "count r-fold partitions of n", [
+            ("--r", dict(type=int, required=True)), ("--n", dict(type=int, required=True)),
+            ("--method", dict(choices=("auto", "enumerate", "sigma", "product"), default="auto")),
+        ]),
+        ("conjugate", _cmd_partitions_conjugate, "memberwise conjugate of a symbol", [
+            ("--symbol", dict(required=True, help='JSON, e.g. "[[2,1],[1]]"')),
+        ]),
+    ]),
+    "bundles": ("matrix-bundle strata", [
+        ("describe", _cmd_bundles_describe, "dimension data of a bundle", [
+            ("--symbol", dict(required=True)),
+        ]),
+        ("moves", _cmd_bundles_moves, "single elementary degenerations", [
+            ("--symbol", dict(required=True)),
+        ]),
+        ("closure", _cmd_bundles_closure, "closure order test a <= b", [
+            ("--a", dict(required=True)), ("--b", dict(required=True)),
+        ]),
+        ("hasse", _cmd_bundles_hasse, "closure diagram for weight n", [
+            ("--n", dict(type=int, required=True)),
+            ("--format", dict(choices=("json", "dot"), default="json")),
+        ]),
+        ("classify", _cmd_bundles_classify, "Segre symbol of a constant matrix", [
+            ("--input", dict(required=True, help="JSON matrix file")), _TOL,
+        ]),
+    ]),
+    "gap": ("gap metric on subspaces", [
+        ("distance", _cmd_gap_distance, "gap distance between two spans", [
+            ("--input", dict(required=True, help='JSON {"a": [vectors], "b": [vectors]}')), _TOL,
+        ]),
+        ("kernel", _cmd_gap_kernel, "kernel subspace of a matrix", [
+            ("--input", dict(required=True, help="JSON matrix file")), _TOL,
+        ]),
+        ("report", _cmd_gap_report, "holomorphic Jordanizability test", [
+            ("--input", dict(required=True, help="JSON matrix-family file")),
+            ("--point", dict(required=True, help="JSON list of coordinates")),
+            ("--paths", dict(default=None, help="JSON file with probe paths")),
+            ("--sep-tol", dict(type=float, default=DEFAULT_SEP_TOL)), _TOL,
+        ]),
+    ]),
+    "de": ("flat-system jets", [
+        ("solve", _cmd_de_solve, "order-by-order jet from F0", [_F0_PROBLEM, _ORDER, _TOL]),
+        ("oracle", _cmd_de_oracle, "degreewise linear-system solve", [_F0_PROBLEM, _ORDER, _TOL]),
+        ("residual", _cmd_de_residual, "equation residuals of a given jet", [
+            ("--input", dict(required=True, help="JSON problem file")),
+            ("--jet", dict(required=True, help="JSON jet file")), _ORDER, _TOL,
+        ]),
+    ]),
+    "gauge": ("framed connections and formal gauges", [
+        ("build", _cmd_gauge_build, "derived frame data of a connection", [_CONN, _TOL]),
+        ("simplify", _cmd_gauge_simplify, "formal gauge ladder to a given order", [
+            _CONN, _ORDER, ("--mode", dict(choices=("regular", "coalescent"), default="regular")),
+            _TOL,
+        ]),
+        ("residual", _cmd_gauge_residual, "gauge residual of a computed ladder", [
+            _CONN, ("--gauge", dict(required=True, help="JSON gauge-series file")), _TOL,
+        ]),
+        ("witness", _cmd_gauge_witness, "solve the frame data for a single L", [
+            ("--input", dict(required=True, help="JSON witness file with Delta0, B, varpi")), _TOL,
+        ]),
+        ("holcon", _cmd_gauge_holcon, "boundedness ratios along a coalescence path", [
+            _CONN, ("--pair", dict(type=int, nargs=2, required=True, metavar=("I", "J"))),
+            ("--path", dict(required=True, help="JSON path file")), _TOL,
+        ]),
+    ]),
+    "appendix": ("rank-2 model verifiers", [
+        ("pfaffian", _cmd_appendix_pfaffian, "bracket residual of a deformation jet", [
+            ("--input", dict(required=True, help="JSON file with A0, B0, Kjet")),
+            ("--order", dict(type=int, default=None)),
+        ]),
+        ("curve", _cmd_appendix_curve, "exponential integral curve residuals", [
+            ("--alpha0", dict(required=True)), ("--beta0", dict(required=True)),
+            ("--gamma0", dict(required=True)), ("--c", dict(required=True)),
+            ("--tmax", dict(type=float, default=1.0)), ("--points", dict(type=int, default=11)),
+            _TOL,
+        ]),
+        ("families", _cmd_appendix_families, "monomial families for rational c = p/q", [
+            ("--p", dict(type=int, required=True)), ("--q", dict(type=int, required=True)),
+        ]),
+        ("classify2x2", _cmd_appendix_classify2x2, "normal-form classification of a 2x2 jet", [
+            ("--input", dict(required=True, help="JSON file with d, g, h, l, m")), _TOL,
+        ]),
+    ]),
+}
 
 
-def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="tolerance override (also STRATA_TOL)")
+# -- parser and entry point ---------------------------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
@@ -433,143 +508,29 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="strata", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="group", required=True)
-
-    g = top.add_parser("partitions", help="double partitions and counting").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = g.add_parser("list", help="all symbols of weight n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=_cmd_partitions_list)
-    p = g.add_parser("count", help="count r-fold partitions of n")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "enumerate", "sigma", "product"), default="auto")
-    p.set_defaults(func=_cmd_partitions_count)
-    p = g.add_parser("conjugate", help="memberwise conjugate of a symbol")
-    p.add_argument("--symbol", required=True, help='JSON, e.g. "[[2,1],[1]]"')
-    p.set_defaults(func=_cmd_partitions_conjugate)
-
-    g = top.add_parser("bundles", help="matrix-bundle strata").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = g.add_parser("describe", help="dimension data of a bundle")
-    p.add_argument("--symbol", required=True)
-    p.set_defaults(func=_cmd_bundles_describe)
-    p = g.add_parser("moves", help="single elementary degenerations")
-    p.add_argument("--symbol", required=True)
-    p.set_defaults(func=_cmd_bundles_moves)
-    p = g.add_parser("closure", help="closure order test a <= b")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_bundles_closure)
-    p = g.add_parser("hasse", help="closure diagram for weight n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=_cmd_bundles_hasse)
-    p = g.add_parser("classify", help="Segre symbol of a constant matrix")
-    p.add_argument("--input", required=True, help="JSON matrix file")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_bundles_classify)
-
-    g = top.add_parser("gap", help="gap metric on subspaces").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = g.add_parser("distance", help="gap distance between two spans")
-    p.add_argument("--input", required=True, help='JSON {"a": [vectors], "b": [vectors]}')
-    _add_tol(p)
-    p.set_defaults(func=_cmd_gap_distance)
-    p = g.add_parser("kernel", help="kernel subspace of a matrix")
-    p.add_argument("--input", required=True, help="JSON matrix file")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_gap_kernel)
-    p = g.add_parser("report", help="holomorphic Jordanizability test")
-    p.add_argument("--input", required=True, help="JSON matrix-family file")
-    p.add_argument("--point", required=True, help="JSON list of coordinates")
-    p.add_argument("--paths", default=None, help="JSON file with probe paths")
-    p.add_argument("--sep-tol", type=float, default=DEFAULT_SEP_TOL)
-    _add_tol(p)
-    p.set_defaults(func=_cmd_gap_report)
-
-    g = top.add_parser("de", help="flat-system jets").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("solve", help="order-by-order jet from F0")
-    p.add_argument("--input", required=True, help="JSON problem file with F0")
-    p.add_argument("--order", type=int, required=True)
-    _add_tol(p)
-    p.set_defaults(func=_cmd_de_solve)
-    p = g.add_parser("oracle", help="degreewise linear-system solve")
-    p.add_argument("--input", required=True, help="JSON problem file with F0")
-    p.add_argument("--order", type=int, required=True)
-    _add_tol(p)
-    p.set_defaults(func=_cmd_de_oracle)
-    p = g.add_parser("residual", help="equation residuals of a given jet")
-    p.add_argument("--input", required=True, help="JSON problem file")
-    p.add_argument("--jet", required=True, help="JSON jet file")
-    p.add_argument("--order", type=int, required=True)
-    _add_tol(p)
-    p.set_defaults(func=_cmd_de_residual)
-
-    g = top.add_parser("gauge", help="framed connections and formal gauges").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = g.add_parser("build", help="derived frame data of a connection")
-    p.add_argument("--input", required=True, help="JSON framed-connection file")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_gauge_build)
-    p = g.add_parser("simplify", help="formal gauge ladder to a given order")
-    p.add_argument("--input", required=True, help="JSON framed-connection file")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--mode", choices=("regular", "coalescent"), default="regular")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_gauge_simplify)
-    p = g.add_parser("residual", help="gauge residual of a computed ladder")
-    p.add_argument("--input", required=True, help="JSON framed-connection file")
-    p.add_argument("--gauge", required=True, help="JSON gauge-series file")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_gauge_residual)
-    p = g.add_parser("witness", help="solve the frame data for a single L")
-    p.add_argument("--input", required=True, help="JSON witness file with Delta0, B, varpi")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_gauge_witness)
-    p = g.add_parser("holcon", help="boundedness ratios along a coalescence path")
-    p.add_argument("--input", required=True, help="JSON framed-connection file")
-    p.add_argument("--pair", type=int, nargs=2, required=True, metavar=("I", "J"))
-    p.add_argument("--path", required=True, help="JSON path file")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_gauge_holcon)
-
-    g = top.add_parser("appendix", help="rank-2 model verifiers").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = g.add_parser("pfaffian", help="bracket residual of a deformation jet")
-    p.add_argument("--input", required=True, help="JSON file with A0, B0, Kjet")
-    p.add_argument("--order", type=int, default=None)
-    p.set_defaults(func=_cmd_appendix_pfaffian)
-    p = g.add_parser("curve", help="exponential integral curve residuals")
-    p.add_argument("--alpha0", required=True)
-    p.add_argument("--beta0", required=True)
-    p.add_argument("--gamma0", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--tmax", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=11)
-    _add_tol(p)
-    p.set_defaults(func=_cmd_appendix_curve)
-    p = g.add_parser("families", help="monomial families for rational c = p/q")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=_cmd_appendix_families)
-    p = g.add_parser("classify2x2", help="normal-form classification of a 2x2 jet")
-    p.add_argument("--input", required=True, help="JSON file with d, g, h, l, m")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_appendix_classify2x2)
-
+    for group, (group_help, commands) in COMMANDS.items():
+        sub = top.add_parser(group, help=group_help).add_subparsers(dest="cmd", required=True)
+        for name, func, cmd_help, flags in commands:
+            p = sub.add_parser(name, help=cmd_help)
+            for flag, kwargs in flags:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
+
+
+# parsing keeps no state in the parser, so one tree serves every call of main
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        result = args.func(args)
+        if isinstance(result, str):
+            sys.stdout.write(result)
+        else:
+            _emit(result)
+        return 0
     except StrataError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "detail": str(exc)}) + "\n")
         return 2

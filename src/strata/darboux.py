@@ -36,12 +36,21 @@ from .errors import (
 )
 from .polynomials import Poly
 from .scalars import ComplexRational, coerce, magnitude, nonzero_int, scalar_abs2, zero_test
-from .series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
-from .series import _bump, _product_coeff, _support
+from .series import SeriesMatrix, SeriesRing, TruncatedSeries, _product_coeff, exponents_of_degree
 from .subspaces import _cutoff_rank, _lapack
 
 _NEAR_COALESCENT = 1e-6
 _RANK_TOL = 1e-12  # a float linear system is singular when s_min <= _RANK_TOL * s_max
+
+
+def _bump(e: tuple, a: int, k: int = 1) -> tuple:
+    t = list(e)
+    t[a] += k
+    return tuple(t)
+
+
+def _support(e: tuple) -> list:
+    return [a for a, k in enumerate(e) if k > 0]
 
 
 def _fscale(values) -> float:

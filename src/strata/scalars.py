@@ -97,7 +97,8 @@ class ComplexRational:
         return other / self
 
     def __neg__(self):
-        return _reduced(-self.a, -self.b, self.q)
+        # negation keeps q > 0 and gcd(a, b, q) = 1
+        return _fields(-self.a, -self.b, self.q)
 
     # -- predicates and conversions ------------------------------------------
 
@@ -131,19 +132,25 @@ class ComplexRational:
         return f"({self.re}+{self.im}i)"
 
 
+def _fields(a: int, b: int, q: int) -> ComplexRational:
+    """(a + b*i)/q from fields already in normal form."""
+    z = object.__new__(ComplexRational)
+    z.a, z.b, z.q = a, b, q
+    return z
+
+
 def _reduced(a: int, b: int, q: int) -> ComplexRational:
     """The normalizing constructor: (a + b*i)/q, for q > 0, in lowest terms."""
     g = math.gcd(a, b, q)
-    z = object.__new__(ComplexRational)
-    z.a, z.b, z.q = a // g, b // g, q // g
-    return z
+    return _fields(a // g, b // g, q // g)
 
 
 def _coerce(x):
     if isinstance(x, ComplexRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return _reduced(x.numerator, 0, x.denominator)
+        # an int or Fraction is already in lowest terms with a positive denominator
+        return _fields(x.numerator, 0, x.denominator)
     return NotImplemented
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import sub
 
 import numpy as np
 
@@ -193,25 +194,15 @@ def _dense_mul(a: dict, b: dict, d: int, K: int, exact: bool):
     return total(x, xat, y, yat, I[live], J[live], T[live], monos)
 
 
-def _bump(e: tuple, a: int, k: int = 1) -> tuple:
-    t = list(e)
-    t[a] += k
-    return tuple(t)
-
-
-def _support(e: tuple) -> list:
-    return [a for a, k in enumerate(e) if k > 0]
-
-
 def _product_coeff(items, Q: dict, beta: tuple, acc):
     """acc plus the coefficient at beta of P * Q, for items the stored
-    (exponent, coefficient) pairs of P: each P_g Q_{beta - g} with g <= beta
-    and beta - g stored in Q is added in the order of items."""
+    (exponent, coefficient) pairs of P: each P_g Q_{beta - g} with beta - g
+    stored in Q is added in the order of items.  A difference with a
+    negative entry is never a stored exponent, so it needs no test of its own."""
     for g, c in items:
-        if all(x <= y for x, y in zip(g, beta)):
-            v = Q.get(tuple(y - x for x, y in zip(g, beta)))
-            if v is not None:
-                acc = acc + c * v
+        v = Q.get(tuple(map(sub, beta, g)))
+        if v is not None:
+            acc = acc + c * v
     return acc
 
 

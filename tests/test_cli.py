@@ -516,6 +516,32 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: strata bundles")
 
 
+class TestCommandTable:
+    ROWS = [(group, row[0]) for group, (_, rows) in cli.COMMANDS.items() for row in rows]
+
+    @pytest.mark.parametrize("group,cmd", ROWS)
+    def test_every_command_has_help(self, capsys, group, cmd):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([group, cmd, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: strata {group} {cmd}")
+
+    def test_main_reuses_the_parser(self, capsys, monkeypatch):
+        def rebuild():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        code, out, _ = run(capsys, "partitions", "count", "--r", "2", "--n", "5")
+        assert code == 0 and int(out) > 0
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        argv = ("bundles", "hasse", "--n", "3")
+        before = run(capsys, *argv)
+        assert_refused(capsys, "bundles", "hasse", "--format", "dot", "--n", "x")
+        assert run(capsys, *argv) == before
+        assert before[0] == 0 and json.loads(before[1])["n"] == 3
+
+
 class TestTolerancePrecedence:
     MATRIX = [[1e-6, 0], [0, 1.0]]
 
