@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from strata.darboux import (
     DEJet,
     DEProblem,
+    _blocks,
     _exact_solve,
+    _solve,
     de_closed_form_n2,
     de_oracle_solve,
     de_residual,
@@ -109,6 +112,20 @@ class TestSolver:
         jet, feasible, rep = de_solve_jet(p, [[0, 1], [1, 0]], 3)
         assert not feasible
         assert rep.max_abs > 0.5
+
+    def test_float_feasibility_scales_with_the_jet(self):
+        # n = 2 is linear in F0, so the jet and its rounding residual scale
+        # with F0 alike; at 1e6 the residual passes 1e-9 in absolute terms
+        x = [Poly.variable(2, a, exact=False) for a in range(2)]
+        f = [x[0] + x[1] * x[1] * 0.5, x[1] - x[0] * x[0] * 0.25]
+        p = DEProblem(2, 2, [1 / 3, -0.4], f, [1 / 3, 0.5])
+        for s in (1.0, 1e6):
+            jet, feasible, rep = de_solve_jet(p, [[0, s * (1 + 1j / 3)], [-s / 7, 0]], 6)
+            assert feasible and not jet.F.ring.exact
+        assert rep.max_abs > 1e-9
+        # an inadmissible float seed is still flagged
+        q = DEProblem(2, 2, [0, 0], x, [0, 0])
+        assert not de_solve_jet(q, [[0, 1], [1, 0]], 3)[1]
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_resonance_raised_by_both_routes(self, exact):
@@ -229,6 +246,49 @@ class TestExactElimination:
         # zero coefficients are dropped, not pivoted on
         assert _exact_solve([({0: Q(1), 1: Q(0)}, Q(-1)), ({1: Q(1)}, Q(-2))], 2) == [Q(1), Q(2)]
         assert _exact_solve([({0: Q(0)}, Q(1))], 1) == "inconsistent"
+
+
+def _block_system(scales, shapes, extra_cols=0, seed=7):
+    """A float block-diagonal system, block i of shape shapes[i] scaled by
+    scales[i], with its rows and columns shuffled and extra_cols columns no
+    row names: the sparse rows of _solve, the assembled matrix and its
+    right-hand side, and the column count."""
+    rng = np.random.default_rng(seed)
+    m, n = (sum(s[i] for s in shapes) for i in (0, 1))
+    A = np.zeros((m, n + extra_cols), dtype=complex)
+    r = c = 0
+    for scale, (bm, bn) in zip(scales, shapes):
+        A[r:r + bm, c:c + bn] = scale * (rng.standard_normal((bm, bn))
+                                         + 1j * rng.standard_normal((bm, bn)))
+        r, c = r + bm, c + bn
+    A = A[rng.permutation(m)][:, rng.permutation(n + extra_cols)]
+    b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    rows = [({j: A[i, j] for j in np.flatnonzero(A[i])}, -b[i]) for i in range(m)]
+    return rows, A, b, n + extra_cols
+
+
+class TestFloatSolve:
+    @pytest.mark.parametrize("case", ["blocks", "scaled-block", "untouched-column"])
+    def test_block_split(self, case):
+        if case == "blocks":
+            rows, A, b, ncols = _block_system([1.0, 3.0, 0.5], [(7, 3), (5, 4), (6, 2)])
+            # a row with no entries leaves the least-squares solution as it is
+            rows.append(({}, 1.0))
+            assert sorted(len(c) for c, _ in _blocks(rows, ncols)) == [2, 3, 4]
+            A, b = np.vstack([A, np.zeros(ncols)]), np.append(b, -1.0)
+            want = np.linalg.lstsq(A, b, rcond=None)[0]
+            got = np.array(_solve(rows, ncols, False))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        elif case == "scaled-block":
+            # each block is well conditioned on its own, but the whole
+            # system's smallest singular value is below _RANK_TOL of its largest
+            for scale, singular in ((1e-14, True), (1e-10, False)):
+                rows, _, _, ncols = _block_system([1.0, scale], [(4, 3), (4, 3)])
+                assert (_solve(rows, ncols, False) == "singular") == singular
+        else:
+            for extra in (0, 1):
+                rows, _, _, ncols = _block_system([1.0, 1.0], [(4, 3), (4, 3)], extra_cols=extra)
+                assert (_solve(rows, ncols, False) == "singular") == bool(extra)
 
 
 class TestNonzeroInt:

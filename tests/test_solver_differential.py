@@ -12,7 +12,8 @@ no order is resonant, and an F0 that meets the degree-0 constraint
 kappa_kh F_kh = sum_l (f_l - f_k)(x_o) F_kl F_lh of that pair.
 
 The same problems in float mode must track the exact jet within the float
-bound that SCHEMAS.md states.
+bound that SCHEMAS.md states, and so must regular problems whose F0 has
+Gaussian rational entries.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from strata.darboux import DEProblem, de_closed_form_n2, de_oracle_solve, de_residual, de_solve_jet
 from strata.gauge import connection_from_de, formal_simplify, gauge_residual
 from strata.polynomials import Poly
-from strata.scalars import to_complex
+from strata.scalars import ComplexRational, to_complex
 
 # SCHEMAS.md, "Float mode against exact mode": the largest float/exact
 # coefficient distance, relative to max(1, max |exact coefficient|)
@@ -35,7 +36,7 @@ _NONZERO = _SMALL.filter(bool)
 
 
 @st.composite
-def _problems(draw, n: int, coalescent: bool):
+def _problems(draw, n: int, coalescent: bool, gaussian: bool = False):
     d = draw(st.integers(1, 3))
     K = draw(st.integers(1, 4))
     x0 = draw(st.lists(_SMALL, min_size=d, max_size=d))
@@ -59,7 +60,11 @@ def _problems(draw, n: int, coalescent: bool):
         if num % den == 0:
             num += 1
         b[1] = b[0] + Fraction(num, den)
-    F0 = [[Fraction(0) if i == j else draw(_NONZERO) for j in range(n)] for i in range(n)]
+
+    def entry():
+        return ComplexRational(draw(_SMALL), draw(_NONZERO)) if gaussian else draw(_NONZERO)
+
+    F0 = [[Fraction(0) if i == j else entry() for j in range(n)] for i in range(n)]
     if coalescent:
         for k, h in ((0, 1), (1, 0)):
             kappa = b[h] - b[k] - 1
@@ -119,9 +124,17 @@ def _check_float(case):
         assert worst <= FLOAT_EXACT_BOUND * scale
 
 
-@pytest.mark.parametrize("n, coalescent, examples",
-                         [(2, False, 12), (3, False, 12), (2, True, 4), (3, True, 4)])
-def test_float_routes_track_exact(n, coalescent, examples):
+# the last two draw F0 with Gaussian rational entries, so the float
+# systems get complex right-hand sides and solutions (their matrices,
+# built from the real f, stay real); the other ids name real-data cases
+FLOAT_CASES = [(2, False, 12, False), (3, False, 12, False), (2, True, 4, False),
+               (3, True, 4, False), (2, False, 12, True), (3, False, 12, True)]
+
+
+@pytest.mark.parametrize("n, coalescent, examples, gaussian", FLOAT_CASES,
+                         ids=["-".join(map(str, c[:3])) + ("-gaussian" if c[3] else "")
+                              for c in FLOAT_CASES])
+def test_float_routes_track_exact(n, coalescent, examples, gaussian):
     run = settings(max_examples=examples, deadline=None, derandomize=True)(
-        given(_problems(n, coalescent))(_check_float))
+        given(_problems(n, coalescent, gaussian))(_check_float))
     run()
