@@ -41,6 +41,7 @@ from .subspaces import _cutoff_rank, _lapack
 
 _NEAR_COALESCENT = 1e-6
 _RANK_TOL = 1e-12  # a float linear system is singular when s_min <= _RANK_TOL * s_max
+_FEASIBLE_TOL = 1e-9  # float residual bound, relative to max(1, largest jet coefficient)
 
 
 def _bump(e: tuple, a: int, k: int = 1) -> tuple:
@@ -224,6 +225,12 @@ class DEResidualReport:
         }
 
 
+def _feasible(report: DEResidualReport, jet: DEJet, tol: float = _FEASIBLE_TOL) -> bool:
+    """Whether report admits jet's F0: all residuals exactly zero, or in floating mode
+    none above tol * max(1, largest jet coefficient), as rounding grows with the jet."""
+    return report.exact_zero if report.exact else report.max_abs <= tol * max(1.0, jet.F.max_abs())
+
+
 def _coerce_initial(problem: DEProblem, F0):
     """F0 as a scalar matrix in the working mode; returns (matrix, exact)."""
     rows = [list(r) for r in F0]
@@ -260,7 +267,8 @@ class _Engine:
         self.d, self.n = problem.d, problem.n
         self.ring = SeriesRing(problem.d, self.K, problem.x0, exact)
         self.zero = self.ring.zero_scalar()
-        fc = problem.f_series(self.ring)
+        # the pair data read first derivatives, even for a K = 0 jet
+        fc = problem.f_series(SeriesRing(self.d, max(self.K, 1), problem.x0, exact))
         df = [[f.diff(a) for a in range(self.d)] for f in fc]
         self.b = [self.ring.scalar(v) for v in problem.b]
         self.pairs = [(k, h) for k in range(self.n) for h in range(self.n) if k != h]
@@ -335,10 +343,11 @@ class _Engine:
 
     # -- base point constraint -------------------------------------------------------
 
-    def base_point_residual(self):
-        """Degree-0 DE2 coefficients at coalescent pairs: pure constraints on F0."""
+    def base_point_residual(self) -> DEResidualReport:
+        """Order -1 residual report of F0: the degree-0 DE2 coefficients at
+        coalescent pairs, which both solvers judge by _feasible."""
         zexp = (0,) * self.d
-        worst, exact_zero = 0.0, True
+        worst, exact_zero = 0.0, self.exact
         self.load(0)
         for kh in self.pairs:
             if not self.coalescent[kh]:
@@ -349,7 +358,7 @@ class _Engine:
                 if r != 0:
                     exact_zero = False
                 worst = max(worst, magnitude(r))
-        return worst, exact_zero
+        return DEResidualReport(-1, [], [worst] if worst else [], self.exact, exact_zero)
 
     # -- level recursion ---------------------------------------------------------------
 
@@ -518,33 +527,28 @@ def de_residual(problem: DEProblem, jet, order: int) -> DEResidualReport:
     return DEResidualReport(order, de1, de2, exact, exact_zero)
 
 
-def de_solve_jet(problem: DEProblem, F0, K: int, tol: float = 1e-9):
+def de_solve_jet(problem: DEProblem, F0, K: int, tol: float = _FEASIBLE_TOL):
     """Taylor jet of the solution with value F0 at the base point.
 
     Returns (jet, feasible, residual report).  The jet always exists and
     is unique given F0; feasibility records whether F0 is admissible,
     which fails exactly when some residual survives (for example the
-    degree-0 constraint at a coalescent pair).  In floating mode a
-    residual survives when it exceeds tol times max(1, largest jet
-    coefficient), since rounding errors grow with the jet.  Raises
-    ResonanceError when b_h - b_k hits {2, ..., K+1} at a coalescent pair.
+    degree-0 constraint at a coalescent pair); _feasible states the float
+    rule.  Raises ResonanceError when b_h - b_k hits {2, ..., K+1} at a
+    coalescent pair.
     """
     K = int(K)
     if K < 0:
         raise ValidationError("jet order must be nonnegative")
     F0s, exact = _coerce_initial(problem, F0)
     eng = _Engine(problem, K, exact, F0s)
-    base_worst, base_exact_zero = eng.base_point_residual()
+    report = eng.base_point_residual()
     for level in range(1, K + 1):
         eng.advance_level(level)
     jet = eng.to_jet()
     if K >= 1:
         report = de_residual(problem, jet, K - 1)
-    else:
-        report = DEResidualReport(-1, [], [], exact, base_exact_zero)
-        report.de2 = [base_worst] if base_worst else []
-    feasible = report.exact_zero if exact else report.max_abs <= tol * max(1.0, jet.F.max_abs())
-    return jet, feasible, report
+    return jet, _feasible(report, jet, tol), report
 
 
 def de_closed_form_n2(problem: DEProblem, F0, K: int) -> DEJet:
@@ -702,19 +706,22 @@ def _solve(rows, ncols: int, exact: bool):
 def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
     """Degree-by-degree stacked linear solve for the same jet.
 
-    For each degree m the coefficient equations of DE1/DE2 at total
-    degree m-1 (plus, at coalescent pairs, the degree-m DE2 coefficients,
-    which are the only equations reaching their pure pivot coefficients)
-    form one linear system in all degree-m jet coefficients.  It must have a
-    unique solution: exact mode solves it exactly, floating mode by least
-    squares after checking its numerical rank.  A singular system raises
-    ResonanceError at a resonant coalescent pair and OracleError otherwise.
+    Degree m's linear system in all degree-m jet coefficients holds the
+    degree m-1 DE1 coefficients, the degree m-1 DE2 coefficients of regular
+    pairs and the degree-m DE2 coefficients of coalescent pairs (the only
+    equations reaching their pure pivot coefficients).  The degree-0 DE2
+    coefficients at coalescent pairs name no unknown; base_point_residual
+    and _feasible judge them as de_solve_jet does, and a violation makes
+    degree 1 inconsistent.  Exact mode solves exactly, floating mode by
+    least squares after a numerical rank check.  A singular or inconsistent
+    system raises ResonanceError at a resonant coalescent pair, else OracleError.
     """
     K = int(K)
     if K < 0:
         raise ValidationError("jet order must be nonnegative")
     F0s, exact = _coerce_initial(problem, F0)
     eng = _Engine(problem, K, exact, F0s)
+    admissible = _feasible(eng.base_point_residual(), eng.to_jet())
     d, n = problem.d, problem.n
     zexp = (0,) * d
     for m in range(1, K + 1):
@@ -728,7 +735,6 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
         for kh in eng.pairs:
             k, h = kh
             D = eng.D[kh]
-            d0 = eng.delta[kh].constant_term()
             for i in range(d):
                 for j in range(i + 1, d):
                     for beta in exps_prev:
@@ -737,13 +743,13 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                             col_index[(kh, _bump(beta, j))]: -D[i] * (beta[j] + 1),
                         }
                         rows.append((entries, eng.de1_coeff(i, j, k, h, beta)))
-            for i in range(d):
-                for beta in exps_prev:
-                    entries = {}
-                    if d0 != 0:
-                        entries[col_index[(kh, _bump(beta, i))]] = d0 * (beta[i] + 1)
-                    rows.append((entries, eng.de2_coeff(i, k, h, beta)))
-            if eng.coalescent[kh]:
+            if not eng.coalescent[kh]:
+                d0 = eng.delta[kh].constant_term()
+                for i in range(d):
+                    for beta in exps_prev:
+                        entries = {col_index[(kh, _bump(beta, i))]: d0 * (beta[i] + 1)}
+                        rows.append((entries, eng.de2_coeff(i, k, h, beta)))
+            else:
                 kappa = eng.kappa[kh]
                 for i in range(d):
                     for delta_e in exps_m:
@@ -767,7 +773,7 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                                     entries[ci] = entries.get(ci, eng.zero) - q0 * f0
                         rows.append((entries, eng.de2_coeff(i, k, h, delta_e)))
 
-        sol = _solve(rows, len(cols), exact)
+        sol = _solve(rows, len(cols), exact) if admissible or m > 1 else "inconsistent"
         if isinstance(sol, str):
             for kh in eng.pairs:
                 if eng.coalescent[kh]:

@@ -48,5 +48,5 @@ class CoalescencePathError(StrataError):
 
 
 class OracleError(StrataError):
-    """The degree-by-degree linear system was singular without a PNR violation."""
+    """An oracle system was singular or inconsistent (inadmissible F0) without a PNR violation."""
     code = "oracle-singular"

@@ -302,32 +302,27 @@ class GaugeResidualReport:
     dz: dict
     dx: list
 
-    def _split(self, part: dict, cutoff: int):
-        det = {m: M for m, M in part.items() if m >= cutoff}
-        tail = {m: M for m, M in part.items() if m < cutoff}
-        return det, tail
+    def _split(self, tail: bool):
+        """(dz, dx) restricted to the tail orders, or to the determined ones."""
+        cuts = [(self.dz, -self.K)] + [(p, -(self.K - 1)) for p in self.dx]
+        parts = [{m: M for m, M in part.items() if (m < cut) == tail} for part, cut in cuts]
+        return parts[0], parts[1:]
+
+    def _max_abs(self, tail: bool) -> float:
+        dz, dx = self._split(tail)
+        return max((M.max_abs() for p in [dz] + dx for M in p.values()), default=0.0)
 
     def determined(self):
-        dz, _ = self._split(self.dz, -self.K)
-        dx = [self._split(p, -(self.K - 1))[0] for p in self.dx]
-        return dz, dx
+        return self._split(False)
 
     def tail(self):
-        _, dz = self._split(self.dz, -self.K)
-        dx = [self._split(p, -(self.K - 1))[1] for p in self.dx]
-        return dz, dx
+        return self._split(True)
 
     def max_abs_determined(self) -> float:
-        dz, dx = self.determined()
-        mags = [M.max_abs() for M in dz.values()]
-        mags += [M.max_abs() for p in dx for M in p.values()]
-        return max(mags) if mags else 0.0
+        return self._max_abs(False)
 
     def max_abs_tail(self) -> float:
-        dz, dx = self.tail()
-        mags = [M.max_abs() for M in dz.values()]
-        mags += [M.max_abs() for p in dx for M in p.values()]
-        return max(mags) if mags else 0.0
+        return self._max_abs(True)
 
     def is_zero_determined(self) -> bool:
         """Every determined coefficient is checked and zero; a matrix with

@@ -156,8 +156,7 @@ def sum_subspace(parts: list) -> Subspace:
     for p in parts:
         if p.ambient_dim != n:
             raise ShapeError("ambient dimension mismatch")
-    cols = np.hstack([p.basis for p in parts]) if parts else np.zeros((n, 0))
-    return Subspace.from_spanning(cols)
+    return Subspace.from_spanning(np.hstack([p.basis for p in parts]))
 
 
 def kernel_subspace(a: np.ndarray, tol: float = 1e-10) -> Subspace:

@@ -1,10 +1,13 @@
 """Order-by-order solver for the generalized Darboux-Egoroff system."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from strata import darboux
 from strata.darboux import (
     DEJet,
     DEProblem,
@@ -20,7 +23,10 @@ from strata.errors import OracleError, ResonanceError, ValidationError
 from strata.gauge import connection_from_de
 from strata.polynomials import Poly
 from strata.scalars import ComplexRational, nonzero_int
+from strata.schemas import decode_de_problem
 from strata.series import SeriesMatrix, SeriesRing
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def X(d, a):
@@ -139,12 +145,46 @@ class TestSolver:
             de_oracle_solve(p, [[0, 1], [1, 0]], 2)
         assert str(oracle.value) == str(solver.value)
 
-    def test_oracle_reports_inconsistent_seed(self):
+    def test_order_zero_judges_the_base_point(self):
+        # a K = 0 jet is F0 itself, and its report holds the degree-0 constraint
+        p = DEProblem(2, 2, ["0", "0"], [X(2, 0), X(2, 1)], ["0", "1/2"])
+        jet, feasible, rep = de_solve_jet(p, [[0, 1], [1, 0]], 0)
+        assert jet.order == 0 and not feasible and rep.order == -1 and rep.max_abs > 0
+        assert de_solve_jet(p, [[0, 0], [0, 0]], 0)[1]
+        assert de_oracle_solve(p, [[0, 1], [1, 0]], 0).order == 0
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_oracle_reports_inconsistent_seed(self, exact):
         # F0 violates the degree-0 constraint at the coalescent pair and no
         # b difference is resonant, so the oracle's system is inconsistent
-        p = DEProblem(2, 2, ["0", "0"], [X(2, 0), X(2, 1)], ["0", "1/2"])
+        f = [Poly.variable(2, a, exact=exact) for a in range(2)]
+        p = DEProblem(2, 2, [0, 0], f, [0, Fraction(1, 2)])
+        assert p.exact == exact
         with pytest.raises(OracleError, match="inconsistent linear system at degree 1"):
             de_oracle_solve(p, [[0, 1], [1, 0]], 2)
+
+    @pytest.mark.parametrize("name", ["de_coalescent_exact.json", "de_coalescent_float.json"])
+    def test_oracle_builds_no_row_without_unknowns(self, name, monkeypatch):
+        # the base-point constraint is judged once by base_point_residual,
+        # and every row handed to the linear solver names an unknown
+        solve, base = darboux._solve, darboux._Engine.base_point_residual
+        calls = {"rows": 0, "empty": 0, "base": 0}
+
+        def counted_solve(rows, ncols, exact):
+            calls["rows"] += len(rows)
+            calls["empty"] += sum(not entries for entries, _ in rows)
+            return solve(rows, ncols, exact)
+
+        def counted_base(eng):
+            calls["base"] += 1
+            return base(eng)
+
+        monkeypatch.setattr(darboux, "_solve", counted_solve)
+        monkeypatch.setattr(darboux._Engine, "base_point_residual", counted_base)
+        p, F0 = decode_de_problem(json.loads((GOLDEN / name).read_text()))
+        assert p.coalescent
+        de_oracle_solve(p, F0, 3)
+        assert calls["rows"] > 0 and calls["empty"] == 0 and calls["base"] == 1
 
     def test_coalescent_feasible_seed(self):
         f3 = [X(3, 0), X(3, 1), X(3, 2)]

@@ -13,7 +13,8 @@ kappa_kh F_kh = sum_l (f_l - f_k)(x_o) F_kl F_lh of that pair.
 
 The same problems in float mode must track the exact jet within the float
 bound that SCHEMAS.md states, and so must regular problems whose F0 has
-Gaussian rational entries.
+Gaussian rational entries.  With F0 nudged off the degree-0 constraint,
+the oracle must reject F0 exactly when the solver calls it infeasible.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strata.darboux import DEProblem, de_closed_form_n2, de_oracle_solve, de_residual, de_solve_jet
+from strata.errors import OracleError
 from strata.gauge import connection_from_de, formal_simplify, gauge_residual
 from strata.polynomials import Poly
 from strata.scalars import ComplexRational, to_complex
@@ -138,3 +140,31 @@ def test_float_routes_track_exact(n, coalescent, examples, gaussian):
     run = settings(max_examples=examples, deadline=None, derandomize=True)(
         given(_problems(n, coalescent, gaussian))(_check_float))
     run()
+
+
+@st.composite
+def _nudged(draw, n: int):
+    """A coalescent draw with one entry of F0 at the pair (0, 1) moved by 0,
+    by 1e-13 (admissible in float mode only) or by 1/5 (admissible in neither)."""
+    problem, F0, K = draw(_problems(n, True))
+    k, h = draw(st.sampled_from([(0, 1), (1, 0)]))
+    F0[k][h] += draw(st.sampled_from([Fraction(1, 5), Fraction(1, 10**13), Fraction(0)]))
+    return problem, F0, K
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracle_rejects_what_the_solver_calls_infeasible(n, exact):
+    def check(case):
+        problem, F0, K = case
+        if not exact:
+            problem, F0 = _floated(problem, F0)
+        feasible = de_solve_jet(problem, F0, 0)[1]
+        try:
+            de_oracle_solve(problem, F0, K)
+        except OracleError:
+            assert not feasible
+        else:
+            assert feasible
+
+    settings(max_examples=12, deadline=None, derandomize=True)(given(_nudged(n))(check))()
