@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import appendix as appendix_mod
-from . import schemas
+from . import darboux, schemas
 from .bundles import (
     classify_matrix_detailed,
     closure_leq,
@@ -277,7 +277,8 @@ def _de_inputs(args, need_f0: bool):
 
 def _cmd_de_solve(args):
     problem, f0 = _de_inputs(args, need_f0=True)
-    jet, feasible, report = de_solve_jet(problem, f0, args.order, tol=_tol(args, 1e-9))
+    jet, feasible, report = de_solve_jet(problem, f0, args.order,
+                                         tol=_tol(args, darboux._FEASIBLE_TOL))
     return {
         "feasible": feasible,
         "jet": schemas.encode_jet(jet),
@@ -389,7 +390,7 @@ def _cmd_appendix_families(args):
 
 def _cmd_appendix_classify2x2(args):
     entries = schemas.decode_2x2_model(_load_json(args.input))
-    result = appendix_mod.classify_2x2(*entries, tol=_tol(args, 1e-9))
+    result = appendix_mod.classify_2x2(*entries, tol=_tol(args, appendix_mod._FIT_TOL))
     return result.to_dict()
 
 

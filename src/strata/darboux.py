@@ -712,9 +712,10 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
     equations reaching their pure pivot coefficients).  The degree-0 DE2
     coefficients at coalescent pairs name no unknown; base_point_residual
     and _feasible judge them as de_solve_jet does, and a violation makes
-    degree 1 inconsistent.  Exact mode solves exactly, floating mode by
-    least squares after a numerical rank check.  A singular or inconsistent
-    system raises ResonanceError at a resonant coalescent pair, else OracleError.
+    degree 1 inconsistent, or degree 0 when K = 0.  Exact mode solves
+    exactly, floating mode by least squares after a numerical rank check.  A
+    singular or inconsistent system raises ResonanceError at a resonant
+    coalescent pair, else OracleError.
     """
     K = int(K)
     if K < 0:
@@ -722,6 +723,8 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
     F0s, exact = _coerce_initial(problem, F0)
     eng = _Engine(problem, K, exact, F0s)
     admissible = _feasible(eng.base_point_residual(), eng.to_jet())
+    if K == 0 and not admissible:
+        raise OracleError("inconsistent linear system at degree 0")
     d, n = problem.d, problem.n
     zexp = (0,) * d
     for m in range(1, K + 1):

@@ -27,7 +27,11 @@ coalescent pairs are continued through the derivative identity
 
 along a pivot coordinate h with separating differentials.  gauge_residual
 re-evaluates the defining gauge equation independently, as a Laurent
-polynomial in z, so the solver and the verifier share no code path.
+polynomial in z, so the solver and the verifier share no code path.  It
+forms only the products the frame's structure can make nonzero: entry by
+entry, with Delta0 read through its diagonal, the diagonals of B and omega
+known to be diag(b) and 0, and F_0 = Id never multiplied.  Each residual
+entry is then valid as far as the products it forms are.
 """
 
 from __future__ import annotations
@@ -80,10 +84,12 @@ class FramedConnection:
     """Frame data (Delta0, diag(b), L) with the derived matrices B and omega.
 
     Delta0 must be strictly diagonal and L strictly off-diagonal, over a
-    common series ring.  Pairs of branches whose center values agree are
-    recorded as coalescent (ordered pairs, both orientations); nonzero
-    integer differences b_i - b_j at coalescent pairs are recorded in
-    pnr_violations without raising.
+    common series ring, so B has diagonal diag(b) and each omega_a has zero
+    diagonal: [L, Delta0] and [d_a Delta0, L] vanish there as L does.
+    gauge_residual relies on both.  Pairs of branches whose center values
+    agree are recorded as coalescent (ordered pairs, both orientations);
+    nonzero integer differences b_i - b_j at coalescent pairs are recorded
+    in pnr_violations without raising.
     """
 
     def __init__(self, delta0: SeriesMatrix, bdiag, L: SeriesMatrix, tol: float = 1e-10):
@@ -273,21 +279,6 @@ def formal_simplify(conn: FramedConnection, K: int, mode: str = "regular") -> Ga
     return GaugeSeries(terms)
 
 
-def _laurent_mul(A: dict, B: dict) -> dict:
-    out: dict = {}
-    for ma, MA in A.items():
-        for mb, MB in B.items():
-            P = MA @ MB
-            m = ma + mb
-            out[m] = out[m] + P if m in out else P
-    return out
-
-
-def _laurent_acc(out: dict, m: int, M: SeriesMatrix, sign: int = 1):
-    M = M if sign > 0 else -M
-    out[m] = out[m] + M if m in out else M
-
-
 @dataclass
 class GaugeResidualReport:
     """Laurent coefficients of dPhi + Omega Phi - Phi Omega_nf.
@@ -295,7 +286,8 @@ class GaugeResidualReport:
     dz maps a z-order to its matrix coefficient; dx holds one such map per
     coordinate.  Orders down to -K (dz) and -(K-1) (dx) are fully determined
     by F_1..F_K; the single deeper order in each part involves the absent
-    F_{K+1} and is reported as the tail, never asserted.
+    F_{K+1} and is reported as the tail, never asserted.  Each entry is
+    valid as far as the products gauge_residual forms for it.
     """
 
     K: int
@@ -352,40 +344,66 @@ class GaugeResidualReport:
 def gauge_residual(conn: FramedConnection, gs: GaugeSeries) -> GaugeResidualReport:
     """Evaluate the gauge equation on the K = gs.K terms of gs.
 
-    The residual dPhi + Omega Phi - Phi Omega_nf is expanded as a Laurent
-    polynomial in z with series-matrix coefficients, independently of the
-    recursion that produced gs.
+    The residual dPhi + Omega Phi - Phi Omega_nf is a Laurent polynomial in
+    z with series-matrix coefficients.  FramedConnection builds B with
+    diagonal diag(b) and each omega_a with zero diagonal, since [L, Delta0]
+    and [d_a Delta0, L] vanish there as L does.  So, with F_0 = Id, entry
+    (i, j) of each coefficient is
+
+        dz at z^-k:    (f_j - f_i) F_k[i][j] - sum_{l != i} B[i][l] F_{k-1}[l][j]
+                       + (b_j - b_i - (k - 1)) F_{k-1}[i][j],
+        dx_a at z^-k:  (d_a f_j - d_a f_i) F_{k+1}[i][j]
+                       + sum_{l != i} omega_a[i][l] F_k[l][j] + d_a F_k[i][j],
+
+    and it is evaluated entry by entry from these sums, independently of
+    the recursion that produced gs.  Each difference f_j - f_i is formed
+    once, Delta0 is read only through conn.f, and F_0 = Id is read, never
+    multiplied.  An entry's validity is the least over the products it
+    forms; a term these sums leave out is an exact zero (0 * X), which
+    knows every coefficient.
     """
     K = gs.K
     if K > 0 and not gs.F[0].ring.compatible(conn.ring):
         raise ShapeError("gauge series and frame live in different series rings")
     if K > 0 and gs.F[0].shape != (conn.n, conn.n):
         raise ShapeError("gauge series size does not match the frame")
-    n, ring = conn.n, conn.ring
+    n, ring, b = conn.n, conn.ring, conn.b
+    F = [None] + gs.F  # F[k] is F_k for k >= 1
+    gap = {(i, j): conn.f[j] - conn.f[i] for i in range(n) for j in range(n) if i != j}
 
-    phi = {0: ring.identity_matrix(n)}
-    for k in range(1, K + 1):
-        phi[-k] = gs.F[k - 1]
+    def matrix(entry, k):
+        return SeriesMatrix([[entry(k, i, j) for j in range(n)] for i in range(n)])
 
-    omega_dz = {0: -conn.delta0, -1: -conn.B}
-    normal_dz = {0: -conn.delta0, -1: -conn.bdiag_matrix}
-    dz = _laurent_mul(omega_dz, phi)
-    for m, M in _laurent_mul(phi, normal_dz).items():
-        _laurent_acc(dz, m, M, sign=-1)
-    for k in range(1, K + 1):
-        _laurent_acc(dz, -k - 1, gs.F[k - 1].scale(-k))
+    def row_times(M, k, i, j):
+        """sum_{l != i} M[i][l] F_k[l][j]: M[i][j] off the diagonal for F_0 = Id."""
+        if k == 0:
+            return M.entry(i, j) if i != j else ring.zero()
+        terms = [M.entry(i, l) * F[k].entry(l, j) for l in range(n) if l != i]
+        return sum(terms[1:], terms[0]) if terms else ring.zero()
+
+    def dz_entry(k, i, j):
+        acc = gap[i, j] * F[k].entry(i, j) if i != j and 1 <= k <= K else ring.zero()
+        if k >= 1:
+            acc = acc - row_times(conn.B, k - 1, i, j)
+        if k >= 2:
+            acc = acc + F[k - 1].entry(i, j).scale(b[j] - b[i] - (k - 1))
+        return acc
+
+    dz = {-k: matrix(dz_entry, k) for k in range(K + 2)}
 
     dx = []
     for a in range(conn.d):
-        da = conn.delta0.diff(a)
-        omega_dx = {1: -da, 0: conn.omega[a]}
-        normal_dx = {1: -da}
-        ra = _laurent_mul(omega_dx, phi)
-        for m, M in _laurent_mul(phi, normal_dx).items():
-            _laurent_acc(ra, m, M, sign=-1)
-        for k in range(1, K + 1):
-            _laurent_acc(ra, -k, gs.F[k - 1].diff(a))
-        dx.append(ra)
+        dgap = {ij: g.diff(a) for ij, g in gap.items()}
+
+        def dx_entry(k, i, j):
+            acc = dgap[i, j] * F[k + 1].entry(i, j) if i != j and 0 <= k < K else ring.zero()
+            if k >= 0:
+                acc = acc + row_times(conn.omega[a], k, i, j)
+            if k >= 1:
+                acc = acc + F[k].entry(i, j).diff(a)
+            return acc
+
+        dx.append({-k: matrix(dx_entry, k) for k in range(-1, K + 1)})
     return GaugeResidualReport(K=K, dz=dz, dx=dx)
 
 

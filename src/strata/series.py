@@ -14,8 +14,11 @@ nonzero and of total degree <= K.  Only this module reads it; the read API
 is ``coeff``, ``constant_term`` and ``items`` (``coeffs`` stays readable
 for perfbench and the tests).
 
-Products: both modes multiply through ``_dense_mul``, multivariate Taylor
-arithmetic over one cached table per (d, K) (Griewank & Walther,
+Products: both modes multiply through ``_dense_mul``.  A product with a
+one-term operand c x^e is a shift and a scale: the other operand's terms
+through degree K - |e|, moved by e and multiplied by c, with no table.
+Every other product is multivariate Taylor arithmetic over one cached
+table per (d, K) (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 13): every pair of occupied slots
 whose degrees sum to at most K is gathered at once, and each product
 coefficient is summed in pair order.  Floating operands are scattered into
@@ -32,6 +35,7 @@ denominator, where the rescaled numerators would outgrow the scalars' own.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 from operator import sub
 
@@ -67,15 +71,22 @@ _LIFT_SLACK = 64
 
 
 @lru_cache(maxsize=32)
+def _monomials(d: int, K: int):
+    """(monos, slot): the monomials of degree <= K, degree by degree in
+    exponents_of_degree order, and the exponent -> slot index."""
+    monos = [e for deg in range(K + 1) for e in exponents_of_degree(d, deg)]
+    return monos, {e: i for i, e in enumerate(monos)}
+
+
+@lru_cache(maxsize=32)
 def _pair_table(d: int, K: int):
     """The product table of the ring shape (d, K).
 
-    Returns (monos, slot, I, J, T): the monomials of degree <= K, degree by
-    degree in exponents_of_degree order; the exponent -> slot index; and
-    int32 arrays listing, sorted by (i, j), every slot pair whose degrees
-    sum to at most K, with T the slot of the product monomial.
+    Returns (monos, slot, I, J, T): _monomials(d, K), and int32 arrays
+    listing, sorted by (i, j), every slot pair whose degrees sum to at most
+    K, with T the slot of the product monomial.
     """
-    monos = [e for deg in range(K + 1) for e in exponents_of_degree(d, deg)]
+    monos, slot = _monomials(d, K)
     n = len(monos)
     # slots are graded, so the partners of slot i are the first
     # C(K - deg_i + d, d) slots: those of degree <= K - deg_i
@@ -86,7 +97,6 @@ def _pair_table(d: int, K: int):
     J = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(starts, lens)
     E = np.array(monos, dtype=np.int64).reshape(n, d)
     T = _slots(E[I] + E[J], K)
-    slot = {e: i for i, e in enumerate(monos)}
     return monos, slot, I.astype(np.int32), J.astype(np.int32), T.astype(np.int32)
 
 
@@ -165,9 +175,40 @@ def _exact_sum(x, xat, y, yat, i, j, t, monos: list) -> dict:
     return {m: _reduced(u, v, den) for m, u, v in zip(monos, re, im) if u or v}
 
 
+def _shift_mul(a: dict, b: dict, d: int, K: int) -> dict:
+    """The product of two coefficient dicts, one of which holds the single
+    term c x^e: the other's terms of degree <= K - |e|, moved by e and
+    multiplied by c, in table order, with zero products dropped.  The
+    factors keep their order, and each product slot gets one term, as on
+    the table route, so floats agree with it up to the sign of a zero."""
+    left = len(a) == 1
+    ((e, c),) = (a if left else b).items()
+    other = b if left else a
+    keys = sorted(other, key=_monomials(d, K)[1].__getitem__)
+    if any(e):
+        keys = keys[:bisect_right(keys, K - sum(e), key=sum)]  # slots are graded
+        moved = zip(*[[x + s for x in column] for column, s in zip(zip(*keys), e)])
+    else:
+        moved = keys
+    values = [c * other[g] for g in keys] if left else [other[g] * c for g in keys]
+    return {m: v for m, v in zip(moved, values) if v}
+
+
 def _dense_mul(a: dict, b: dict, d: int, K: int, exact: bool):
-    """The product of two coefficient dicts through the (d, K) table, or None,
-    before the table is read, when an exact operand's lift is refused.
+    """The product of two coefficient dicts in table order, or None when an
+    exact operand's lift is refused: {} if an operand is empty, _shift_mul
+    if one holds a single term, and _table_mul otherwise."""
+    if not a or not b:
+        return {}
+    if len(a) == 1 or len(b) == 1:
+        return _shift_mul(a, b, d, K)
+    return _table_mul(a, b, d, K, exact)
+
+
+def _table_mul(a: dict, b: dict, d: int, K: int, exact: bool):
+    """The product of two nonempty coefficient dicts through the (d, K)
+    table, or None, before the table is read, when an exact operand's lift
+    is refused.
 
     Both modes sum every (i, j) pair of occupied slots, in (i, j) order,
     into its product slot and return the nonzero slots in table order.
@@ -177,8 +218,6 @@ def _dense_mul(a: dict, b: dict, d: int, K: int, exact: bool):
     0 * inf term makes a NaN that _mul would not.  Exact terms sum in
     integers over one denominator per operand, which gives _mul's values.
     """
-    if not a or not b:
-        return {}
     if exact:
         x, y, total = _lift(a), _lift(b), _exact_sum
         if x is None or y is None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from strata import cli, schemas
+from strata import appendix, cli, darboux, schemas
 from strata.darboux import DEProblem, de_solve_jet
 from strata.families import MatrixFamily, jordanizability_report
 from strata.gauge import connection_from_de, formal_simplify
@@ -570,6 +570,44 @@ class TestTolerancePrecedence:
         code, _, err = run(capsys, "gap", "kernel", "--input", str(f))
         assert code == 2
         assert json.loads(err.strip())["error"] == "invalid-input"
+
+
+class TestLibraryTolerances:
+    """A command whose default tolerance is a library constant hands the
+    library that constant, read when the command runs."""
+
+    @staticmethod
+    def spy(monkeypatch, owner, name, seen):
+        inner = getattr(owner, name)
+
+        def wrapped(*args, tol):
+            seen.append(tol)
+            return inner(*args, tol=tol)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    def test_de_solve_passes_the_feasibility_tolerance(self, capsys, de_fixture, monkeypatch):
+        seen = []
+        monkeypatch.delenv("STRATA_TOL", raising=False)
+        monkeypatch.setattr(darboux, "_FEASIBLE_TOL", 2.5e-7)
+        self.spy(monkeypatch, cli, "de_solve_jet", seen)
+        run_json(capsys, "de", "solve", "--input", de_fixture["prob"], "--order", "2")
+        run_json(capsys, "de", "solve", "--input", de_fixture["prob"], "--order", "2",
+                 "--tol", "1e-6")
+        assert seen == [2.5e-7, 1e-6]
+
+    def test_classify2x2_passes_the_fit_tolerance(self, capsys, tmp_path, monkeypatch):
+        x = X(2, 0)
+        doc = {"d": 2, "g": schemas.encode_poly(x), "h": [],
+               "l": schemas.encode_poly(x * x), "m": schemas.encode_poly(-x)}
+        f = tmp_path / "c2.json"
+        f.write_text(json.dumps(doc))
+        seen = []
+        monkeypatch.delenv("STRATA_TOL", raising=False)
+        monkeypatch.setattr(appendix, "_FIT_TOL", 2.5e-7)
+        self.spy(monkeypatch, appendix, "classify_2x2", seen)
+        run_json(capsys, "appendix", "classify2x2", "--input", str(f))
+        assert seen == [2.5e-7]
 
 
 class TestDeterminism:

@@ -151,7 +151,9 @@ class TestSolver:
         jet, feasible, rep = de_solve_jet(p, [[0, 1], [1, 0]], 0)
         assert jet.order == 0 and not feasible and rep.order == -1 and rep.max_abs > 0
         assert de_solve_jet(p, [[0, 0], [0, 0]], 0)[1]
-        assert de_oracle_solve(p, [[0, 1], [1, 0]], 0).order == 0
+        with pytest.raises(OracleError, match="inconsistent linear system at degree 0"):
+            de_oracle_solve(p, [[0, 1], [1, 0]], 0)
+        assert de_oracle_solve(p, [[0, 0], [0, 0]], 0).order == 0
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_oracle_reports_inconsistent_seed(self, exact):

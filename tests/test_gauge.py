@@ -1,9 +1,24 @@
-"""Framed connections, integrability, formal gauge simplification, holcon."""
+"""Framed connections, integrability, formal gauge simplification, holcon.
 
+gauge_residual evaluates each Laurent coefficient entry by entry from the
+frame's structure.  It is held against the full-matrix expansion it
+replaced, kept here as a reference: on the golden frames and on the drawn
+problems of test_solver_differential, exact coefficients agree through the
+reference's validity, no validity falls below the reference's, terms added
+to the gauge above its validity change nothing within the report's, and
+float twins stay within the SCHEMAS.md bound.  A sweep of single +1 faults in the
+gauge terms checks that only free data goes undetected.
+"""
+
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from test_solver_differential import FLOAT_EXACT_BOUND, _problems
 
+from strata import schemas
 from strata.darboux import DEProblem, de_solve_jet
 from strata.errors import CoalescencePathError, GenericityError, ResonanceError
 from strata.gauge import (
@@ -17,7 +32,10 @@ from strata.gauge import (
     integrability_residual,
 )
 from strata.polynomials import Poly
-from strata.series import SeriesMatrix, SeriesRing
+from strata.scalars import to_complex
+from strata.series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def X(d, a):
@@ -304,3 +322,224 @@ class TestHolcon:
         rep = holcon_check(conn, (0, 1), lambda t: (t, -t))
         assert rep.bounded
         assert max(abs(v) for v in rep.ratios) == 0.0
+
+
+# -- the verifier against its full-matrix expansion ----------------------------------
+
+
+def _laurent_mul(A: dict, B: dict) -> dict:
+    out: dict = {}
+    for ma, MA in A.items():
+        for mb, MB in B.items():
+            P = MA @ MB
+            m = ma + mb
+            out[m] = out[m] + P if m in out else P
+    return out
+
+
+def _laurent_acc(out: dict, m: int, M: SeriesMatrix, sign: int = 1):
+    M = M if sign > 0 else -M
+    out[m] = out[m] + M if m in out else M
+
+
+def _reference_residual(conn, gs):
+    """(dz, dx) of dPhi + Omega Phi - Phi Omega_nf, expanded as products of
+    whole series matrices: the identity Phi_0, Delta0 and diag(b) included."""
+    n, ring, K = conn.n, conn.ring, gs.K
+    phi = {0: ring.identity_matrix(n)}
+    for k in range(1, K + 1):
+        phi[-k] = gs.F[k - 1]
+    dz = _laurent_mul({0: -conn.delta0, -1: -conn.B}, phi)
+    for m, M in _laurent_mul(phi, {0: -conn.delta0, -1: -conn.bdiag_matrix}).items():
+        _laurent_acc(dz, m, M, sign=-1)
+    for k in range(1, K + 1):
+        _laurent_acc(dz, -k - 1, gs.F[k - 1].scale(-k))
+    dx = []
+    for a in range(conn.d):
+        da = conn.delta0.diff(a)
+        ra = _laurent_mul({1: -da, 0: conn.omega[a]}, phi)
+        for m, M in _laurent_mul(phi, {1: -da}).items():
+            _laurent_acc(ra, m, M, sign=-1)
+        for k in range(1, K + 1):
+            _laurent_acc(ra, -k, gs.F[k - 1].diff(a))
+        dx.append(ra)
+    return dz, dx
+
+
+def _entries(parts):
+    """(order, i, j, series) over every matrix of a list of Laurent dicts."""
+    for part in parts:
+        for m, M in part.items():
+            n = M.shape[0]
+            for i in range(n):
+                for j in range(n):
+                    yield m, i, j, M.entry(i, j)
+
+
+def _check_against_reference(conn, gs):
+    rep = gauge_residual(conn, gs)
+    ref_dz, ref_dx = _reference_residual(conn, gs)
+    got, want = [rep.dz] + rep.dx, [ref_dz] + ref_dx
+    assert [list(p) for p in got] == [list(p) for p in want]
+    for (m, i, j, g), (_, _, _, w) in zip(_entries(got), _entries(want)):
+        assert g.valid >= w.valid, (m, i, j)
+        assert dict(g.items(w.valid)) == dict(w.items(w.valid)), (m, i, j)
+
+
+def _check_validity_is_sound(conn, gs):
+    """Terms added to every F_k entry above its validity change no residual
+    coefficient within the validity the report gives it."""
+    ring = conn.ring
+    noisy = []
+    for M in gs.F:
+        rows = []
+        for row in M.rows:
+            rows.append([])
+            for s in row:
+                coeffs = dict(s.items())
+                for deg in range(s.valid + 1, ring.K + 1):
+                    for e in exponents_of_degree(ring.d, deg):
+                        coeffs[e] = coeffs.get(e, ring.zero_scalar()) + Fraction(deg, 7)
+                rows[-1].append(TruncatedSeries(ring, coeffs, s.valid))
+        noisy.append(SeriesMatrix(rows))
+    rep, other = gauge_residual(conn, gs), gauge_residual(conn, GaugeSeries(noisy))
+    for (m, i, j, g), (_, _, _, h) in zip(_entries([rep.dz] + rep.dx),
+                                         _entries([other.dz] + other.dx)):
+        assert h.valid == g.valid and dict(g.items(g.valid)) == dict(h.items(g.valid)), (m, i, j)
+
+
+def _floated(conn):
+    return build_connection(conn.delta0.to_float(), [to_complex(v) for v in conn.b],
+                            conn.L.to_float(), tol=conn.tol)
+
+
+def _check_float_twin(conn, gs):
+    exact = gauge_residual(conn, gs)
+    fl = gauge_residual(_floated(conn), gs.to_float())
+    pairs = list(zip(_entries([exact.dz] + exact.dx), _entries([fl.dz] + fl.dx)))
+    scale = max([1.0] + [e.max_abs() for (_, _, _, e), _ in pairs])
+    for (m, i, j, e), (_, _, _, f) in pairs:
+        assert f.valid == e.valid, (m, i, j)
+        want = {g: to_complex(c) for g, c in e.items()}
+        got = dict(f.items())
+        worst = max([0.0] + [abs(got.get(g, 0j) - want.get(g, 0j))
+                             for g in set(got) | set(want) if sum(g) <= e.valid])
+        assert worst <= FLOAT_EXACT_BOUND * scale, (m, i, j, worst)
+
+
+def _golden_conn(name):
+    return schemas.decode_framed_connection(json.loads((GOLDEN / name).read_text()))
+
+
+def _gauges(conn, K):
+    """Gauge series that solve nothing, so the residual has nonzero
+    coefficients, and, where the frame has no resonance, the ladder and a
+    multiple of it."""
+    out = [GaugeSeries([conn.L.scale(k) + conn.B.diff(0) for k in range(1, K + 1)]),
+           GaugeSeries([conn.L.diff(k % conn.d) for k in range(K)])]
+    if not conn.pnr_violations:
+        mode = "coalescent" if conn.coalescent_pairs else "regular"
+        gs = formal_simplify(conn, K, mode=mode)
+        out += [gs, GaugeSeries([M.scale(2) for M in gs.F])]
+    return out
+
+
+@pytest.fixture(scope="module", params=["conn_coalescent_exact.json", "conn_regular_exact.json",
+                                        "conn_pnr_exact.json"])
+def golden_conn(request):
+    return _golden_conn(request.param)
+
+
+class TestResidualAgainstReference:
+    def test_golden_frames_match(self, golden_conn):
+        for K in (0, 1, 3):
+            for gs in _gauges(golden_conn, K):
+                _check_against_reference(golden_conn, gs)
+                _check_validity_is_sound(golden_conn, gs)
+
+    def test_recorded_gauge_matches(self):
+        conn = _golden_conn("conn_coalescent_exact.json")
+        gs = schemas.decode_gauge_series(json.loads(
+            (GOLDEN / "gauge_coalescent_exact.json").read_text()))
+        _check_against_reference(conn, gs)
+        _check_validity_is_sound(conn, gs)
+        _check_float_twin(conn, gs)
+
+    def test_golden_float_twins_track(self, golden_conn):
+        for gs in _gauges(golden_conn, 3):
+            _check_float_twin(golden_conn, gs)
+
+    @pytest.mark.parametrize("n, coalescent", [(2, False), (3, False), (2, True), (3, True)])
+    def test_drawn_problems_match(self, n, coalescent):
+        def check(case):
+            problem, F0, K = case
+            jet, feasible, _ = de_solve_jet(problem, F0, K)
+            assert feasible
+            conn = connection_from_de(problem, jet)
+            gs = formal_simplify(conn, min(K, 3), mode="coalescent" if coalescent else "regular")
+            for g in (gs, GaugeSeries([M.scale(2) for M in gs.F])):
+                _check_against_reference(conn, g)
+                _check_validity_is_sound(conn, g)
+                _check_float_twin(conn, g)
+
+        settings(max_examples=6, deadline=None, derandomize=True)(
+            given(_problems(n, coalescent))(check))()
+
+
+# -- single faults in the gauge terms --------------------------------------------------
+
+
+def _perturbed(gs, k, i, j, e):
+    """gs with 1 added at exponent e of F_k[i][j], validities kept."""
+    M = gs.F[k - 1]
+    s = M.entry(i, j)
+    coeffs = dict(s.items())
+    coeffs[e] = coeffs.get(e, s.ring.zero_scalar()) + 1
+    rows = [[M.entry(p, q) for q in range(M.shape[1])] for p in range(M.shape[0])]
+    rows[i][j] = TruncatedSeries(s.ring, coeffs, s.valid)
+    F = list(gs.F)
+    F[k - 1] = SeriesMatrix(rows)
+    return GaugeSeries(F)
+
+
+def _undetected(conn, gs, terms):
+    """(count, undetected faults) over every +1 at a monomial within the
+    validity of an entry of F_k, k in terms."""
+    count, missed = 0, []
+    for k in terms:
+        M = gs.F[k - 1]
+        for i in range(conn.n):
+            for j in range(conn.n):
+                valid = M.entry(i, j).valid
+                for e in (e for deg in range(valid + 1)
+                          for e in exponents_of_degree(conn.d, deg)):
+                    count += 1
+                    if gauge_residual(conn, _perturbed(gs, k, i, j, e)).is_zero_determined():
+                        missed.append((k, i, j, e))
+    return count, missed
+
+
+class TestFaultDetection:
+    def test_known_blind_spot_is_detected(self):
+        # the +1 at (3,0,0) of F_2[0][2] sits within its validity 3; the
+        # full-matrix expansion read that entry only through validity 2
+        conn = _golden_conn("conn_coalescent_exact.json")
+        gs = formal_simplify(conn, 2, mode="coalescent")
+        assert gauge_residual(conn, gs).is_zero_determined()
+        assert gs.F[1].entry(0, 2).valid == 3
+        assert not gauge_residual(conn, _perturbed(gs, 2, 0, 2, (3, 0, 0))).is_zero_determined()
+
+    def test_only_free_diagonal_faults_pass_at_K2(self):
+        # diag(F_K) is free until F_{K+1} exists; every other fault is caught
+        conn = _golden_conn("conn_coalescent_exact.json")
+        gs = formal_simplify(conn, 2, mode="coalescent")
+        count, missed = _undetected(conn, gs, (1, 2))
+        assert count == 320 and len(missed) == 40
+        assert all(k == 2 and i == j for k, i, j, _ in missed)
+
+    def test_only_free_diagonal_faults_pass_in_the_last_term_at_K3(self):
+        conn = _golden_conn("conn_coalescent_exact.json")
+        gs = formal_simplify(conn, 3, mode="coalescent")
+        count, missed = _undetected(conn, gs, (3,))
+        assert count == 66 and len(missed) == 18
+        assert all(i == j for _, i, j, _ in missed)

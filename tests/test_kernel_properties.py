@@ -12,7 +12,10 @@ The dense float product agrees with the sparse reference ``_mul``: within
 the rounding of a reordered sum everywhere, and bit for bit when both
 operands are stored in table order.  The exact product through the same
 table equals ``_mul``, and operands whose common denominator is too long,
-or rings past the pair cap, never touch the table.
+or rings past the pair cap, never touch the table.  A product with a
+one-term operand is a shift and a scale that reads no table: exact, it
+equals ``_mul``; float, it equals the table route bit for bit up to the
+sign of a zero; and it comes back in table order.
 """
 
 import ast
@@ -360,3 +363,73 @@ def test_rings_beyond_the_pair_cap_multiply_sparsely(monkeypatch, exact):
     ring = SeriesRing(d, K, [0] * d, exact=exact)
     s = ring.var(0) + ring.var(9).scale(Fraction(5, 2))
     assert (s * s).coeffs == _mul(s.coeffs, s.coeffs, K)
+
+
+# -- one-term operands: a shift and a scale ------------------------------------------
+
+
+@st.composite
+def _one_term_product(draw):
+    """(ring, a, b): one operand a single term c x^e, with |e| up to K + 1
+    and c often 1, and the other empty, single-term, sparse or dense, stored
+    in a shuffled order, in either position; float operands may hold an
+    infinite or NaN part."""
+    exact = draw(st.booleans())
+    d, K = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    rnd = draw(st.randoms(use_true_random=True))
+    monos = [e for deg in range(K + 1) for e in exponents_of_degree(d, deg)]
+    e = draw(st.sampled_from([e for deg in range(K + 2) for e in exponents_of_degree(d, deg)]))
+
+    def scalar():
+        if exact:
+            return draw(_scalars.filter(bool))
+        return complex(_part(rnd), _part(rnd)) or 1j
+
+    one = {e: (ComplexRational(1) if exact else 1 + 0j) if draw(st.booleans()) else scalar()}
+    size = draw(st.sampled_from(["empty", "single", "sparse", "dense"]))
+    support = {"empty": [], "single": [rnd.choice(monos)],
+               "sparse": rnd.sample(monos, min(len(monos), rnd.randint(1, 6))),
+               "dense": list(monos)}[size]
+    rnd.shuffle(support)
+    other = {g: scalar() for g in support}
+    if not exact and draw(st.booleans()):
+        target = draw(st.sampled_from(["one", "other"]))
+        held = one if target == "one" or not other else other
+        g = rnd.choice(list(held))
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        held[g] = complex(bad, held[g].imag) if rnd.random() < 0.5 else complex(held[g].real, bad)
+    a, b = (one, other) if draw(st.booleans()) else (other, one)
+    return SeriesRing(d, K, [0] * d, exact=exact), a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_one_term_product())
+def test_one_term_product_is_a_shift_and_scale(case):
+    ring, a, b = case
+    d, K = ring.d, ring.K
+    monos = series._monomials(d, K)[0]
+    # a degree K + 1 term is dropped when the operand is stored
+    A, B = TruncatedSeries(ring, a), TruncatedSeries(ring, b)
+    product = (A * B).coeffs
+    assert _keeps_contract(A * B)
+    assert list(product) == [e for e in monos if e in product]
+    if ring.exact:
+        assert product == _mul(a, b, K)
+        return
+    if A.coeffs and B.coeffs:
+        table = series._table_mul(A.coeffs, B.coeffs, d, K, False)
+        assert list(product) == list(table)
+        assert _bits(product) == _bits(table)
+    else:
+        assert product == {}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_one_term_product_reads_no_table_and_no_lift(monkeypatch, exact):
+    ring = SeriesRing(3, 4, [0] * 3, exact=exact)
+    s = (ring.var(0) + ring.var(1).scale(Fraction(2, 3))) * ring.var(2) + ring.one()
+    monkeypatch.setattr(series, "_pair_table", _no_table)
+    monkeypatch.setattr(series, "_lift", _no_table)
+    m = ring.var(1).scale(Fraction(-5, 7))
+    for p in (m * s, s * m):
+        assert p.coeffs == _mul(s.coeffs, m.coeffs, ring.K)
