@@ -24,7 +24,7 @@ from strata.gauge import connection_from_de
 from strata.polynomials import Poly
 from strata.scalars import ComplexRational, nonzero_int
 from strata.schemas import decode_de_problem
-from strata.series import SeriesMatrix, SeriesRing
+from strata.series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -347,3 +347,40 @@ class TestNonzeroInt:
         assert nonzero_int(2.0 + 2e-8, False) is None
         assert nonzero_int(2.0 + 2e-8j, False) is None
         assert nonzero_int(1e-9 + 0j, False) is None
+
+
+# -- single faults in the jet ----------------------------------------------------------
+
+
+def _faulted(jet, k, h, e):
+    """jet with 1 added at exponent e of F[k][h], validities kept."""
+    s = jet.F.entry(k, h)
+    coeffs = dict(s.items())
+    coeffs[e] = coeffs.get(e, s.ring.zero_scalar()) + 1
+    rows = [[jet.F.entry(p, q) for q in range(jet.n)] for p in range(jet.n)]
+    rows[k][h] = TruncatedSeries(s.ring, coeffs, s.valid)
+    return DEJet(SeriesMatrix(rows))
+
+
+class TestResidualFaultDetection:
+    # every +1 at an off-diagonal jet coefficient of degree 0..K changes
+    # some DE1 or DE2 coefficient of degree <= K - 1
+    @pytest.mark.parametrize("name, count", [("de_coalescent_exact.json", 120),
+                                             ("de_regular_exact.json", 60)])
+    def test_every_off_diagonal_fault_is_detected(self, name, count):
+        K = 3
+        p, F0 = decode_de_problem(json.loads((GOLDEN / name).read_text()))
+        jet, feasible, _ = de_solve_jet(p, F0, K)
+        assert feasible and de_residual(p, jet, K - 1).exact_zero
+        faults = [(k, h, e) for k in range(p.n) for h in range(p.n) if k != h
+                  for deg in range(K + 1) for e in exponents_of_degree(p.d, deg)]
+        missed = [f for f in faults if de_residual(p, _faulted(jet, *f), K - 1).exact_zero]
+        assert (len(faults), missed) == (count, [])
+
+    def test_diagonal_fault_is_refused(self):
+        p, F0 = decode_de_problem(json.loads((GOLDEN / "de_regular_exact.json").read_text()))
+        jet, _, _ = de_solve_jet(p, F0, 3)
+        rows = [[jet.F.entry(k, h) for h in range(p.n)] for k in range(p.n)]
+        rows[1][1] = rows[1][1] + 1
+        with pytest.raises(ValidationError, match="diagonal"):
+            DEJet(SeriesMatrix(rows))
