@@ -36,7 +36,14 @@ from .errors import (
 )
 from .polynomials import Poly
 from .scalars import ComplexRational, coerce, magnitude, nonzero_int, scalar_abs2, zero_test
-from .series import SeriesMatrix, SeriesRing, TruncatedSeries, _product_coeff, exponents_of_degree
+from .series import (
+    SeriesMatrix,
+    SeriesRing,
+    TruncatedSeries,
+    _product_coeff,
+    dot,
+    exponents_of_degree,
+)
 from .subspaces import _cutoff_rank, _lapack
 
 _NEAR_COALESCENT = 1e-6
@@ -510,19 +517,21 @@ def de_residual(problem: DEProblem, jet, order: int) -> DEResidualReport:
             kappa = b[h] - b[k] - one
             others = [l for l in range(n) if l != k and l != h]
             G = {l: F.entry(k, l) * F.entry(l, h) for l in others}
+            # per third index l: f_l - f_k, f_l - f_h, d(f_l - f_k), d(f_h - f_l)
+            lk = {l: fs[l] - fs[k] for l in others}
+            lh = {l: fs[l] - fs[h] for l in others}
+            up = {l: [dfs[l][i] - dfs[k][i] for i in range(d)] for l in others}
+            down = {l: [dfs[h][i] - dfs[l][i] for i in range(d)] for l in others}
             for i in range(d):
-                r = delta * dF[i] - (ddelta[i] * Fkh).scale(kappa)
-                for l in others:
-                    r = r - (dfs[l][i] - dfs[k][i]) * (fs[h] - fs[l]) * G[l]
-                    r = r + (fs[l] - fs[k]) * (dfs[h][i] - dfs[l][i]) * G[l]
+                w = {l: dot([(lk[l], down[l][i]), (up[l][i], lh[l])]) for l in others}
+                r = dot([(delta, dF[i]), (ddelta[i].scale(-kappa), Fkh)]
+                        + [(w[l], G[l]) for l in others])
                 absorb(r, de2)
             for i in range(d):
                 for j in range(i + 1, d):
-                    r = ddelta[j] * dF[i] - ddelta[i] * dF[j]
-                    for l in others:
-                        w = (dfs[l][i] - dfs[k][i]) * (dfs[h][j] - dfs[l][j])
-                        w = w - (dfs[l][j] - dfs[k][j]) * (dfs[h][i] - dfs[l][i])
-                        r = r - w * G[l]
+                    w = {l: dot([(up[l][j], down[l][i]), (-up[l][i], down[l][j])]) for l in others}
+                    r = dot([(ddelta[j], dF[i]), (-ddelta[i], dF[j])]
+                            + [(w[l], G[l]) for l in others])
                     absorb(r, de1)
     return DEResidualReport(order, de1, de2, exact, exact_zero)
 

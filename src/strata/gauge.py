@@ -29,9 +29,10 @@ along a pivot coordinate h with separating differentials.  gauge_residual
 re-evaluates the defining gauge equation independently, as a Laurent
 polynomial in z, so the solver and the verifier share no code path.  It
 forms only the products the frame's structure can make nonzero: entry by
-entry, with Delta0 read through its diagonal, the diagonals of B and omega
-known to be diag(b) and 0, and F_0 = Id never multiplied.  Each residual
-entry is then valid as far as the products it forms are.
+entry, each entry one sum of products, with Delta0 read through its
+diagonal, the diagonals of B and omega known to be diag(b) and 0, and
+F_0 = Id never multiplied as a matrix.  Each residual entry is then valid
+as far as the products it forms are.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .darboux import _coalescent_pairs, _fscale, _pivot
 from .scalars import float_pair, nonzero_int, to_complex, zero_test
-from .series import SeriesMatrix
+from .series import SeriesMatrix, dot
 
 _HOLCON_FLOOR = 1e-8
 _HOLCON_SAMPLES = tuple(2.0 ** -m for m in range(1, 13))
@@ -269,11 +270,8 @@ def formal_simplify(conn: FramedConnection, K: int, mode: str = "regular") -> Ga
                     else:
                         rows[i][j] = rhs.entry(i, j) * inv[(i, j)]
         for i in range(n):
-            acc = ring.zero()
-            for l in range(n):
-                if l != i:
-                    acc = acc + conn.B.entry(i, l) * rows[l][i]
-            rows[i][i] = acc.scale(Fraction(-1, k + 1))
+            pairs = [(conn.B.entry(i, l), rows[l][i]) for l in range(n) if l != i]
+            rows[i][i] = (dot(pairs) if pairs else ring.zero()).scale(Fraction(-1, k + 1))
         Fk = SeriesMatrix(rows)
         terms.append(Fk)
     return GaugeSeries(terms)
@@ -356,11 +354,13 @@ def gauge_residual(conn: FramedConnection, gs: GaugeSeries) -> GaugeResidualRepo
                        + sum_{l != i} omega_a[i][l] F_k[l][j] + d_a F_k[i][j],
 
     and it is evaluated entry by entry from these sums, independently of
-    the recursion that produced gs.  Each difference f_j - f_i is formed
-    once, Delta0 is read only through conn.f, and F_0 = Id is read, never
-    multiplied.  An entry's validity is the least over the products it
-    forms; a term these sums leave out is an exact zero (0 * X), which
-    knows every coefficient.
+    the recursion that produced gs.  Each entry is one series.dot, so each
+    of its coefficients is formed once: the scalar term enters as a
+    constant series times F_{k-1}[i][j], d_a F_k[i][j] as 1 times itself,
+    and F_0 = Id as 1, never as a matrix.  Each difference f_j - f_i is
+    formed once and Delta0 is read only through conn.f.  An entry's
+    validity is the least over the factors of its products; a term these
+    sums leave out is an exact zero (0 * X), which knows every coefficient.
     """
     K = gs.K
     if K > 0 and not gs.F[0].ring.compatible(conn.ring):
@@ -369,39 +369,45 @@ def gauge_residual(conn: FramedConnection, gs: GaugeSeries) -> GaugeResidualRepo
         raise ShapeError("gauge series size does not match the frame")
     n, ring, b = conn.n, conn.ring, conn.b
     F = [None] + gs.F  # F[k] is F_k for k >= 1
+    one = ring.one()
     gap = {(i, j): conn.f[j] - conn.f[i] for i in range(n) for j in range(n) if i != j}
+    minus_B = (-conn.B).rows
 
     def matrix(entry, k):
         return SeriesMatrix([[entry(k, i, j) for j in range(n)] for i in range(n)])
 
     def row_times(M, k, i, j):
-        """sum_{l != i} M[i][l] F_k[l][j]: M[i][j] off the diagonal for F_0 = Id."""
+        """The pairs of sum_{l != i} M[i][l] F_k[l][j]: M[i][j] * 1 off the
+        diagonal for F_0 = Id."""
         if k == 0:
-            return M.entry(i, j) if i != j else ring.zero()
-        terms = [M.entry(i, l) * F[k].entry(l, j) for l in range(n) if l != i]
-        return sum(terms[1:], terms[0]) if terms else ring.zero()
+            return [(M[i][j], one)] if i != j else []
+        return [(M[i][l], F[k].entry(l, j)) for l in range(n) if l != i]
+
+    def total(terms):
+        return dot(terms) if terms else ring.zero()
 
     def dz_entry(k, i, j):
-        acc = gap[i, j] * F[k].entry(i, j) if i != j and 1 <= k <= K else ring.zero()
+        terms = [(gap[i, j], F[k].entry(i, j))] if i != j and 1 <= k <= K else []
         if k >= 1:
-            acc = acc - row_times(conn.B, k - 1, i, j)
+            terms += row_times(minus_B, k - 1, i, j)
         if k >= 2:
-            acc = acc + F[k - 1].entry(i, j).scale(b[j] - b[i] - (k - 1))
-        return acc
+            terms.append((ring.const(b[j] - b[i] - (k - 1)), F[k - 1].entry(i, j)))
+        return total(terms)
 
     dz = {-k: matrix(dz_entry, k) for k in range(K + 2)}
 
     dx = []
     for a in range(conn.d):
         dgap = {ij: g.diff(a) for ij, g in gap.items()}
+        omega = conn.omega[a].rows
 
         def dx_entry(k, i, j):
-            acc = dgap[i, j] * F[k + 1].entry(i, j) if i != j and 0 <= k < K else ring.zero()
+            terms = [(dgap[i, j], F[k + 1].entry(i, j))] if i != j and 0 <= k < K else []
             if k >= 0:
-                acc = acc + row_times(conn.omega[a], k, i, j)
+                terms += row_times(omega, k, i, j)
             if k >= 1:
-                acc = acc + F[k].entry(i, j).diff(a)
-            return acc
+                terms.append((one, F[k].entry(i, j).diff(a)))
+            return total(terms)
 
         dx.append({-k: matrix(dx_entry, k) for k in range(-1, K + 1)})
     return GaugeResidualReport(K=K, dz=dz, dx=dx)

@@ -7,7 +7,8 @@ construction, so ``not p.coeffs`` is the zero test.
 The private module functions below are the one implementation of sparse
 coefficient arithmetic: ``Poly`` and ``series.TruncatedSeries`` both work
 through them on their ``{exponent tuple: scalar}`` dicts, and ``_matmul``
-multiplies matrices of either.
+multiplies matrices of polynomials (series matrices sum their products
+through ``series.dot``).
 """
 
 from __future__ import annotations

@@ -19,17 +19,35 @@ one-term operand c x^e is a shift and a scale: the other operand's terms
 through degree K - |e|, moved by e and multiplied by c, with no table.
 Every other product is multivariate Taylor arithmetic over one cached
 table per (d, K) (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13): every pair of occupied slots
-whose degrees sum to at most K is gathered at once, and each product
-coefficient is summed in pair order.  Floating operands are scattered into
-complex vectors over the table's monomials.  Exact operands are lifted to
-Gaussian-integer numerators over one common denominator each, summed as
-Python ints and brought to normal form once per coefficient.  Storage
-stays the dict on both routes.  The sparse ``polynomials._mul`` stays the
-product of a ring whose table would pass ``_MAX_PAIRS`` pairs, so the
-table's memory stays bounded, and of an exact operand whose common
-denominator passes ``_LIFT_SLACK`` bits beyond twice its longest single
-denominator, where the rescaled numerators would outgrow the scalars' own.
+*Evaluating Derivatives*, 2nd ed., ch. 13): every slot pair whose degrees
+sum to at most K is gathered at once, and each product coefficient is
+summed in pair order.  Floating operands are scattered into complex
+vectors over the table's monomials; a pair with an empty slot adds a zero,
+or nothing where an operand holds inf or NaN.  Exact operands are lifted
+to Gaussian-integer numerators over one common denominator each, summed
+over their occupied pairs as Python ints and brought to normal form once
+per coefficient.  Storage stays the dict on both routes.  The sparse
+``polynomials._mul`` stays the product of a ring whose table would pass
+``_MAX_PAIRS`` pairs, so the table's memory stays bounded, and of an exact
+operand whose common denominator passes ``_LIFT_SLACK`` bits beyond twice
+its longest single denominator, where the rescaled numerators would
+outgrow the scalars' own.
+
+Sums of products: ``dot(terms)`` is the sum of P_l * Q_l over (P, Q)
+pairs of one ring, the kernel of every matrix product and of the
+verifiers' entries.  Pairs with an empty operand drop out; two or more
+others go through one table pass, with operand l's slots moved to
+l * n + slot, so each coefficient is formed once.  Floats sum each
+coefficient's terms product by product in pair order and, within a
+product, in the table's (i, j) order, in one ``np.bincount``; that is
+one recursive sum, where adding separate products would round each
+product first.  Exact products are summed over the lcm of their
+denominators (each product's over the product of its operands'), with one
+normalization per coefficient.  The ``_LIFT_SLACK`` rule extends to that
+combined denominator, measured against the longest product denominator,
+and a pass is limited to ``_MAX_PAIRS`` pairs in all: past either, the
+sum is the fold of its single products, each on its own route.  A sum is
+valid through the least validity of its factors, as the fold is.
 """
 
 from __future__ import annotations
@@ -37,12 +55,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import chain
 from operator import sub
 
 import numpy as np
 
 from .errors import NotInvertibleError, ShapeError, ValidationError
-from .polynomials import Poly, _add, _diff, _eval, _matmul, _max_abs, _mul, _shift
+from .polynomials import Poly, _add, _diff, _eval, _max_abs, _mul, _shift
 from .scalars import _reduced, coerce, to_complex
 
 
@@ -58,7 +77,8 @@ def exponents_of_degree(d: int, deg: int) -> tuple:
     return tuple(out)
 
 
-# Largest pair table _dense_mul builds: 3 int32 arrays of 2^18 entries (3 MB).
+# Largest pair table _dense_mul builds: 3 int32 arrays of 2^18 entries (3 MB),
+# and the most pairs one pass of dot reads, summed over its products.
 # d=3, K=8 has 3,003 pairs and d=3, K=20 has 230,230.
 _MAX_PAIRS = 1 << 18
 
@@ -137,41 +157,69 @@ def _placed(values, at: list, n: int) -> list:
     return out
 
 
-def _float_sum(x, xat, y, yat, i, j, t, monos: list) -> dict:
-    """The product coefficients: each slot's sum of x_i y_j over the pairs
-    (i, j, t) of occupied slots, in pair order, as complex floats."""
-    n = len(monos)
-    xv, yv = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+@lru_cache(maxsize=32)
+def _flat_pairs(d: int, K: int, m: int):
+    """(i, j, t): the pairs of the (d, K) table once for each of m products,
+    product by product, with product l's operand slots moved to l * n + slot
+    for n monomials; as intp arrays, which numpy indexes without a cast."""
+    monos, _, I, J, T = _pair_table(d, K)
+    off = np.arange(m, dtype=np.intp)[:, None] * len(monos)
+    ijt = (off + I).ravel(), (off + J).ravel(), np.tile(T.astype(np.intp), m)
+    for a in ijt:
+        a.flags.writeable = False  # shared by every caller of the cache
+    return ijt
+
+
+def _flat_slots(dicts: list, slot: dict, n: int) -> list:
+    """The flat slots l * n + slot[e] of the exponents e of dicts[l], in order."""
+    return [l * n + slot[e] for l, c in enumerate(dicts) for e in c]
+
+
+def _float_sum(x, xat, y, yat, ijt, size: int, monos: list) -> dict:
+    """The sum coefficients: each slot's sum of x_i y_j over the pairs
+    ijt = (i, j, t), in pair order, as complex floats, for x and y placed at
+    the flat slots xat and yat of two vectors of the given size.  A pair
+    with an empty slot adds a zero, which changes no nonzero sum; if an
+    operand holds inf or NaN, those terms are zeroed first, so no 0 * inf
+    makes a NaN that _mul would not."""
+    n, (i, j, t) = len(monos), ijt
+    xv, yv = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
     xv[xat], yv[yat] = x, y
     xr, xi, yr, yi = xv.real[i], xv.imag[i], yv.real[j], yv.imag[j]
     out = np.empty(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as Python makes them
-        out.real = np.bincount(t, xr * yr - xi * yi, n)
-        out.imag = np.bincount(t, xr * yi + xi * yr, n)
+        re, im = xr * yr - xi * yi, xr * yi + xi * yr
+        if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+            empty = (xv == 0)[i] | (yv == 0)[j]
+            re[empty], im[empty] = 0.0, 0.0
+        out.real = np.bincount(t, re, n)
+        out.imag = np.bincount(t, im, n)
     keep = np.flatnonzero(out).tolist()
     return dict(zip(map(monos.__getitem__, keep), out[keep].tolist()))
 
 
-def _exact_sum(x, xat, y, yat, i, j, t, monos: list) -> dict:
-    """The product coefficients: each slot's sum of x_i y_j over the pairs
-    (i, j, t) of occupied slots, in integers, over the product of the two
-    denominators, brought to normal form once per coefficient."""
-    n = len(monos)
-    (xr, xi, dx), (yr, yi, dy) = x, y
-    pairs = zip(i.tolist(), j.tolist(), t.tolist())
+def _exact_sum(x, xat, y, yat, ijt, size: int, monos: list, den: int) -> dict:
+    """The sum coefficients: each slot's sum of x_i y_j over the pairs
+    ijt = (i, j, t) of occupied slots, in integers, for x and y (real,
+    imaginary) numerator lists placed as in _float_sum and every x_i y_j
+    over den; brought to normal form once per coefficient."""
+    n, (xr, xi), (yr, yi), (i, j, t) = len(monos), x, y, ijt
+    xon, yon = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+    xon[xat], yon[yat] = True, True
+    live = xon[i] & yon[j]
+    pairs = zip(i[live].tolist(), j[live].tolist(), t[live].tolist())
     re, im = [0] * n, [0] * n
     if any(xi) or any(yi):
-        xr, xi = _placed(xr, xat, n), _placed(xi, xat, n)
-        yr, yi = _placed(yr, yat, n), _placed(yi, yat, n)
+        xr, xi = _placed(xr, xat, size), _placed(xi, xat, size)
+        yr, yi = _placed(yr, yat, size), _placed(yi, yat, size)
         for p, q, s in pairs:
             a, b, c, e = xr[p], xi[p], yr[q], yi[q]
             re[s] += a * c - b * e
             im[s] += a * e + b * c
     else:  # real operands, as every problem with rational data has
-        xr, yr = _placed(xr, xat, n), _placed(yr, yat, n)
+        xr, yr = _placed(xr, xat, size), _placed(yr, yat, size)
         for p, q, s in pairs:
             re[s] += xr[p] * yr[q]
-    den = dx * dy
     return {m: _reduced(u, v, den) for m, u, v in zip(monos, re, im) if u or v}
 
 
@@ -197,40 +245,91 @@ def _shift_mul(a: dict, b: dict, d: int, K: int) -> dict:
 def _dense_mul(a: dict, b: dict, d: int, K: int, exact: bool):
     """The product of two coefficient dicts in table order, or None when an
     exact operand's lift is refused: {} if an operand is empty, _shift_mul
-    if one holds a single term, and _table_mul otherwise."""
+    if one holds a single term, and the table sum of the one pair otherwise."""
     if not a or not b:
         return {}
     if len(a) == 1 or len(b) == 1:
         return _shift_mul(a, b, d, K)
-    return _table_mul(a, b, d, K, exact)
+    return _table_dot([(a, b)], d, K, exact)
 
 
-def _table_mul(a: dict, b: dict, d: int, K: int, exact: bool):
-    """The product of two nonempty coefficient dicts through the (d, K)
-    table, or None, before the table is read, when an exact operand's lift
-    is refused.
+def _table_dot(pairs: list, d: int, K: int, exact: bool):
+    """The sum of the products of the nonempty coefficient dicts in pairs
+    through the (d, K) table, or None, before the table is read, when an
+    exact operand's lift or the pairs' combined denominator is refused.
 
-    Both modes sum every (i, j) pair of occupied slots, in (i, j) order,
-    into its product slot and return the nonzero slots in table order.
-    Floats form the terms _mul forms, each in the same floating-point
-    operations as Python's complex product, so operands stored in table
-    order give _mul's floats; pairs with an empty slot are skipped, so no
-    0 * inf term makes a NaN that _mul would not.  Exact terms sum in
-    integers over one denominator per operand, which gives _mul's values.
+    Both modes take the table pairs of every product, product by product
+    and in (i, j) order within each, sum each into its product slot and
+    return the nonzero slots in table order.  Floats form the terms _mul
+    forms, each in the same floating-point operations as Python's complex
+    product, so one pair of operands stored in table order gives _mul's
+    floats.  Exact terms of the occupied pairs sum in integers over the lcm
+    of the products' denominators, which gives the values of the sum of
+    _mul's products.
     """
     if exact:
-        x, y, total = _lift(a), _lift(b), _exact_sum
-        if x is None or y is None:
+        lifts = [(_lift(a), _lift(b)) for a, b in pairs]
+        if any(p is None or q is None for p, q in lifts):
             return None
+        dens = [p[2] * q[2] for p, q in lifts]
+        den = math.lcm(*dens)
+        if den.bit_length() > 2 * max(dens).bit_length() + _LIFT_SLACK:
+            return None
+        x, y = ([], []), ([], [])
+        for (left, right), q in zip(lifts, dens):
+            s = den // q  # carries the product's left numerators to den
+            for part in (0, 1):
+                x[part].extend(left[part] if s == 1 else [v * s for v in left[part]])
+                y[part].extend(right[part])
     else:
-        x, y, total = list(a.values()), list(b.values()), _float_sum
-    monos, slot, I, J, T = _pair_table(d, K)
-    n = len(monos)
-    xat, yat = [slot[e] for e in a], [slot[e] for e in b]
-    xon, yon = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    xon[xat], yon[yat] = True, True
-    live = xon[I] & yon[J]
-    return total(x, xat, y, yat, I[live], J[live], T[live], monos)
+        x = list(chain.from_iterable(a.values() for a, _ in pairs))
+        y = list(chain.from_iterable(b.values() for _, b in pairs))
+    monos, slot = _monomials(d, K)
+    n, m = len(monos), len(pairs)
+    xat = _flat_slots([a for a, _ in pairs], slot, n)
+    yat = _flat_slots([b for _, b in pairs], slot, n)
+    ijt = _flat_pairs(d, K, m)
+    if exact:
+        return _exact_sum(x, xat, y, yat, ijt, m * n, monos, den)
+    return _float_sum(x, xat, y, yat, ijt, m * n, monos)
+
+
+def _product(a: dict, b: dict, d: int, K: int, exact: bool) -> dict:
+    """One product on its route: _dense_mul in a ring of at most _MAX_PAIRS
+    table pairs, and _mul beyond it or where _dense_mul refuses."""
+    coeffs = _dense_mul(a, b, d, K, exact) if math.comb(2 * d + K, K) <= _MAX_PAIRS else None
+    return _mul(a, b, K) if coeffs is None else coeffs
+
+
+def _dot(pairs, d: int, K: int, exact: bool) -> dict:
+    """The sum of the products of the coefficient dicts in pairs: a pair
+    with an empty operand adds nothing, and two or more others go through
+    one table pass.  A single product, and every product of a sum whose
+    pass would read more than _MAX_PAIRS table pairs or is refused, is a
+    _product, and those products are added."""
+    pairs = [(a, b) for a, b in pairs if a and b]
+    if len(pairs) > 1 and len(pairs) * math.comb(2 * d + K, K) <= _MAX_PAIRS:
+        coeffs = _table_dot(pairs, d, K, exact)
+        if coeffs is not None:
+            return coeffs
+    out = {}
+    for a, b in pairs:
+        p = _product(a, b, d, K, exact)
+        out = _add(out, p) if out else p
+    return out
+
+
+def dot(terms) -> "TruncatedSeries":
+    """The sum of P_l * Q_l over a nonempty list of (P, Q) series pairs
+    from one ring, each coefficient formed once (see the module docstring),
+    valid through the least validity of any factor."""
+    first = terms[0][0]
+    ring = first.ring
+    for s in chain.from_iterable(terms):
+        if s.ring is not ring:
+            first._check(s)
+    coeffs = _dot([(P.coeffs, Q.coeffs) for P, Q in terms], ring.d, ring.K, ring.exact)
+    return first._like(coeffs, min(min(P.valid, Q.valid) for P, Q in terms))
 
 
 def _product_coeff(items, Q: dict, beta: tuple, acc):
@@ -404,12 +503,8 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check(other)
-        d, K = self.ring.d, self.ring.K
-        coeffs = None
-        if math.comb(2 * d + K, K) <= _MAX_PAIRS:
-            coeffs = _dense_mul(self.coeffs, other.coeffs, d, K, self.ring.exact)
-        if coeffs is None:
-            coeffs = _mul(self.coeffs, other.coeffs, K)
+        ring = self.ring
+        coeffs = _product(self.coeffs, other.coeffs, ring.d, ring.K, ring.exact)
         return self._like(coeffs, min(self.valid, other.valid))
 
     __rmul__ = scale
@@ -518,7 +613,8 @@ class SeriesMatrix:
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         if self.shape[1] != other.shape[0]:
             raise ShapeError("matrix product shape mismatch")
-        return SeriesMatrix(_matmul(self.rows, other.rows))
+        cols = list(zip(*other.rows))
+        return SeriesMatrix([[dot(list(zip(row, col))) for col in cols] for row in self.rows])
 
     def commutator(self, other: "SeriesMatrix") -> "SeriesMatrix":
         return self @ other - other @ self

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from test_solver_differential import FLOAT_EXACT_BOUND, _problems
 
-from strata import schemas
+from strata import schemas, series
 from strata.darboux import DEProblem, de_solve_jet
 from strata.errors import CoalescencePathError, GenericityError, ResonanceError
 from strata.gauge import (
@@ -484,6 +484,32 @@ class TestResidualAgainstReference:
 
         settings(max_examples=6, deadline=None, derandomize=True)(
             given(_problems(n, coalescent))(check))()
+
+
+class TestResidualArithmetic:
+    def test_each_entry_is_one_sum_of_products(self, monkeypatch):
+        # the n(n - 1) differences f_j - f_i are the only dict sums, and no
+        # product is formed on its own: every entry is one series.dot
+        calls = {"add": 0, "mul": 0}
+        add, mul = series._add, TruncatedSeries.__mul__
+
+        def counted_add(a, b):
+            calls["add"] += 1
+            return add(a, b)
+
+        def counted_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        conn = _golden_conn("conn_coalescent_exact.json")
+        gs = schemas.decode_gauge_series(json.loads(
+            (GOLDEN / "gauge_coalescent_exact.json").read_text()))
+        monkeypatch.setattr(series, "_add", counted_add)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+        rep = gauge_residual(conn, gs)
+        monkeypatch.undo()
+        assert calls == {"add": conn.n * (conn.n - 1), "mul": 0}
+        assert rep.is_zero_determined()
 
 
 # -- single faults in the gauge terms --------------------------------------------------

@@ -15,7 +15,11 @@ table equals ``_mul``, and operands whose common denominator is too long,
 or rings past the pair cap, never touch the table.  A product with a
 one-term operand is a shift and a scale that reads no table: exact, it
 equals ``_mul``; float, it equals the table route bit for bit up to the
-sign of a zero; and it comes back in table order.
+sign of a zero; and it comes back in table order.  A sum of products
+``series.dot`` equals the fold of its ``_mul`` products exactly and has
+its validity, lies within the rounding of a reordered sum of the fold in
+float mode, is the product itself for one pair, and folds its single
+products where the combined denominator or the pair cap is passed.
 """
 
 import ast
@@ -30,7 +34,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strata import series
+from strata import polynomials, series
+from strata.errors import ShapeError
 from strata.polynomials import Poly, _mul
 from strata.scalars import ComplexRational
 from strata.schemas import _series_to_absolute_poly
@@ -417,7 +422,7 @@ def test_one_term_product_is_a_shift_and_scale(case):
         assert product == _mul(a, b, K)
         return
     if A.coeffs and B.coeffs:
-        table = series._table_mul(A.coeffs, B.coeffs, d, K, False)
+        table = series._table_dot([(A.coeffs, B.coeffs)], d, K, False)
         assert list(product) == list(table)
         assert _bits(product) == _bits(table)
     else:
@@ -433,3 +438,139 @@ def test_one_term_product_reads_no_table_and_no_lift(monkeypatch, exact):
     m = ring.var(1).scale(Fraction(-5, 7))
     for p in (m * s, s * m):
         assert p.coeffs == _mul(s.coeffs, m.coeffs, ring.K)
+
+
+# -- sums of products: one table pass -------------------------------------------------
+
+
+@st.composite
+def _dot_case(draw, exact):
+    """(ring, pairs): one to four (P, Q) pairs of a ring with d 1-3 and K
+    0-8, each operand empty, single-term, sparse or dense, stored in a
+    shuffled order and valid through a drawn degree; float operands may
+    hold an infinite or NaN part."""
+    d, K = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    rnd = draw(st.randoms(use_true_random=True))
+    ring = SeriesRing(d, K, [0] * d, exact=exact)
+    monos = [e for deg in range(K + 1) for e in exponents_of_degree(d, deg)]
+
+    def scalar():
+        if exact:
+            return draw(_scalars.filter(bool))
+        return complex(_part(rnd), _part(rnd)) or 1j
+
+    def operand():
+        size = draw(st.sampled_from(["empty", "single", "sparse", "dense"]))
+        support = {"empty": [], "single": [rnd.choice(monos)],
+                   "sparse": rnd.sample(monos, min(len(monos), rnd.randint(1, 6))),
+                   "dense": list(monos)}[size]
+        rnd.shuffle(support)
+        coeffs = {e: scalar() for e in support}
+        if coeffs and not exact and draw(st.integers(0, 5)) == 0:
+            e = rnd.choice(list(coeffs))
+            bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+            coeffs[e] = complex(bad, coeffs[e].imag) if rnd.random() < 0.5 else complex(coeffs[e].real, bad)
+        return TruncatedSeries(ring, coeffs, draw(st.integers(-1, K)))
+
+    return ring, [(operand(), operand()) for _ in range(draw(st.integers(1, 4)))]
+
+
+def _fold(pairs, K):
+    """The sum of the sparse products _mul(P, Q), added in pair order."""
+    out = {}
+    for P, Q in pairs:
+        out = polynomials._add(out, _mul(P.coeffs, Q.coeffs, K))
+    return out
+
+
+def _in_table_order(ring, coeffs):
+    monos = series._monomials(ring.d, ring.K)[0]
+    return list(coeffs) == [e for e in monos if e in coeffs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_dot_case(True))
+def test_exact_dot_equals_the_fold_of_products(case):
+    ring, pairs = case
+    total = series.dot(pairs)
+    assert total.coeffs == _fold(pairs, ring.K)
+    assert total.valid == sum((P * Q for P, Q in pairs[1:]), pairs[0][0] * pairs[0][1]).valid
+    assert _keeps_contract(total) and _in_table_order(ring, total.coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_dot_case(False))
+def test_float_dot_is_a_reordered_fold(case):
+    ring, pairs = case
+    total = series.dot(pairs)
+    assert total.valid == min(min(P.valid, Q.valid) for P, Q in pairs)
+    assert _keeps_contract(total) and _in_table_order(ring, total.coeffs)
+    fold = _fold(pairs, ring.K)
+    terms = defaultdict(list)
+    for P, Q in pairs:
+        for e, ts in _terms(P.coeffs, Q.coeffs, ring.K).items():
+            terms[e] += ts
+    assert set(total.coeffs) <= set(terms) and set(fold) <= set(terms)
+    for e, ts in terms.items():
+        x, y = total.coeffs.get(e, 0j), fold.get(e, 0j)
+        assert _within_reordering(x.real, y.real, [t.real for t in ts]), (e, x, y)
+        assert _within_reordering(x.imag, y.imag, [t.imag for t in ts]), (e, x, y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_dot_case(False))
+def test_one_pair_float_dot_is_the_product(case):
+    ring, pairs = case
+    P, Q = pairs[0]
+    one, product = series.dot([(P, Q)]), P * Q
+    assert list(one.coeffs) == list(product.coeffs) and one.valid == product.valid
+    assert _bits(one.coeffs) == _bits(product.coeffs)
+    monos = series._pair_table(ring.d, ring.K)[0]
+    a, b = ({e: c[e] for e in monos if e in c} for c in (P.coeffs, Q.coeffs))
+    assert _bits(series.dot([(TruncatedSeries(ring, a), TruncatedSeries(ring, b))]).coeffs) == \
+        _bits(_mul(a, b, ring.K))
+
+
+def _prime_terms(count, seed):
+    """count pairs (c/p x-terms, integer series) over distinct primes p near
+    2^25: each operand's lift is accepted, and the products' denominators
+    are pairwise coprime."""
+    rnd = Random(seed)
+    primes = [p for p in range(2 ** 25 - 4000, 2 ** 25) if all(p % q for q in range(2, 5793))]
+    ring = SeriesRing(2, 4, [0, 0], exact=True)
+    monos = [e for deg in range(5) for e in exponents_of_degree(2, deg)]
+    pairs = []
+    for p in rnd.sample(primes, count):
+        P = TruncatedSeries(ring, {e: ComplexRational(Fraction(rnd.randrange(1, p), p))
+                                   for e in rnd.sample(monos, 4)})
+        Q = TruncatedSeries(ring, {e: ComplexRational(rnd.randrange(-9, 10), 1)
+                                   for e in rnd.sample(monos, 5)})
+        pairs.append((P, Q))
+    return ring, pairs
+
+
+@pytest.mark.parametrize("count, tabled", [(2, True), (8, False)])
+def test_unrelated_product_denominators_fold_past_the_slack(count, tabled):
+    # two products over 25-bit primes share a 50-bit denominator, within
+    # twice 50 bits plus _LIFT_SLACK; eight share 200 bits, past it
+    ring, pairs = _prime_terms(count, 11)
+    coeffs = [(P.coeffs, Q.coeffs) for P, Q in pairs]
+    assert (series._table_dot(coeffs, ring.d, ring.K, True) is not None) == tabled
+    assert series.dot(pairs).coeffs == _fold(pairs, ring.K)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_sums_past_the_pair_cap_fold_without_a_table(monkeypatch, exact):
+    d, K = 10, 10
+    monkeypatch.setattr(series, "_pair_table", _no_table)
+    ring = SeriesRing(d, K, [0] * d, exact=exact)
+    s, t = ring.var(0) + ring.var(9).scale(Fraction(5, 2)), ring.var(3) - ring.one()
+    pairs = [(s, t), (t, t), (s, s)]
+    assert series.dot(pairs).coeffs == _fold(pairs, K)
+
+
+def test_dot_refuses_series_of_another_ring():
+    ring, other = SeriesRing(2, 3, [0, 0], exact=True), SeriesRing(2, 3, [0, 1], exact=True)
+    s = ring.var(0) + ring.one()
+    with pytest.raises(ShapeError):
+        series.dot([(s, s), (s, other.var(1))])
