@@ -22,11 +22,12 @@ table per (d, K) (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 13): every slot pair whose degrees
 sum to at most K is gathered at once, and each product coefficient is
 summed in pair order.  Floating operands are scattered into complex
-vectors over the table's monomials; a pair with an empty slot adds a zero,
-or nothing where an operand holds inf or NaN.  Exact operands are lifted
-to Gaussian-integer numerators over one common denominator each, summed
-over their occupied pairs as Python ints and brought to normal form once
-per coefficient.  Storage stays the dict on both routes.  The sparse
+vectors over the table's monomials; a pair with an empty slot adds an
+exact zero, and where an operand holds inf or NaN such terms are set to
+zero outright, so no 0 * inf makes a NaN.  Exact operands are lifted to
+Gaussian-integer numerators over one common denominator each, summed over
+their occupied pairs as Python ints and brought to normal form once per
+coefficient.  Storage stays the dict on both routes.  The sparse
 ``polynomials._mul`` stays the product of a ring whose table would pass
 ``_MAX_PAIRS`` pairs, so the table's memory stays bounded, and of an exact
 operand whose common denominator passes ``_LIFT_SLACK`` bits beyond twice
@@ -39,9 +40,9 @@ verifiers' entries.  Pairs with an empty operand drop out; two or more
 others go through one table pass, with operand l's slots moved to
 l * n + slot, so each coefficient is formed once.  Floats sum each
 coefficient's terms product by product in pair order and, within a
-product, in the table's (i, j) order, in one ``np.bincount``; that is
-one recursive sum, where adding separate products would round each
-product first.  Exact products are summed over the lcm of their
+product, in the table's (i, j) order, in one ``np.bincount``: one
+recursive sum, where adding separate products rounds each product's sum
+before adding it.  Exact products are summed over the lcm of their
 denominators (each product's over the product of its operands'), with one
 normalization per coefficient.  The ``_LIFT_SLACK`` rule extends to that
 combined denominator, measured against the longest product denominator,
