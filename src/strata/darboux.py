@@ -263,9 +263,21 @@ class _Engine:
 
     Every equation coefficient is linear in the top-degree jet
     coefficients.  A level recursion snapshots the store (load), which
-    then holds none of the unknowns it solves for, reads one equation
-    coefficient from the snapshot and divides by the known multiplier of
-    the unknown.
+    then holds none of the unknowns it solves for, and reads each equation
+    coefficient as a row: de1_row and de2_row return the multipliers of
+    pair kh's own unknowns, keyed by exponent, and the coefficient read
+    from the snapshot, de1_coeff or de2_coeff, which is the row's value
+    with those unknowns at zero.  They are the only place a multiplier is
+    formed, for the recursion and the oracle alike:
+
+      DE1 at beta:  D_j (beta_i + 1) at beta + e_i, -D_i (beta_j + 1) at beta + e_j;
+      DE2 at e, regular pair:  d0 (e_i + 1) at e + e_i, with d0 = Df at the base point;
+      DE2 at e, coalescent pair:  D_c (e_i - [c = i] + 1) at e - e_c + e_i
+          for each c in supp(e), and -kappa D_i at e.
+
+    Here D = d(Df) at the base point and kappa = b_h - b_k - 1.  The rows
+    that name the degree-m unknowns are DE1 and a regular pair's DE2 at
+    degree m - 1, and a coalescent pair's DE2 at degree m.
     """
 
     def __init__(self, problem: DEProblem, K: int, exact: bool, F0):
@@ -279,12 +291,13 @@ class _Engine:
         df = [[f.diff(a) for a in range(self.d)] for f in fc]
         self.b = [self.ring.scalar(v) for v in problem.b]
         self.pairs = [(k, h) for k in range(self.n) for h in range(self.n) if k != h]
-        self.delta, self.ddelta, self.D, self.kappa, self.bdiff = {}, {}, {}, {}, {}
+        self.delta, self.d0, self.ddelta, self.D, self.kappa, self.bdiff = {}, {}, {}, {}, {}, {}
         self.j0, self.zero_dirs, self.coalescent = {}, {}, {}
         one = self.ring.scalar(1)
         for kh in self.pairs:
             k, h = kh
             self.delta[kh] = fc[h] - fc[k]
+            self.d0[kh] = self.delta[kh].constant_term()
             self.ddelta[kh] = [df[h][a] - df[k][a] for a in range(self.d)]
             D = [dd.constant_term() for dd in self.ddelta[kh]]
             self.D[kh] = D
@@ -330,8 +343,8 @@ class _Engine:
         """Coefficient at beta of P * Q, with Q a snapshot dict."""
         return _product_coeff(P.items(), Q, beta, self.zero)
 
-    def de1_coeff(self, i: int, j: int, k: int, h: int, beta: tuple):
-        kh = (k, h)
+    def de1_coeff(self, i: int, j: int, kh, beta: tuple):
+        k, h = kh
         acc = self._at(self.ddelta[kh][j], self.dF[kh][i], beta)
         acc = acc - self._at(self.ddelta[kh][i], self.dF[kh][j], beta)
         for l in range(self.n):
@@ -339,14 +352,31 @@ class _Engine:
                 acc = acc - self._at(self.q1[i, j, l, k, h], self.FF[k, l, h], beta)
         return acc
 
-    def de2_coeff(self, i: int, k: int, h: int, beta: tuple):
-        kh = (k, h)
+    def de2_coeff(self, i: int, kh, beta: tuple):
+        k, h = kh
         acc = self._at(self.delta[kh], self.dF[kh][i], beta)
         acc = acc - self.kappa[kh] * self._at(self.ddelta[kh][i], self.F[kh], beta)
         for l in range(self.n):
             if l != k and l != h:
                 acc = acc - self._at(self.q2[i, l, k, h], self.FF[k, l, h], beta)
         return acc
+
+    def de1_row(self, i: int, j: int, kh, beta: tuple):
+        """(multipliers, de1_coeff) of the DE1 coefficient at beta."""
+        D = self.D[kh]
+        mults = {_bump(beta, i): D[j] * (beta[i] + 1), _bump(beta, j): -D[i] * (beta[j] + 1)}
+        return mults, self.de1_coeff(i, j, kh, beta)
+
+    def de2_row(self, i: int, kh, e: tuple):
+        """(multipliers, de2_coeff) of the DE2 coefficient at e."""
+        if self.coalescent[kh]:
+            D, mults = self.D[kh], {}
+            for c in _support(e):
+                mults[_bump(_bump(e, c, -1), i)] = D[c] * (e[i] - (1 if c == i else 0) + 1)
+            mults[e] = mults.get(e, self.zero) - self.kappa[kh] * D[i]
+        else:
+            mults = {_bump(e, i): self.d0[kh] * (e[i] + 1)}
+        return mults, self.de2_coeff(i, kh, e)
 
     # -- base point constraint -------------------------------------------------------
 
@@ -359,9 +389,8 @@ class _Engine:
         for kh in self.pairs:
             if not self.coalescent[kh]:
                 continue
-            k, h = kh
             for i in range(self.d):
-                r = self.de2_coeff(i, k, h, zexp)
+                r = self.de2_coeff(i, kh, zexp)
                 if r != 0:
                     exact_zero = False
                 worst = max(worst, magnitude(r))
@@ -385,15 +414,11 @@ class _Engine:
         exps = exponents_of_degree(self.d, level)
         self.load(level)
         for kh in self.pairs:
-            if self.coalescent[kh]:
-                continue
-            k, h = kh
-            d0 = self.delta[kh].constant_term()
-            for alpha in exps:
-                a = _support(alpha)[0]
-                beta = _bump(alpha, a, -1)
-                val = self.de2_coeff(a, k, h, beta)
-                self._store(kh, alpha, -val / (d0 * alpha[a]))
+            if not self.coalescent[kh]:
+                for alpha in exps:
+                    a = _support(alpha)[0]
+                    mults, val = self.de2_row(a, kh, _bump(alpha, a, -1))
+                    self._store(kh, alpha, -val / mults[alpha])
         coalescent = [kh for kh in self.pairs if self.coalescent[kh]]
         if coalescent:
             # the degree-level DE2 rows read the regular pairs' new
@@ -401,51 +426,30 @@ class _Engine:
             self.load(level)
         for kh in coalescent:
             self._resonance_guard(kh, level)
-            k, h = kh
-            j0, D = self.j0[kh], self.D[kh]
-            zset = self.zero_dirs[kh]
+            j0, zset = self.j0[kh], self.zero_dirs[kh]
             for alpha in exps:
                 supp = _support(alpha)
                 flat = [a for a in supp if a in zset]
                 if flat:
-                    a = flat[0]
-                    beta = _bump(alpha, a, -1)
-                    val = self.de1_coeff(a, j0, k, h, beta)
-                    self._store(kh, alpha, -val / (D[j0] * alpha[a]))
-                else:
-                    self._solve_w_system(kh, alpha, level)
-
-    def _solve_w_system(self, kh, alpha: tuple, level: int):
-        """One small linear solve per multi-index, coupling alpha with its
-        pivot-direction swaps alpha - e_c + e_j0."""
-        k, h = kh
-        j0, D = self.j0[kh], self.D[kh]
-        supp = _support(alpha)
-        i_star = supp[0]
-        cs = [c for c in supp if c != j0]
-        keys = [alpha] + [_bump(_bump(alpha, c, -1), j0) for c in cs]
-        col = {key: idx for idx, key in enumerate(keys)}
-        rows = []
-        for c in cs:
-            beta = _bump(alpha, c, -1)
-            row = [self.zero] * len(keys)
-            row[0] = D[j0] * alpha[c]
-            row[col[_bump(beta, j0)]] = row[col[_bump(beta, j0)]] - D[c] * (alpha[j0] + 1)
-            rows.append((dict(enumerate(row)), self.de1_coeff(c, j0, k, h, beta)))
-        delta_e = _bump(_bump(alpha, i_star, -1), j0)
-        row = [self.zero] * len(keys)
-        for c in _support(delta_e):
-            tau = _bump(_bump(delta_e, c, -1), i_star)
-            coeff = D[c] * (delta_e[i_star] - (1 if c == i_star else 0) + 1)
-            row[col[tau]] = row[col[tau]] + coeff
-        row[col[delta_e]] = row[col[delta_e]] - self.kappa[kh] * D[i_star]
-        rows.append((dict(enumerate(row)), self.de2_coeff(i_star, k, h, delta_e)))
-        sol = _solve(rows, len(keys), self.exact)
-        if isinstance(sol, str):
-            raise ResonanceError(
-                f"singular linear step for pair ({k},{h}) at degree {level}"
-            )
-        self._store(kh, alpha, sol[0])
+                    # at a flat direction a the swap's multiplier -D_a (beta_j0 + 1)
+                    # is zero, or below tolerance, and is ignored
+                    mults, val = self.de1_row(flat[0], j0, kh, _bump(alpha, flat[0], -1))
+                    self._store(kh, alpha, -val / mults[alpha])
+                    continue
+                # one small solve couples alpha with its pivot-direction swaps
+                # alpha - e_c + e_j0: their DE1 rows and one DE2 row of degree level
+                cs = [c for c in supp if c != j0]
+                keys = [alpha] + [_bump(_bump(alpha, c, -1), j0) for c in cs]
+                col = {key: idx for idx, key in enumerate(keys)}
+                rows = [self.de1_row(c, j0, kh, _bump(alpha, c, -1)) for c in cs]
+                rows.append(self.de2_row(supp[0], kh, _bump(_bump(alpha, supp[0], -1), j0)))
+                rows = [({col[t]: v for t, v in mults.items()}, val) for mults, val in rows]
+                sol = _solve(rows, len(keys), self.exact)
+                if isinstance(sol, str):
+                    raise ResonanceError(
+                        f"singular linear step for pair ({kh[0]},{kh[1]}) at degree {level}"
+                    )
+                self._store(kh, alpha, sol[0])
 
     def to_jet(self) -> DEJet:
         entries = []
@@ -743,47 +747,31 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
         cols = [(kh, a) for kh in eng.pairs for a in exps_m]
         col_index = {key: idx for idx, key in enumerate(cols)}
         rows = []
-
         for kh in eng.pairs:
             k, h = kh
-            D = eng.D[kh]
-            for i in range(d):
-                for j in range(i + 1, d):
-                    for beta in exps_prev:
-                        entries = {
-                            col_index[(kh, _bump(beta, i))]: D[j] * (beta[i] + 1),
-                            col_index[(kh, _bump(beta, j))]: -D[i] * (beta[j] + 1),
-                        }
-                        rows.append((entries, eng.de1_coeff(i, j, k, h, beta)))
+            own = {a: col_index[kh, a] for a in exps_m}
+            keyed = [eng.de1_row(i, j, kh, beta)
+                     for i in range(d) for j in range(i + 1, d) for beta in exps_prev]
             if not eng.coalescent[kh]:
-                d0 = eng.delta[kh].constant_term()
-                for i in range(d):
-                    for beta in exps_prev:
-                        entries = {col_index[(kh, _bump(beta, i))]: d0 * (beta[i] + 1)}
-                        rows.append((entries, eng.de2_coeff(i, k, h, beta)))
-            else:
-                kappa = eng.kappa[kh]
-                for i in range(d):
-                    for delta_e in exps_m:
-                        entries = {}
-                        for c in _support(delta_e):
-                            tau = _bump(_bump(delta_e, c, -1), i)
-                            cidx = col_index[(kh, tau)]
-                            entries[cidx] = entries.get(cidx, eng.zero) + D[c] * (
-                                delta_e[i] - (1 if c == i else 0) + 1
-                            )
-                        cidx = col_index[(kh, delta_e)]
-                        entries[cidx] = entries.get(cidx, eng.zero) - kappa * D[i]
-                        for l in range(n):
-                            if l == k or l == h:
-                                continue
-                            q0 = eng.q2[i, l, k, h].constant_term()
-                            if q0 != 0:
-                                for pair, other in (((k, l), (l, h)), ((l, h), (k, l))):
-                                    ci = col_index[(pair, delta_e)]
-                                    f0 = eng.F[other].get(zexp, eng.zero)
-                                    entries[ci] = entries.get(ci, eng.zero) - q0 * f0
-                        rows.append((entries, eng.de2_coeff(i, k, h, delta_e)))
+                keyed += [eng.de2_row(i, kh, beta) for i in range(d) for beta in exps_prev]
+            rows += [({own[t]: v for t, v in mults.items()}, val) for mults, val in keyed]
+            if not eng.coalescent[kh]:
+                continue
+            for i in range(d):
+                for e in exps_m:
+                    mults, val = eng.de2_row(i, kh, e)
+                    entries = {own[t]: v for t, v in mults.items()}
+                    # F_kl F_lh at degree m names other pairs' degree-m unknowns
+                    for l in range(n):
+                        if l == k or l == h:
+                            continue
+                        q0 = eng.q2[i, l, k, h].constant_term()
+                        if q0 != 0:
+                            for pair, other in (((k, l), (l, h)), ((l, h), (k, l))):
+                                ci = col_index[(pair, e)]
+                                f0 = eng.F[other].get(zexp, eng.zero)
+                                entries[ci] = entries.get(ci, eng.zero) - q0 * f0
+                    rows.append((entries, val))
 
         sol = _solve(rows, len(cols), exact) if admissible or m > 1 else "inconsistent"
         if isinstance(sol, str):

@@ -81,7 +81,7 @@ class Partition:
 
 
 class SegreSymbol:
-    """A multiset of partitions, stored in canonical order.
+    """A nonempty multiset of nonempty partitions, stored in canonical order.
 
     Canonical order sorts member partitions by weight descending, then by
     lexicographically descending part lists.
@@ -93,6 +93,8 @@ class SegreSymbol:
         members = [m if isinstance(m, Partition) else Partition(m) for m in members]
         if not members:
             raise ValidationError("a Segre symbol needs at least one partition")
+        if any(not m.parts for m in members):
+            raise ValidationError("a Segre symbol's partitions must be nonempty")
         self.members = tuple(sorted(members, key=Partition.sort_key))
 
     @property

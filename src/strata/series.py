@@ -14,7 +14,7 @@ nonzero and of total degree <= K.  Only this module reads it; the read API
 is ``coeff``, ``constant_term`` and ``items`` (``coeffs`` stays readable
 for perfbench and the tests).
 
-Products: both modes multiply through ``_dense_mul``.  A product with a
+Products: both modes multiply through ``_dot``.  A product with a
 one-term operand c x^e is a shift and a scale: the other operand's terms
 through degree K - |e|, moved by e and multiplied by c, with no table.
 Every other product is multivariate Taylor arithmetic over one cached
@@ -78,8 +78,8 @@ def exponents_of_degree(d: int, deg: int) -> tuple:
     return tuple(out)
 
 
-# Largest pair table _dense_mul builds: 3 int32 arrays of 2^18 entries (3 MB),
-# and the most pairs one pass of dot reads, summed over its products.
+# Largest pair table _dot builds, 3 int32 arrays of 2^18 entries (3 MB),
+# and the most pairs one of its passes reads, summed over its products.
 # d=3, K=8 has 3,003 pairs and d=3, K=20 has 230,230.
 _MAX_PAIRS = 1 << 18
 
@@ -243,17 +243,6 @@ def _shift_mul(a: dict, b: dict, d: int, K: int) -> dict:
     return {m: v for m, v in zip(moved, values) if v}
 
 
-def _dense_mul(a: dict, b: dict, d: int, K: int, exact: bool):
-    """The product of two coefficient dicts in table order, or None when an
-    exact operand's lift is refused: {} if an operand is empty, _shift_mul
-    if one holds a single term, and the table sum of the one pair otherwise."""
-    if not a or not b:
-        return {}
-    if len(a) == 1 or len(b) == 1:
-        return _shift_mul(a, b, d, K)
-    return _table_dot([(a, b)], d, K, exact)
-
-
 def _table_dot(pairs: list, d: int, K: int, exact: bool):
     """The sum of the products of the nonempty coefficient dicts in pairs
     through the (d, K) table, or None, before the table is read, when an
@@ -295,27 +284,25 @@ def _table_dot(pairs: list, d: int, K: int, exact: bool):
     return _float_sum(x, xat, y, yat, ijt, m * n, monos)
 
 
-def _product(a: dict, b: dict, d: int, K: int, exact: bool) -> dict:
-    """One product on its route: _dense_mul in a ring of at most _MAX_PAIRS
-    table pairs, and _mul beyond it or where _dense_mul refuses."""
-    coeffs = _dense_mul(a, b, d, K, exact) if math.comb(2 * d + K, K) <= _MAX_PAIRS else None
-    return _mul(a, b, K) if coeffs is None else coeffs
-
-
 def _dot(pairs, d: int, K: int, exact: bool) -> dict:
-    """The sum of the products of the coefficient dicts in pairs: a pair
-    with an empty operand adds nothing, and two or more others go through
-    one table pass.  A single product, and every product of a sum whose
-    pass would read more than _MAX_PAIRS table pairs or is refused, is a
-    _product, and those products are added."""
+    """The sum of the products of the coefficient dicts in pairs.  A pair
+    with an empty operand adds nothing.  A lone pair with a one-term operand
+    is a _shift_mul; the others go through one table pass when it reads at
+    most _MAX_PAIRS table pairs.  A lone pair past that cap, or whose lift
+    is refused, is a _mul; a sum that cannot take one pass is the fold of
+    its single products, each on its own route."""
     pairs = [(a, b) for a, b in pairs if a and b]
-    if len(pairs) > 1 and len(pairs) * math.comb(2 * d + K, K) <= _MAX_PAIRS:
+    if len(pairs) == 1 and (len(pairs[0][0]) == 1 or len(pairs[0][1]) == 1):
+        return _shift_mul(*pairs[0], d, K)
+    if pairs and len(pairs) * math.comb(2 * d + K, K) <= _MAX_PAIRS:
         coeffs = _table_dot(pairs, d, K, exact)
         if coeffs is not None:
             return coeffs
+    if len(pairs) == 1:
+        return _mul(*pairs[0], K)
     out = {}
-    for a, b in pairs:
-        p = _product(a, b, d, K, exact)
+    for pair in pairs:
+        p = _dot([pair], d, K, exact)
         out = _add(out, p) if out else p
     return out
 
@@ -505,7 +492,7 @@ class TruncatedSeries:
             return self.scale(other)
         self._check(other)
         ring = self.ring
-        coeffs = _product(self.coeffs, other.coeffs, ring.d, ring.K, ring.exact)
+        coeffs = _dot([(self.coeffs, other.coeffs)], ring.d, ring.K, ring.exact)
         return self._like(coeffs, min(self.valid, other.valid))
 
     __rmul__ = scale

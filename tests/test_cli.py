@@ -408,6 +408,17 @@ class TestErrorContract:
         obj = assert_refused(capsys, "bundles", "describe", "--symbol", '"x"')
         assert obj["error"] == "invalid-input"
 
+    @pytest.mark.parametrize("argv", [
+        ["bundles", "describe", "--symbol", "[[1],[]]"],
+        ["bundles", "describe", "--symbol", "[[]]"],
+        ["partitions", "conjugate", "--symbol", "[[2],[]]"],
+        ["bundles", "moves", "--symbol", "[[],[1]]"],
+        ["bundles", "closure", "--a", "[[1],[]]", "--b", "[[1]]"],
+    ])
+    def test_empty_symbol_member(self, capsys, argv):
+        obj = assert_refused(capsys, *argv)
+        assert obj["error"] == "invalid-input" and "nonempty" in obj["detail"]
+
     def test_ragged_matrix(self, capsys, tmp_path):
         f = tmp_path / "ragged.json"
         f.write_text(json.dumps([[1, 2], [3]]))

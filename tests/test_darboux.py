@@ -362,6 +362,62 @@ def _faulted(jet, k, h, e):
     return DEJet(SeriesMatrix(rows))
 
 
+# -- the multipliers of the rows ---------------------------------------------------------
+
+
+def _row_keys(eng, kh, m):
+    """Every row the recursion or the oracle builds for pair kh at level m:
+    (i, j, beta) for DE1 at degree m - 1 and each ordered pair of directions,
+    (i, e) for DE2 at degree m - 1 (regular pair) or m (coalescent pair)."""
+    d = eng.d
+    de1 = [(i, j, beta) for i in range(d) for j in range(d) if i != j
+           for beta in exponents_of_degree(d, m - 1)]
+    de2 = [(i, e) for i in range(d) for e in exponents_of_degree(d, m if eng.coalescent[kh] else m - 1)]
+    return de1 + de2
+
+
+def _row(eng, kh, key):
+    """The row at key and its coefficient as the evaluator reads it now."""
+    if len(key) == 3:
+        i, j, beta = key
+        return eng.de1_row(i, j, kh, beta), eng.de1_coeff(i, j, kh, beta)
+    i, e = key
+    return eng.de2_row(i, kh, e), eng.de2_coeff(i, kh, e)
+
+
+class TestRowMultipliers:
+    # a unit at one of pair kh's own degree-m unknowns changes each row's
+    # coefficient by exactly the multiplier the row states for it, and a row
+    # that lists no multiplier for it does not change
+    @pytest.mark.parametrize("name, count", [("de_coalescent_exact.json", 4758),
+                                             ("de_regular_exact.json", 480)])
+    def test_unit_unknown_changes_each_coefficient_by_its_multiplier(self, name, count):
+        K = 3
+        p, F0 = decode_de_problem(json.loads((GOLDEN / name).read_text()))
+        F0s, exact = darboux._coerce_initial(p, F0)
+        eng = darboux._Engine(p, K, exact, F0s)
+        assert exact
+        one, checked = eng.ring.scalar(1), 0
+        for m in range(1, K + 1):
+            unknowns = exponents_of_degree(p.d, m)
+            for kh in eng.pairs:
+                eng.load(m)
+                rows = {key: _row(eng, kh, key)[0] for key in _row_keys(eng, kh, m)}
+                for key, (mults, const) in rows.items():
+                    assert set(mults) <= set(unknowns) and const == _row(eng, kh, key)[1], key
+                for u in unknowns:
+                    assert u not in eng.C[kh]
+                    eng.C[kh][u] = one
+                    eng.load(m)
+                    for key, (mults, const) in rows.items():
+                        change = _row(eng, kh, key)[1] - const
+                        assert change == mults.get(u, eng.zero), (kh, key, u)
+                        checked += 1
+                    del eng.C[kh][u]
+            eng.advance_level(m)
+        assert checked == count
+
+
 class TestResidualFaultDetection:
     # every +1 at an off-diagonal jet coefficient of degree 0..K changes
     # some DE1 or DE2 coefficient of degree <= K - 1

@@ -7,7 +7,9 @@ problems of test_solver_differential, exact coefficients agree through the
 reference's validity, no validity falls below the reference's, terms added
 to the gauge above its validity change nothing within the report's, and
 float twins stay within the SCHEMAS.md bound.  A sweep of single +1 faults in the
-gauge terms checks that only free data goes undetected.
+gauge terms checks that only free data goes undetected, and one in the
+frame of a solved jet that integrability_residual misses only faults above
+omega's validity.
 """
 
 import json
@@ -158,6 +160,45 @@ class TestIntegrability:
             conn_de_regular.delta0, conn_de_regular.B, conn_de_regular.omega
         )
         assert rep.is_zero()
+
+
+def _bumped(M, i, j, e):
+    """M with 1 added at exponent e of entry (i, j), validities kept."""
+    s = M.entry(i, j)
+    coeffs = dict(s.items())
+    coeffs[e] = coeffs.get(e, s.ring.zero_scalar()) + 1
+    rows = [[M.entry(p, q) for q in range(M.shape[1])] for p in range(M.shape[0])]
+    rows[i][j] = TruncatedSeries(s.ring, coeffs, s.valid)
+    return SeriesMatrix(rows)
+
+
+class TestIntegrabilityFaultDetection:
+    # a +1 at any coefficient of B, or of an omega_a entry within its
+    # validity K - 1, leaves some flatness residual nonzero; only a +1 at
+    # degree K of omega_a, above its validity, passes
+    @pytest.mark.parametrize("name, K, count, passed", [("de_coalescent_exact.json", 2, 360, 162),
+                                                        ("de_regular_exact.json", 3, 270, 72)])
+    def test_only_faults_above_omega_validity_pass(self, name, K, count, passed):
+        p, F0 = schemas.decode_de_problem(json.loads((GOLDEN / name).read_text()))
+        jet, feasible, _ = de_solve_jet(p, F0, K)
+        conn = connection_from_de(p, jet)
+        delta0, B, omega = conn.delta0, conn.B, conn.omega
+        assert feasible and integrability_residual(delta0, B, omega).is_zero()
+        assert B.min_valid() == K and all(W.min_valid() == K - 1 for W in omega)
+        exps = [e for deg in range(K + 1) for e in exponents_of_degree(p.d, deg)]
+        faults = [(None, i, j, e) for i in range(p.n) for j in range(p.n) for e in exps]
+        faults += [(a, i, j, e) for a in range(p.d) for i in range(p.n) for j in range(p.n) for e in exps]
+        missed = []
+        for a, i, j, e in faults:
+            if a is None:
+                rep = integrability_residual(delta0, _bumped(B, i, j, e), omega)
+            else:
+                rep = integrability_residual(delta0, B, [_bumped(W, i, j, e) if b == a else W
+                                                         for b, W in enumerate(omega)])
+            if rep.is_zero():
+                missed.append((a, i, j, e))
+        assert (len(faults), len(missed)) == (count, passed)
+        assert all(a is not None and sum(e) == K for a, _, _, e in missed)
 
 
 class TestDvWitness:
@@ -517,14 +558,8 @@ class TestResidualArithmetic:
 
 def _perturbed(gs, k, i, j, e):
     """gs with 1 added at exponent e of F_k[i][j], validities kept."""
-    M = gs.F[k - 1]
-    s = M.entry(i, j)
-    coeffs = dict(s.items())
-    coeffs[e] = coeffs.get(e, s.ring.zero_scalar()) + 1
-    rows = [[M.entry(p, q) for q in range(M.shape[1])] for p in range(M.shape[0])]
-    rows[i][j] = TruncatedSeries(s.ring, coeffs, s.valid)
     F = list(gs.F)
-    F[k - 1] = SeriesMatrix(rows)
+    F[k - 1] = _bumped(F[k - 1], i, j, e)
     return GaugeSeries(F)
 
 

@@ -7,6 +7,8 @@ and expanding back to absolute coordinates returns the polynomial.
 The results of series arithmetic keep the storage contract: no stored
 zero and no stored degree above K, also where float products underflow;
 and the solvers, the gauge ladder and the CLI never read that storage.
+The jet recursion and the oracle read the multipliers of their unknowns
+only through the engine's row builders.
 No module imports sympy, and the series kernel does not import fractions.
 The dense float product agrees with the sparse reference ``_mul``: within
 the rounding of a reordered sum everywhere, and bit for bit when both
@@ -34,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strata import polynomials, series
+from strata import darboux, polynomials, series
 from strata.errors import ShapeError
 from strata.polynomials import Poly, _mul
 from strata.scalars import ComplexRational
@@ -161,6 +163,18 @@ def test_solver_gauge_and_cli_code_never_read_series_storage():
              for n in ast.walk(ast.parse((src / name).read_text()))
              if isinstance(n, ast.Attribute) and n.attr == "coeffs"]
     assert reads == []
+
+
+def test_jet_solvers_read_multipliers_only_through_the_rows():
+    # _Engine.de1_row and de2_row own the multipliers of the unknowns; the
+    # recursion and the oracle never read the data they are formed from
+    tree = ast.parse(Path(darboux.__file__).read_text())
+    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Engine")
+    solvers = [n for n in tree.body + engine.body if isinstance(n, ast.FunctionDef)
+               and n.name in ("de_oracle_solve", "advance_level")]
+    reads = [f"{f.name}:{n.lineno} {ast.unparse(n)}" for f in solvers for n in ast.walk(f)
+             if isinstance(n, ast.Attribute) and n.attr in ("D", "d0", "kappa", "delta")]
+    assert len(solvers) == 2 and reads == []
 
 
 def _import_roots(node) -> list:
@@ -295,7 +309,7 @@ def test_dense_product_is_bit_equal_in_table_order(case):
     ring, a, b = case
     monos = series._pair_table(ring.d, ring.K)[0]
     a, b = ({e: c[e] for e in monos if e in c} for c in (a, b))
-    assert _bits(series._dense_mul(a, b, ring.d, ring.K, False)) == _bits(_mul(a, b, ring.K))
+    assert _bits(series._dot([(a, b)], ring.d, ring.K, False)) == _bits(_mul(a, b, ring.K))
 
 
 @st.composite
@@ -339,7 +353,7 @@ def test_exact_dense_product_equals_sparse(case):
     assert all(c != 0 and sum(e) <= ring.K for e, c in product.items())
     monos = series._pair_table(ring.d, ring.K)[0]
     assert list(product) == [e for e in monos if e in product]
-    assert series._dense_mul(a, b, ring.d, ring.K, True) == product
+    assert series._dot([(a, b)], ring.d, ring.K, True) == product
 
 
 def _no_table(*args):

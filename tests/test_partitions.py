@@ -71,6 +71,12 @@ def test_segre_symbol_multiset_semantics():
     assert SegreSymbol.from_lists(s1.to_lists()) == s1
 
 
+@pytest.mark.parametrize("lists", [[[]], [[1], []], [[], [2, 1]]])
+def test_segre_symbol_refuses_an_empty_partition(lists):
+    with pytest.raises(ValidationError, match="nonempty"):
+        SegreSymbol.from_lists(lists)
+
+
 def test_double_partition_sequence_three_ways():
     for n, expected in enumerate(DOUBLE_COUNTS, start=1):
         assert count_fold_partitions(2, n) == expected
