@@ -14,9 +14,10 @@ through ``series.dot``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ShapeError, ValidationError
-from .scalars import ComplexRational, coerce, is_exact_scalar, magnitude, to_complex
+from .scalars import ComplexRational, _fields, coerce, is_exact_scalar, magnitude, to_complex
 
 
 # -- sparse coefficient kernel --------------------------------------------------
@@ -54,13 +55,20 @@ def _mul(a: dict, b: dict, K: int) -> dict:
 
 
 def _diff(c: dict, a: int) -> dict:
+    """d/dx_a of c.  An exact (a + b i)/q times its exponent k is
+    (a k/g + b k/g i)/(q/g) with g = gcd(k, q), already in normal form."""
     out: dict = {}
     for e, v in c.items():
-        if e[a] == 0:
+        k = e[a]
+        if k == 0:
             continue
         ne = list(e)
         ne[a] -= 1
-        out[tuple(ne)] = v * e[a]
+        if type(v) is ComplexRational:
+            g = gcd(k, v.q)
+            out[tuple(ne)] = _fields(v.a * (k // g), v.b * (k // g), v.q // g)
+        else:
+            out[tuple(ne)] = v * k
     return out
 
 
@@ -130,7 +138,7 @@ class Poly:
     def __init__(self, d: int, coeffs: dict | None = None, exact: bool = False):
         self.d = int(d)
         self.exact = bool(exact)
-        self.coeffs = {}
+        self.coeffs = out = {}
         if coeffs:
             for exps, c in coeffs.items():
                 exps = tuple(int(e) for e in exps)
@@ -139,12 +147,12 @@ class Poly:
                 c = coerce(c, self.exact)
                 if c == 0:
                     continue
-                if exps in self.coeffs:
-                    c = self.coeffs[exps] + c
+                if exps in out:
+                    c = out[exps] + c
                     if c == 0:
-                        del self.coeffs[exps]
+                        del out[exps]
                         continue
-                self.coeffs[exps] = c
+                out[exps] = c
 
     # -- constructors ---------------------------------------------------------
 

@@ -12,7 +12,10 @@ simplification routines slice by it.
 Storage contract: ``coeffs`` maps exponent tuples to scalars, each one
 nonzero and of total degree <= K.  Only this module reads it; the read API
 is ``coeff``, ``constant_term`` and ``items`` (``coeffs`` stays readable
-for perfbench and the tests).
+for perfbench and the tests).  It is never written after construction:
+``__init__`` copies its input, ``_like`` takes a fresh dict, and nothing
+assigns into it.  So a series keeps its table form, ``_pack`` of its
+coefficients, from the first product that reads it on.
 
 Products: both modes multiply through ``_dot``.  A product with a
 one-term operand c x^e is a shift and a scale: the other operand's terms
@@ -21,18 +24,19 @@ Every other product is multivariate Taylor arithmetic over one cached
 table per (d, K) (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 13): every slot pair whose degrees
 sum to at most K is gathered at once, and each product coefficient is
-summed in pair order.  Floating operands are scattered into complex
-vectors over the table's monomials; a pair with an empty slot adds an
+summed in pair order.  A floating operand's table form is a complex
+vector over the table's monomials; a pair with an empty slot adds an
 exact zero, and where an operand holds inf or NaN such terms are set to
-zero outright, so no 0 * inf makes a NaN.  Exact operands are lifted to
-Gaussian-integer numerators over one common denominator each, summed over
-their occupied pairs as Python ints and brought to normal form once per
-coefficient.  Storage stays the dict on both routes.  The sparse
+zero outright, so no 0 * inf makes a NaN.  An exact operand's is its
+occupied slots and its Gaussian-integer numerators over one common
+denominator, placed in lists of ints; products sum them over their occupied
+pairs as Python ints and bring each coefficient to normal form once.
+Storage stays the dict on both routes.  The sparse
 ``polynomials._mul`` stays the product of a ring whose table would pass
 ``_MAX_PAIRS`` pairs, so the table's memory stays bounded, and of an exact
 operand whose common denominator passes ``_LIFT_SLACK`` bits beyond twice
 its longest single denominator, where the rescaled numerators would
-outgrow the scalars' own.
+outgrow the scalars' own; such an operand's table form is None.
 
 Sums of products: ``dot(terms)`` is the sum of P_l * Q_l over (P, Q)
 pairs of one ring, the kernel of every matrix product and of the
@@ -90,6 +94,10 @@ _MAX_PAIRS = 1 << 18
 # multiply 7.8 times slower through the table than through _mul.
 _LIFT_SLACK = 64
 
+# The table form of a series not yet packed, a singleton that survives a copy
+# (None is a refused pack).
+_UNPACKED = False
+
 
 @lru_cache(maxsize=32)
 def _monomials(d: int, K: int):
@@ -136,26 +144,29 @@ def _slots(E: np.ndarray, K: int) -> np.ndarray:
     return weight[np.arange(d), tails].sum(axis=1)
 
 
-def _lift(c: dict):
-    """The exact values of c as Gaussian-integer numerators over their common
-    denominator: (real numerators, imaginary numerators, denominator), or
-    None if that denominator is more than _LIFT_SLACK bits longer than
-    twice the longest single one."""
-    values = c.values()
-    dens = {v.q for v in values}
-    den = math.lcm(*dens)
-    if den.bit_length() > 2 * max(dens).bit_length() + _LIFT_SLACK:
-        return None
-    scale = {q: den // q for q in dens}
-    return [v.a * scale[v.q] for v in values], [v.b * scale[v.q] for v in values], den
-
-
-def _placed(values, at: list, n: int) -> list:
-    """A list of n zeros with values placed at the slots at."""
-    out = [0] * n
+def _pack(c: dict, ring):
+    """The table form of the coefficient dict c of ring: float, c placed in
+    a complex vector over the table's monomials; exact, (on, re, im, den),
+    with on a byte per slot, 1 where c has a term, and c's Gaussian-integer
+    numerators over their common denominator den placed in lists of ints
+    (im None if every one is 0), or None if den is more than _LIFT_SLACK bits
+    longer than twice the longest single denominator."""
+    values, (monos, slot) = c.values(), _monomials(ring.d, ring.K)
+    if ring.exact:
+        dens = {v.q for v in values}
+        den = math.lcm(*dens)
+        if den.bit_length() > 2 * max(dens, default=1).bit_length() + _LIFT_SLACK:
+            return None
+    at, n = [slot[e] for e in c], len(monos)
+    if not ring.exact:
+        xv = np.zeros(n, dtype=complex)
+        xv[at] = list(values)
+        return xv
+    on, re, im, scale = bytearray(n), [0] * n, [0] * n, {q: den // q for q in dens}
     for s, v in zip(at, values):
-        out[s] = v
-    return out
+        f = scale[v.q]
+        on[s], re[s], im[s] = 1, v.a * f, v.b * f
+    return bytes(on), re, im if any(im) else None, den
 
 
 @lru_cache(maxsize=32)
@@ -171,21 +182,15 @@ def _flat_pairs(d: int, K: int, m: int):
     return ijt
 
 
-def _flat_slots(dicts: list, slot: dict, n: int) -> list:
-    """The flat slots l * n + slot[e] of the exponents e of dicts[l], in order."""
-    return [l * n + slot[e] for l, c in enumerate(dicts) for e in c]
-
-
-def _float_sum(x, xat, y, yat, ijt, size: int, monos: list) -> dict:
+def _float_sum(forms: list, ijt, monos: list) -> dict:
     """The sum coefficients: each slot's sum of x_i y_j over the pairs
-    ijt = (i, j, t), in pair order, as complex floats, for x and y placed at
-    the flat slots xat and yat of two vectors of the given size.  A pair
+    ijt = (i, j, t), in pair order, as complex floats, for x and y the
+    vectors of the forms' left and right operands laid end to end.  A pair
     with an empty slot adds a zero, which changes no nonzero sum; if an
     operand holds inf or NaN, those terms are zeroed first, so no 0 * inf
     makes a NaN that _mul would not."""
     n, (i, j, t) = len(monos), ijt
-    xv, yv = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
-    xv[xat], yv[yat] = x, y
+    xv, yv = (side[0] if len(side) == 1 else np.concatenate(side) for side in zip(*forms))
     xr, xi, yr, yi = xv.real[i], xv.imag[i], yv.real[j], yv.imag[j]
     out = np.empty(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as Python makes them
@@ -199,26 +204,42 @@ def _float_sum(x, xat, y, yat, ijt, size: int, monos: list) -> dict:
     return dict(zip(map(monos.__getitem__, keep), out[keep].tolist()))
 
 
-def _exact_sum(x, xat, y, yat, ijt, size: int, monos: list, den: int) -> dict:
+def _joined(forms: list, scales: list, imag: bool):
+    """(on, re, im): the exact forms laid end to end, form l's numerators
+    multiplied by scales[l]; im is None unless imag, and a real form's
+    imaginary numerators are zeros."""
+    on, re, im = [], [], []
+    for (o, a, b, _), s in zip(forms, scales):
+        on.append(o)
+        re.append(a if s == 1 else [v * s for v in a])
+        if imag:
+            b = [0] * len(a) if b is None else b
+            im.append(b if s == 1 else [v * s for v in b])
+    on = np.frombuffer(b"".join(on), dtype=bool)
+    if len(forms) == 1:
+        return on, re[0], im[0] if imag else None
+    return on, list(chain.from_iterable(re)), list(chain.from_iterable(im)) if imag else None
+
+
+def _exact_sum(forms: list, dens: list, den: int, ijt, monos: list) -> dict:
     """The sum coefficients: each slot's sum of x_i y_j over the pairs
-    ijt = (i, j, t) of occupied slots, in integers, for x and y (real,
-    imaginary) numerator lists placed as in _float_sum and every x_i y_j
-    over den; brought to normal form once per coefficient."""
-    n, (xr, xi), (yr, yi), (i, j, t) = len(monos), x, y, ijt
-    xon, yon = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
-    xon[xat], yon[yat] = True, True
+    ijt = (i, j, t) of occupied slots, in integers, for x and y the
+    numerators of the forms' left and right operands laid end to end, the
+    left ones carrying product l from its denominator dens[l] to den;
+    brought to normal form once per coefficient."""
+    n, (i, j, t) = len(monos), ijt
+    imag = any(f[2] is not None for pair in forms for f in pair)
+    xon, xr, xi = _joined([x for x, _ in forms], [den // q for q in dens], imag)
+    yon, yr, yi = _joined([y for _, y in forms], [1] * len(forms), imag)
     live = xon[i] & yon[j]
     pairs = zip(i[live].tolist(), j[live].tolist(), t[live].tolist())
     re, im = [0] * n, [0] * n
-    if any(xi) or any(yi):
-        xr, xi = _placed(xr, xat, size), _placed(xi, xat, size)
-        yr, yi = _placed(yr, yat, size), _placed(yi, yat, size)
+    if imag:
         for p, q, s in pairs:
             a, b, c, e = xr[p], xi[p], yr[q], yi[q]
             re[s] += a * c - b * e
             im[s] += a * e + b * c
     else:  # real operands, as every problem with rational data has
-        xr, yr = _placed(xr, xat, size), _placed(yr, yat, size)
         for p, q, s in pairs:
             re[s] += xr[p] * yr[q]
     return {m: _reduced(u, v, den) for m, u, v in zip(monos, re, im) if u or v}
@@ -243,10 +264,11 @@ def _shift_mul(a: dict, b: dict, d: int, K: int) -> dict:
     return {m: v for m, v in zip(moved, values) if v}
 
 
-def _table_dot(pairs: list, d: int, K: int, exact: bool):
-    """The sum of the products of the nonempty coefficient dicts in pairs
-    through the (d, K) table, or None, before the table is read, when an
-    exact operand's lift or the pairs' combined denominator is refused.
+def _table_dot(pairs: list, ring):
+    """The sum of the products of the nonempty series pairs through the
+    ring's (d, K) table, read from the operands' table forms, or None,
+    before the table is read, when an exact operand's pack or the pairs'
+    combined denominator is refused.
 
     Both modes take the table pairs of every product, product by product
     and in (i, j) order within each, sum each into its product slot and
@@ -257,52 +279,45 @@ def _table_dot(pairs: list, d: int, K: int, exact: bool):
     of the products' denominators, which gives the values of the sum of
     _mul's products.
     """
-    if exact:
-        lifts = [(_lift(a), _lift(b)) for a, b in pairs]
-        if any(p is None or q is None for p, q in lifts):
+    d, K = ring.d, ring.K
+    forms = [(P._table(), Q._table()) for P, Q in pairs]
+    if ring.exact:
+        if any(x is None or y is None for x, y in forms):
             return None
-        dens = [p[2] * q[2] for p, q in lifts]
-        den = math.lcm(*dens)
-        if den.bit_length() > 2 * max(dens).bit_length() + _LIFT_SLACK:
-            return None
-        x, y = ([], []), ([], [])
-        for (left, right), q in zip(lifts, dens):
-            s = den // q  # carries the product's left numerators to den
-            for part in (0, 1):
-                x[part].extend(left[part] if s == 1 else [v * s for v in left[part]])
-                y[part].extend(right[part])
-    else:
-        x = list(chain.from_iterable(a.values() for a, _ in pairs))
-        y = list(chain.from_iterable(b.values() for _, b in pairs))
-    monos, slot = _monomials(d, K)
-    n, m = len(monos), len(pairs)
-    xat = _flat_slots([a for a, _ in pairs], slot, n)
-    yat = _flat_slots([b for _, b in pairs], slot, n)
-    ijt = _flat_pairs(d, K, m)
-    if exact:
-        return _exact_sum(x, xat, y, yat, ijt, m * n, monos, den)
-    return _float_sum(x, xat, y, yat, ijt, m * n, monos)
+        dens = [x[3] * y[3] for x, y in forms]
+        den = dens[0]  # one product's lcm, which the rule below cannot refuse
+        if len(dens) > 1:
+            den = math.lcm(*dens)
+            if den.bit_length() > 2 * max(dens).bit_length() + _LIFT_SLACK:
+                return None
+    monos, ijt = _monomials(d, K)[0], _flat_pairs(d, K, len(pairs))
+    if ring.exact:
+        return _exact_sum(forms, dens, den, ijt, monos)
+    return _float_sum(forms, ijt, monos)
 
 
-def _dot(pairs, d: int, K: int, exact: bool) -> dict:
-    """The sum of the products of the coefficient dicts in pairs.  A pair
-    with an empty operand adds nothing.  A lone pair with a one-term operand
-    is a _shift_mul; the others go through one table pass when it reads at
-    most _MAX_PAIRS table pairs.  A lone pair past that cap, or whose lift
-    is refused, is a _mul; a sum that cannot take one pass is the fold of
-    its single products, each on its own route."""
-    pairs = [(a, b) for a, b in pairs if a and b]
-    if len(pairs) == 1 and (len(pairs[0][0]) == 1 or len(pairs[0][1]) == 1):
-        return _shift_mul(*pairs[0], d, K)
+def _dot(pairs, ring) -> dict:
+    """The sum of the products of the series pairs, as a coefficient dict.
+    A pair with an empty operand adds nothing.  A lone pair with a one-term
+    operand is a _shift_mul; the others go through one table pass when it
+    reads at most _MAX_PAIRS table pairs.  A lone pair past that cap, or
+    whose pack is refused, is a _mul; a sum that cannot take one pass is the
+    fold of its single products, each on its own route."""
+    d, K = ring.d, ring.K
+    pairs = [(P, Q) for P, Q in pairs if P.coeffs and Q.coeffs]
+    if len(pairs) == 1:
+        a, b = pairs[0][0].coeffs, pairs[0][1].coeffs
+        if len(a) == 1 or len(b) == 1:
+            return _shift_mul(a, b, d, K)
     if pairs and len(pairs) * math.comb(2 * d + K, K) <= _MAX_PAIRS:
-        coeffs = _table_dot(pairs, d, K, exact)
+        coeffs = _table_dot(pairs, ring)
         if coeffs is not None:
             return coeffs
     if len(pairs) == 1:
-        return _mul(*pairs[0], K)
+        return _mul(a, b, K)
     out = {}
     for pair in pairs:
-        p = _dot([pair], d, K, exact)
+        p = _dot([pair], ring)
         out = _add(out, p) if out else p
     return out
 
@@ -316,8 +331,7 @@ def dot(terms) -> "TruncatedSeries":
     for s in chain.from_iterable(terms):
         if s.ring is not ring:
             first._check(s)
-    coeffs = _dot([(P.coeffs, Q.coeffs) for P, Q in terms], ring.d, ring.K, ring.exact)
-    return first._like(coeffs, min(min(P.valid, Q.valid) for P, Q in terms))
+    return first._like(_dot(terms, ring), min(min(P.valid, Q.valid) for P, Q in terms))
 
 
 def _product_coeff(items, Q: dict, beta: tuple, acc):
@@ -412,13 +426,14 @@ class SeriesRing:
 
 
 class TruncatedSeries:
-    __slots__ = ("ring", "coeffs", "valid")
+    __slots__ = ("ring", "coeffs", "valid", "_form")
 
     def __init__(self, ring: SeriesRing, coeffs: dict | None = None, valid: int | None = None):
         self.ring = ring
         items = coeffs.items() if coeffs else ()
         self.coeffs = {tuple(e): c for e, c in items if sum(e) <= ring.K and c}
         self.valid = ring.K if valid is None else min(int(valid), ring.K)
+        self._form = _UNPACKED
 
     def _like(self, coeffs: dict, valid: int) -> "TruncatedSeries":
         """A series owning coeffs, which keep the storage contract: the results
@@ -427,10 +442,18 @@ class TruncatedSeries:
         s.coeffs = coeffs
         return s
 
+    def _table(self):
+        """The table form of this series, _pack of its coefficients: packed
+        on first use and kept, as the storage is never written after."""
+        if self._form is _UNPACKED:
+            self._form = _pack(self.coeffs, self.ring)
+        return self._form
+
     # -- access ------------------------------------------------------------------
 
     def coeff(self, exps) -> object:
-        return self.coeffs.get(tuple(exps), self.ring.zero_scalar())
+        v = self.coeffs.get(tuple(exps))
+        return self.ring.zero_scalar() if v is None else v
 
     def constant_term(self):
         return self.coeff((0,) * self.ring.d)
@@ -491,9 +514,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check(other)
-        ring = self.ring
-        coeffs = _dot([(self.coeffs, other.coeffs)], ring.d, ring.K, ring.exact)
-        return self._like(coeffs, min(self.valid, other.valid))
+        return self._like(_dot([(self, other)], self.ring), min(self.valid, other.valid))
 
     __rmul__ = scale
 

@@ -552,6 +552,32 @@ class TestResidualArithmetic:
         assert calls == {"add": conn.n * (conn.n - 1), "mul": 0}
         assert rep.is_zero_determined()
 
+    def test_each_operand_is_packed_once(self, monkeypatch):
+        # a series is packed into its table form on the first table pass
+        # that reads it and never again, however many entries' sums read it
+        packed, read = [], []  # holding every dict keeps the ids distinct
+        pack, table_dot = series._pack, series._table_dot
+
+        def counted_pack(c, ring):
+            packed.append(c)
+            return pack(c, ring)
+
+        def counted_table_dot(pairs, ring):
+            read.extend(s.coeffs for pair in pairs for s in pair)
+            return table_dot(pairs, ring)
+
+        conn = _golden_conn("conn_coalescent_exact.json")
+        gs = schemas.decode_gauge_series(json.loads(
+            (GOLDEN / "gauge_coalescent_exact.json").read_text()))
+        monkeypatch.setattr(series, "_pack", counted_pack)
+        monkeypatch.setattr(series, "_table_dot", counted_table_dot)
+        rep = gauge_residual(conn, gs)
+        monkeypatch.undo()
+        assert len({id(c) for c in packed}) == len(packed)
+        assert {id(c) for c in packed} == {id(c) for c in read}
+        assert (len(packed), len(read)) == (172, 684)  # 684 operand reads, 172 packs
+        assert rep.is_zero_determined()
+
 
 # -- single faults in the gauge terms --------------------------------------------------
 

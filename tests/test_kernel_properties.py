@@ -28,6 +28,7 @@ import ast
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from random import Random
 
@@ -177,6 +178,39 @@ def test_jet_solvers_read_multipliers_only_through_the_rows():
     assert len(solvers) == 2 and reads == []
 
 
+def _writes_into_coeffs(node) -> bool:
+    """node stores into, deletes from or mutates the dict at some X.coeffs."""
+    def at_coeffs(x):
+        return isinstance(x, ast.Attribute) and x.attr == "coeffs"
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return at_coeffs(node.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in _DICT_MUTATORS and at_coeffs(node.func.value)
+    return False
+
+
+_DICT_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+
+
+def test_series_storage_is_written_only_at_construction():
+    # a series keeps its table form from its first product on, so nothing
+    # may write its coefficients after construction: no module, test or
+    # benchmark writes into a .coeffs dict, and in series only __init__
+    # (which copies its input) and _like (which takes a fresh dict) assign
+    # the attribute; Poly assigns its own in its constructors
+    root = Path(series.__file__).parents[2]
+    paths = sorted(chain.from_iterable((root / d).glob("*.py") for d in ("src/strata", "tests", "perfbench")))
+    writes = [f"{path.name}:{n.lineno} {ast.unparse(n)}" for path in paths
+              for n in ast.walk(ast.parse(path.read_text())) if _writes_into_coeffs(n)]
+    assert len(paths) > 30 and writes == []
+    owners = sorted(f"{path.name}:{f.name}" for path in paths
+                    for f in ast.walk(ast.parse(path.read_text())) if isinstance(f, ast.FunctionDef)
+                    if any(isinstance(t, ast.Attribute) and t.attr == "coeffs"
+                           for n in ast.walk(f) if isinstance(n, ast.Assign) for t in n.targets))
+    assert owners == ["polynomials.py:__init__", "polynomials.py:_like", "polynomials.py:to_float",
+                      "series.py:__init__", "series.py:_like"]
+
+
 def _import_roots(node) -> list:
     if isinstance(node, ast.Import):
         return [a.name.split(".")[0] for a in node.names]
@@ -309,7 +343,8 @@ def test_dense_product_is_bit_equal_in_table_order(case):
     ring, a, b = case
     monos = series._pair_table(ring.d, ring.K)[0]
     a, b = ({e: c[e] for e in monos if e in c} for c in (a, b))
-    assert _bits(series._dot([(a, b)], ring.d, ring.K, False)) == _bits(_mul(a, b, ring.K))
+    pair = (TruncatedSeries(ring, a), TruncatedSeries(ring, b))
+    assert _bits(series._dot([pair], ring)) == _bits(_mul(a, b, ring.K))
 
 
 @st.composite
@@ -353,23 +388,28 @@ def test_exact_dense_product_equals_sparse(case):
     assert all(c != 0 and sum(e) <= ring.K for e, c in product.items())
     monos = series._pair_table(ring.d, ring.K)[0]
     assert list(product) == [e for e in monos if e in product]
-    assert series._dot([(a, b)], ring.d, ring.K, True) == product
+    assert series._dot([(TruncatedSeries(ring, a), TruncatedSeries(ring, b))], ring) == product
 
 
 def _no_table(*args):
     raise AssertionError("the product used the dense table")
 
 
-def test_unrelated_denominators_multiply_sparsely(monkeypatch):
-    # 84 coefficients over distinct primes near 2^25: the common denominator
-    # has thousands of bits, and the lift refuses it before the table is read
+def _prime_series():
+    """84 coefficients over distinct primes near 2^25: the common denominator
+    has thousands of bits, past the lift's _LIFT_SLACK rule."""
     rnd = Random(7)
     primes = [p for p in range(2 ** 25 - 4000, 2 ** 25) if all(p % q for q in range(2, 5793))]
     ring = SeriesRing(3, 6, [0] * 3, exact=True)
     monos = [e for deg in range(7) for e in exponents_of_degree(3, deg)]
-    s = TruncatedSeries(ring, {e: ComplexRational(Fraction(rnd.randrange(1, 2 ** 25), p))
-                               for e, p in zip(monos, rnd.sample(primes, len(monos)))})
-    assert len(s.coeffs) == 84 and series._lift(s.coeffs) is None
+    return ring, TruncatedSeries(ring, {e: ComplexRational(Fraction(rnd.randrange(1, 2 ** 25), p))
+                                        for e, p in zip(monos, rnd.sample(primes, len(monos)))})
+
+
+def test_unrelated_denominators_multiply_sparsely(monkeypatch):
+    # the pack refuses the common denominator before the table is read
+    ring, s = _prime_series()
+    assert len(s.coeffs) == 84 and series._pack(s.coeffs, ring) is None
     monkeypatch.setattr(series, "_pair_table", _no_table)
     assert (s * s).coeffs == _mul(s.coeffs, s.coeffs, ring.K)
 
@@ -436,7 +476,7 @@ def test_one_term_product_is_a_shift_and_scale(case):
         assert product == _mul(a, b, K)
         return
     if A.coeffs and B.coeffs:
-        table = series._table_dot([(A.coeffs, B.coeffs)], d, K, False)
+        table = series._table_dot([(A, B)], ring)
         assert list(product) == list(table)
         assert _bits(product) == _bits(table)
     else:
@@ -448,7 +488,7 @@ def test_one_term_product_reads_no_table_and_no_lift(monkeypatch, exact):
     ring = SeriesRing(3, 4, [0] * 3, exact=exact)
     s = (ring.var(0) + ring.var(1).scale(Fraction(2, 3))) * ring.var(2) + ring.one()
     monkeypatch.setattr(series, "_pair_table", _no_table)
-    monkeypatch.setattr(series, "_lift", _no_table)
+    monkeypatch.setattr(series, "_pack", _no_table)
     m = ring.var(1).scale(Fraction(-5, 7))
     for p in (m * s, s * m):
         assert p.coeffs == _mul(s.coeffs, m.coeffs, ring.K)
@@ -568,8 +608,7 @@ def test_unrelated_product_denominators_fold_past_the_slack(count, tabled):
     # two products over 25-bit primes share a 50-bit denominator, within
     # twice 50 bits plus _LIFT_SLACK; eight share 200 bits, past it
     ring, pairs = _prime_terms(count, 11)
-    coeffs = [(P.coeffs, Q.coeffs) for P, Q in pairs]
-    assert (series._table_dot(coeffs, ring.d, ring.K, True) is not None) == tabled
+    assert (series._table_dot(pairs, ring) is not None) == tabled
     assert series.dot(pairs).coeffs == _fold(pairs, ring.K)
 
 
@@ -588,3 +627,72 @@ def test_dot_refuses_series_of_another_ring():
     s = ring.var(0) + ring.one()
     with pytest.raises(ShapeError):
         series.dot([(s, s), (s, other.var(1))])
+
+
+# -- table forms: each operand packed once -------------------------------------------
+
+
+def _same_form(x, y) -> bool:
+    """Two table forms are equal: float vectors bit for bit, exact forms
+    field by field, and a refused form (None) only to another."""
+    if x is None or y is None:
+        return x is y
+    if isinstance(x, np.ndarray):
+        return x.tobytes() == y.tobytes()
+    return np.array_equal(x[0], y[0]) and x[1:] == y[1:]
+
+
+def _table_order_sum(pairs, ring) -> dict:
+    """The float sum as one table pass forms it: the table pairs of every
+    product, product by product and in (i, j) order within each, each term
+    a Python complex product added into its slot, a pair with an empty slot
+    adding nothing; the nonzero slots in table order."""
+    monos, _, I, J, T = series._pair_table(ring.d, ring.K)
+    re, im = [0.0] * len(monos), [0.0] * len(monos)
+    for P, Q in pairs:
+        if not (P.coeffs and Q.coeffs):
+            continue
+        for i, j, t in zip(I.tolist(), J.tolist(), T.tolist()):
+            x, y = P.coeffs.get(monos[i]), Q.coeffs.get(monos[j])
+            if x is not None and y is not None:
+                z = x * y
+                re[t] += z.real
+                im[t] += z.imag
+    return {e: complex(u, v) for e, u, v in zip(monos, re, im) if complex(u, v) != 0}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([True, False]).flatmap(_dot_case))
+def test_packed_operands_sum_as_unpacked_ones(case):
+    ring, pairs = case
+    reused = pairs + [(Q, P) for P, Q in reversed(pairs)]  # each operand read twice
+    fresh = [tuple(TruncatedSeries(ring, dict(s.items()), s.valid) for s in pair) for pair in reused]
+    total = series.dot(reused)
+    for s in chain.from_iterable(reused):
+        assert s._table() is s._table()  # packed once, then kept
+        assert _same_form(s._table(), series._pack(dict(s.items()), ring))
+    again, unpacked = series.dot(reused), series.dot(fresh)
+    assert list(again.coeffs) == list(total.coeffs) == list(unpacked.coeffs)
+    if ring.exact:
+        assert total.coeffs == again.coeffs == unpacked.coeffs == _fold(reused, ring.K)
+        return
+    assert _bits(total.coeffs) == _bits(again.coeffs) == _bits(unpacked.coeffs)
+    assert _bits(total.coeffs) == _bits(_table_order_sum(reused, ring))
+
+
+def test_a_refused_pack_stays_refused_and_folds(monkeypatch):
+    ring, s = _prime_series()
+    t = TruncatedSeries(ring, {(0, 0, 0): ComplexRational(1), (0, 1, 0): ComplexRational(2, 1)})
+    packed = []
+    pack = series._pack
+
+    def counted(c, r):
+        packed.append(c)
+        return pack(c, r)
+
+    monkeypatch.setattr(series, "_pack", counted)
+    monkeypatch.setattr(series, "_pair_table", _no_table)
+    for _ in range(2):
+        assert (s * t).coeffs == _mul(s.coeffs, t.coeffs, ring.K)
+        assert series.dot([(s, t), (t, s)]).coeffs == _fold([(s, t), (t, s)], ring.K)
+    assert s._table() is None and len(packed) == 2 and packed[0] is s.coeffs
