@@ -22,6 +22,10 @@ sign of a zero; and it comes back in table order.  A sum of products
 its validity, lies within the rounding of a reordered sum of the fold in
 float mode, is the product itself for one pair, and folds its single
 products where the combined denominator or the pair cap is passed.
+A series packs its table form once and keeps it, so nothing may write its
+coefficients after construction: a kept form equals a fresh pack, a sum
+over kept forms equals one over fresh operands (in float mode bit for bit,
+and equal to the table-order sum), and a refused pack stays refused.
 """
 
 import ast
