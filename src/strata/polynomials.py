@@ -55,8 +55,8 @@ def _mul(a: dict, b: dict, K: int) -> dict:
 
 
 def _diff(c: dict, a: int) -> dict:
-    """d/dx_a of c.  An exact (a + b i)/q times its exponent k is
-    (a k/g + b k/g i)/(q/g) with g = gcd(k, q), already in normal form."""
+    """d/dx_a of c.  An exact (x + y i)/q times its exponent k is
+    (x k/g + y k/g i)/(q/g) with g = gcd(k, q), already in normal form."""
     out: dict = {}
     for e, v in c.items():
         k = e[a]

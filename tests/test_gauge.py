@@ -575,7 +575,7 @@ class TestResidualArithmetic:
         monkeypatch.undo()
         assert len({id(c) for c in packed}) == len(packed)
         assert {id(c) for c in packed} == {id(c) for c in read}
-        assert (len(packed), len(read)) == (172, 684)  # 684 operand reads, 172 packs
+        assert (len(packed), len(read)) == (172, 684)
         assert rep.is_zero_determined()
 
 
