@@ -286,9 +286,11 @@ class _Engine:
         self.d, self.n = problem.d, problem.n
         self.ring = SeriesRing(problem.d, self.K, problem.x0, exact)
         self.zero = self.ring.zero_scalar()
-        # the pair data read first derivatives, even for a K = 0 jet
-        fc = problem.f_series(SeriesRing(self.d, max(self.K, 1), problem.x0, exact))
-        df = [[f.diff(a) for a in range(self.d)] for f in fc]
+        # the rows read f's first derivatives through degree K, so f is
+        # expanded through K + 1 and its derivatives held in the engine ring
+        fc = problem.f_series(self.ring)
+        df = [[TruncatedSeries(self.ring, dict(f.diff(a).items())) for a in range(self.d)]
+              for f in problem.f_series(SeriesRing(self.d, self.K + 1, problem.x0, exact))]
         self.b = [self.ring.scalar(v) for v in problem.b]
         self.pairs = [(k, h) for k in range(self.n) for h in range(self.n) if k != h]
         self.delta, self.d0, self.ddelta, self.D, self.kappa, self.bdiff = {}, {}, {}, {}, {}, {}
@@ -313,12 +315,12 @@ class _Engine:
             for l in range(self.n):
                 if l == k or l == h:
                     continue
+                kl, lh = self.ddelta[k, l], self.ddelta[l, h]
                 for i in range(self.d):
-                    p1 = (df[l][i] - df[k][i]) * (fc[h] - fc[l])
-                    self.q2[i, l, k, h] = p1 - (fc[l] - fc[k]) * (df[h][i] - df[l][i])
+                    p1 = kl[i] * self.delta[l, h]
+                    self.q2[i, l, k, h] = p1 - self.delta[k, l] * lh[i]
                     for j in range(i + 1, self.d):
-                        w = (df[l][i] - df[k][i]) * (df[h][j] - df[l][j])
-                        w = w - (df[l][j] - df[k][j]) * (df[h][i] - df[l][i])
+                        w = kl[i] * lh[j] - kl[j] * lh[i]
                         self.q1[i, j, l, k, h], self.q1[j, i, l, k, h] = w, -w
         self.C = {}
         for kh in self.pairs:

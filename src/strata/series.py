@@ -17,32 +17,42 @@ for perfbench and the tests).  It is never written after construction:
 assigns into it.  So a series keeps its table form, ``_pack`` of its
 coefficients, from the first product that reads it on.
 
-Products: both modes multiply through ``_dot``.  A product with a
-one-term operand c x^e is a shift and a scale: the other operand's terms
-through degree K - |e|, moved by e and multiplied by c, with no table.
-Every other product is multivariate Taylor arithmetic over one cached
-table per (d, K) (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13): every slot pair whose degrees
-sum to at most K is gathered at once, and each product coefficient is
-summed in pair order.  A floating operand's table form is a complex
-vector over the table's monomials; a pair with an empty slot adds an
-exact zero, and where an operand holds inf or NaN such terms are set to
-zero outright, so no 0 * inf makes a NaN.  An exact operand's is its
-occupied slots and its Gaussian-integer numerators over one common
-denominator, placed in lists of ints; products sum them over their occupied
-pairs as Python ints and bring each coefficient to normal form once.
-Storage stays the dict on both routes.  The sparse
-``polynomials._mul`` stays the product of a ring whose table would pass
-``_MAX_PAIRS`` pairs, so the table's memory stays bounded, and of an exact
-operand whose common denominator passes ``_LIFT_SLACK`` bits beyond twice
-its longest single denominator, where the rescaled numerators would
-outgrow the scalars' own; such an operand's table form is None.
+Products: both modes multiply through ``_dot``, and a product or a sum
+of products forms its coefficients only through its own validity v, the
+least validity of its factors: the terms above v would be noise, so none
+is formed or stored, and a result valid nowhere (v < 0) is empty.  A
+product with a one-term operand c x^e is a shift and a scale: the other
+operand's terms through degree v - |e|, moved by e and multiplied by c,
+with no table.  Every other product is multivariate Taylor arithmetic
+over one cached table per (d, v) (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13): every slot pair whose degrees sum to at
+most v is gathered at once, and each product coefficient is summed in
+pair order.  Slots are graded, so the (d, v) table is the prefix of the
+(d, K) one: its slots are the first slots of the ring's, and its pairs
+are those of the (d, K) table that land in them, in the same order.  It
+reads the operands' table forms, which are laid out over the ring's
+(d, K) monomials, in place, and each coefficient through v sums the same
+pairs in the same order as a product through K would.  A floating
+operand's table form is a complex vector over the ring's monomials; a
+pair with an empty slot adds an exact zero, and where an operand holds
+inf or NaN such terms are set to zero outright, so no 0 * inf makes a
+NaN.  An exact operand's is its occupied slots and its Gaussian-integer
+numerators over one common denominator, placed in lists of ints; products
+sum them over their occupied pairs as Python ints and bring each
+coefficient to normal form once.  Storage stays the dict on both routes.
+The sparse ``polynomials._mul``, truncated at v, stays the product of a
+ring whose (d, K) table would pass ``_MAX_PAIRS`` pairs, so the table's
+memory stays bounded, and of an exact operand whose common denominator
+passes ``_LIFT_SLACK`` bits beyond twice its longest single denominator,
+where the rescaled numerators would outgrow the scalars' own; such an
+operand's table form is None.  These route choices read the ring's
+(d, K) shape, not v, so a bound v changes no route.
 
 Sums of products: ``dot(terms)`` is the sum of P_l * Q_l over (P, Q)
 pairs of one ring, the kernel of every matrix product and of the
 verifiers' entries.  Pairs with an empty operand drop out; two or more
 others go through one table pass, with operand l's slots moved to
-l * n + slot, so each coefficient is formed once.  Floats sum each
+l * n + slot for the ring's n monomials, so each coefficient is formed once.  Floats sum each
 coefficient's terms product by product in pair order and, within a
 product, in the table's (i, j) order, in one ``np.bincount``: one
 recursive sum, where adding separate products rounds each product's sum
@@ -52,7 +62,8 @@ normalization per coefficient.  The ``_LIFT_SLACK`` rule extends to that
 combined denominator, measured against the longest product denominator,
 and a pass is limited to ``_MAX_PAIRS`` pairs in all: past either, the
 sum is the fold of its single products, each on its own route.  A sum is
-valid through the least validity of its factors, as the fold is.
+valid through the least validity of its factors, as the fold is, and is
+formed through that degree only.
 """
 
 from __future__ import annotations
@@ -169,13 +180,14 @@ def _pack(c: dict, ring):
     return bytes(on), re, im if any(im) else None, den
 
 
-@lru_cache(maxsize=32)
-def _flat_pairs(d: int, K: int, m: int):
-    """(i, j, t): the pairs of the (d, K) table once for each of m products,
-    product by product, with product l's operand slots moved to l * n + slot
-    for n monomials; as intp arrays, which numpy indexes without a cast."""
-    monos, _, I, J, T = _pair_table(d, K)
-    off = np.arange(m, dtype=np.intp)[:, None] * len(monos)
+@lru_cache(maxsize=128)
+def _flat_pairs(d: int, v: int, m: int, stride: int):
+    """(i, j, t): the pairs of the (d, v) table once for each of m products,
+    product by product, with product l's operand slots moved to
+    l * stride + slot, for operand forms of stride slots each; as intp
+    arrays, which numpy indexes without a cast."""
+    _, _, I, J, T = _pair_table(d, v)
+    off = np.arange(m, dtype=np.intp)[:, None] * stride
     ijt = (off + I).ravel(), (off + J).ravel(), np.tile(T.astype(np.intp), m)
     for a in ijt:
         a.flags.writeable = False  # shared by every caller of the cache
@@ -245,30 +257,32 @@ def _exact_sum(forms: list, dens: list, den: int, ijt, monos: list) -> dict:
     return {m: _reduced(u, v, den) for m, u, v in zip(monos, re, im) if u or v}
 
 
-def _shift_mul(a: dict, b: dict, d: int, K: int) -> dict:
-    """The product of two coefficient dicts, one of which holds the single
-    term c x^e: the other's terms of degree <= K - |e|, moved by e and
-    multiplied by c, in table order, with zero products dropped.  The
-    factors keep their order, and each product slot gets one term, as on
-    the table route, so floats agree with it up to the sign of a zero."""
+def _shift_mul(a: dict, b: dict, d: int, K: int, v: int) -> dict:
+    """The product through degree v of two coefficient dicts of the (d, K)
+    ring, one of which holds the single term c x^e: the other's terms of
+    degree <= v - |e|, moved by e and multiplied by c, in table order, with
+    zero products dropped.  The factors keep their order, and each product
+    slot gets one term, as on the table route, so floats agree with it up
+    to the sign of a zero."""
     left = len(a) == 1
     ((e, c),) = (a if left else b).items()
     other = b if left else a
     keys = sorted(other, key=_monomials(d, K)[1].__getitem__)
+    keys = keys[:bisect_right(keys, v - sum(e), key=sum)]  # slots are graded
     if any(e):
-        keys = keys[:bisect_right(keys, K - sum(e), key=sum)]  # slots are graded
         moved = zip(*[[x + s for x in column] for column, s in zip(zip(*keys), e)])
     else:
         moved = keys
     values = [c * other[g] for g in keys] if left else [other[g] * c for g in keys]
-    return {m: v for m, v in zip(moved, values) if v}
+    return {m: x for m, x in zip(moved, values) if x}
 
 
-def _table_dot(pairs: list, ring):
-    """The sum of the products of the nonempty series pairs through the
-    ring's (d, K) table, read from the operands' table forms, or None,
-    before the table is read, when an exact operand's pack or the pairs'
-    combined denominator is refused.
+def _table_dot(pairs: list, ring, v: int):
+    """The sum through degree v <= K of the products of the nonempty series
+    pairs, through the (d, v) table, read from the operands' table forms
+    over the ring's (d, K) monomials, or None, before the table is read,
+    when an exact operand's pack or the pairs' combined denominator is
+    refused.
 
     Both modes take the table pairs of every product, product by product
     and in (i, j) order within each, sum each into its product slot and
@@ -290,34 +304,40 @@ def _table_dot(pairs: list, ring):
             den = math.lcm(*dens)
             if den.bit_length() > 2 * max(dens).bit_length() + _LIFT_SLACK:
                 return None
-    monos, ijt = _monomials(d, K)[0], _flat_pairs(d, K, len(pairs))
+    # slots are graded, so the (d, v) table is the prefix of the (d, K) one
+    # and its slots index the forms in place
+    monos, ijt = _monomials(d, v)[0], _flat_pairs(d, v, len(pairs), len(_monomials(d, K)[0]))
     if ring.exact:
         return _exact_sum(forms, dens, den, ijt, monos)
     return _float_sum(forms, ijt, monos)
 
 
-def _dot(pairs, ring) -> dict:
-    """The sum of the products of the series pairs, as a coefficient dict.
-    A pair with an empty operand adds nothing.  A lone pair with a one-term
-    operand is a _shift_mul; the others go through one table pass when it
-    reads at most _MAX_PAIRS table pairs.  A lone pair past that cap, or
-    whose pack is refused, is a _mul; a sum that cannot take one pass is the
-    fold of its single products, each on its own route."""
+def _dot(pairs, ring, v: int) -> dict:
+    """The sum of the products of the series pairs through degree v <= K,
+    the validity of the result, as a coefficient dict; {} for v < 0.  A
+    pair with an empty operand adds nothing.  A lone pair with a one-term
+    operand is a _shift_mul; the others go through one table pass when the
+    ring's table times the pairs is at most _MAX_PAIRS table pairs.  A lone
+    pair past that cap, or whose pack is refused, is a _mul; a sum that
+    cannot take one pass is the fold of its single products, each on its
+    own route."""
     d, K = ring.d, ring.K
+    if v < 0:
+        return {}
     pairs = [(P, Q) for P, Q in pairs if P.coeffs and Q.coeffs]
     if len(pairs) == 1:
         a, b = pairs[0][0].coeffs, pairs[0][1].coeffs
         if len(a) == 1 or len(b) == 1:
-            return _shift_mul(a, b, d, K)
+            return _shift_mul(a, b, d, K, v)
     if pairs and len(pairs) * math.comb(2 * d + K, K) <= _MAX_PAIRS:
-        coeffs = _table_dot(pairs, ring)
+        coeffs = _table_dot(pairs, ring, v)
         if coeffs is not None:
             return coeffs
     if len(pairs) == 1:
-        return _mul(a, b, K)
+        return _mul(a, b, v)
     out = {}
     for pair in pairs:
-        p = _dot([pair], ring)
+        p = _dot([pair], ring, v)
         out = _add(out, p) if out else p
     return out
 
@@ -331,7 +351,8 @@ def dot(terms) -> "TruncatedSeries":
     for s in chain.from_iterable(terms):
         if s.ring is not ring:
             first._check(s)
-    return first._like(_dot(terms, ring), min(min(P.valid, Q.valid) for P, Q in terms))
+    valid = min(min(P.valid, Q.valid) for P, Q in terms)
+    return first._like(_dot(terms, ring, valid), valid)
 
 
 def _product_coeff(items, Q: dict, beta: tuple, acc):
@@ -438,7 +459,8 @@ class TruncatedSeries:
     def _like(self, coeffs: dict, valid: int) -> "TruncatedSeries":
         """A series owning coeffs, which keep the storage contract: the results
         of +, *, - and diff do; other paths filter, as a float can underflow."""
-        s = TruncatedSeries(self.ring, None, valid)
+        s = TruncatedSeries.__new__(TruncatedSeries)
+        s.ring, s.valid, s._form = self.ring, valid, _UNPACKED
         s.coeffs = coeffs
         return s
 
@@ -514,7 +536,8 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check(other)
-        return self._like(_dot([(self, other)], self.ring), min(self.valid, other.valid))
+        valid = min(self.valid, other.valid)
+        return self._like(_dot([(self, other)], self.ring, valid), valid)
 
     __rmul__ = scale
 

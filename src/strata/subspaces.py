@@ -32,15 +32,21 @@ def _lapack(routine, a, *args, what: str = "the matrix", **kw):
     Non-finite arrays in or out, and LinAlgError, raise ValidationError
     naming what; finite results are numpy's own, bit for bit.
     """
-    if not all(np.all(np.isfinite(x)) for x in (a, *args)):
+    if not _finite((a, *args)):
         raise ValidationError(f"{what} is beyond the float range")
     try:
         out = routine(a, *args, **kw)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"{routine.__name__} failed on {what}: {exc}") from None
-    if not all(np.all(np.isfinite(x)) for x in (out if isinstance(out, tuple) else (out,))):
+    if not _finite(out if isinstance(out, tuple) else (out,)):
         raise ValidationError(f"{what} is beyond the float range")
     return out
+
+
+def _finite(values) -> bool:
+    """Every entry of each array or number in values is finite: one ufunc
+    call and one reduction method per value, without np.all's dispatch."""
+    return all([np.isfinite(x).all() for x in values])
 
 
 def _svd(a: np.ndarray, **kw):

@@ -562,9 +562,9 @@ class TestResidualArithmetic:
             packed.append(c)
             return pack(c, ring)
 
-        def counted_table_dot(pairs, ring):
+        def counted_table_dot(pairs, ring, v):
             read.extend(s.coeffs for pair in pairs for s in pair)
-            return table_dot(pairs, ring)
+            return table_dot(pairs, ring, v)
 
         conn = _golden_conn("conn_coalescent_exact.json")
         gs = schemas.decode_gauge_series(json.loads(

@@ -22,6 +22,9 @@ sign of a zero; and it comes back in table order.  A sum of products
 its validity, lies within the rounding of a reordered sum of the fold in
 float mode, is the product itself for one pair, and folds its single
 products where the combined denominator or the pair cap is passed.
+Products and sums store no term above their validity; within it they
+equal the fold exactly and the unbounded route bit for bit, and a result
+valid nowhere is empty.
 A series packs its table form once and keeps it, so nothing may write its
 coefficients after construction: a kept form equals a fresh pack, a sum
 over kept forms equals one over fresh operands (in float mode bit for bit,
@@ -348,7 +351,7 @@ def test_dense_product_is_bit_equal_in_table_order(case):
     monos = series._pair_table(ring.d, ring.K)[0]
     a, b = ({e: c[e] for e in monos if e in c} for c in (a, b))
     pair = (TruncatedSeries(ring, a), TruncatedSeries(ring, b))
-    assert _bits(series._dot([pair], ring)) == _bits(_mul(a, b, ring.K))
+    assert _bits(series._dot([pair], ring, ring.K)) == _bits(_mul(a, b, ring.K))
 
 
 @st.composite
@@ -392,7 +395,7 @@ def test_exact_dense_product_equals_sparse(case):
     assert all(c != 0 and sum(e) <= ring.K for e, c in product.items())
     monos = series._pair_table(ring.d, ring.K)[0]
     assert list(product) == [e for e in monos if e in product]
-    assert series._dot([(TruncatedSeries(ring, a), TruncatedSeries(ring, b))], ring) == product
+    assert series._dot([(TruncatedSeries(ring, a), TruncatedSeries(ring, b))], ring, ring.K) == product
 
 
 def _no_table(*args):
@@ -480,7 +483,7 @@ def test_one_term_product_is_a_shift_and_scale(case):
         assert product == _mul(a, b, K)
         return
     if A.coeffs and B.coeffs:
-        table = series._table_dot([(A, B)], ring)
+        table = series._table_dot([(A, B)], ring, (A * B).valid)
         assert list(product) == list(table)
         assert _bits(product) == _bits(table)
     else:
@@ -541,6 +544,11 @@ def _fold(pairs, K):
     return out
 
 
+def _cut(coeffs: dict, v: int) -> dict:
+    """The terms of coeffs of degree <= v."""
+    return {e: c for e, c in coeffs.items() if sum(e) <= v}
+
+
 def _in_table_order(ring, coeffs):
     monos = series._monomials(ring.d, ring.K)[0]
     return list(coeffs) == [e for e in monos if e in coeffs]
@@ -551,7 +559,7 @@ def _in_table_order(ring, coeffs):
 def test_exact_dot_equals_the_fold_of_products(case):
     ring, pairs = case
     total = series.dot(pairs)
-    assert total.coeffs == _fold(pairs, ring.K)
+    assert total.coeffs == _cut(_fold(pairs, ring.K), total.valid)
     assert total.valid == sum((P * Q for P, Q in pairs[1:]), pairs[0][0] * pairs[0][1]).valid
     assert _keeps_contract(total) and _in_table_order(ring, total.coeffs)
 
@@ -563,16 +571,43 @@ def test_float_dot_is_a_reordered_fold(case):
     total = series.dot(pairs)
     assert total.valid == min(min(P.valid, Q.valid) for P, Q in pairs)
     assert _keeps_contract(total) and _in_table_order(ring, total.coeffs)
-    fold = _fold(pairs, ring.K)
+    fold = _cut(_fold(pairs, ring.K), total.valid)
     terms = defaultdict(list)
     for P, Q in pairs:
-        for e, ts in _terms(P.coeffs, Q.coeffs, ring.K).items():
+        for e, ts in _terms(P.coeffs, Q.coeffs, total.valid).items():
             terms[e] += ts
     assert set(total.coeffs) <= set(terms) and set(fold) <= set(terms)
     for e, ts in terms.items():
         x, y = total.coeffs.get(e, 0j), fold.get(e, 0j)
         assert _within_reordering(x.real, y.real, [t.real for t in ts]), (e, x, y)
         assert _within_reordering(x.imag, y.imag, [t.imag for t in ts]), (e, x, y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([True, False]).flatmap(_dot_case))
+def test_products_form_only_the_terms_within_their_validity(case):
+    ring, pairs = case
+    P, Q = pairs[0]
+    for result, terms in ((P * Q, [(P, Q)]), (series.dot(pairs), pairs)):
+        v = result.valid
+        assert all(sum(e) <= v for e in result.coeffs)
+        unbounded = _cut(series._dot(terms, ring, ring.K), v)
+        if ring.exact:
+            assert result.coeffs == unbounded == _cut(_fold(terms, ring.K), v)
+        else:
+            assert list(result.coeffs) == list(unbounded)
+            assert _bits(result.coeffs) == _bits(unbounded)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_products_valid_nowhere_form_nothing(monkeypatch, exact):
+    ring = SeriesRing(2, 3, [0, 0], exact=exact)
+    s = (ring.var(0) + ring.var(1).scale(Fraction(2, 3))) * ring.var(0) + ring.one()
+    t = TruncatedSeries(ring, dict(s.items()), -1)
+    monkeypatch.setattr(series, "_pair_table", _no_table)
+    monkeypatch.setattr(series, "_pack", _no_table)
+    for result in (s * t, t * s, series.dot([(s, s), (s, t)])):
+        assert result.valid == -1 and result.coeffs == {}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -612,7 +647,7 @@ def test_unrelated_product_denominators_fold_past_the_slack(count, tabled):
     # two products over 25-bit primes share a 50-bit denominator, within
     # twice 50 bits plus _LIFT_SLACK; eight share 200 bits, past it
     ring, pairs = _prime_terms(count, 11)
-    assert (series._table_dot(pairs, ring) is not None) == tabled
+    assert (series._table_dot(pairs, ring, ring.K) is not None) == tabled
     assert series.dot(pairs).coeffs == _fold(pairs, ring.K)
 
 
@@ -676,10 +711,10 @@ def test_packed_operands_sum_as_unpacked_ones(case):
     again, unpacked = series.dot(reused), series.dot(fresh)
     assert list(again.coeffs) == list(total.coeffs) == list(unpacked.coeffs)
     if ring.exact:
-        assert total.coeffs == again.coeffs == unpacked.coeffs == _fold(reused, ring.K)
+        assert total.coeffs == again.coeffs == unpacked.coeffs == _cut(_fold(reused, ring.K), total.valid)
         return
     assert _bits(total.coeffs) == _bits(again.coeffs) == _bits(unpacked.coeffs)
-    assert _bits(total.coeffs) == _bits(_table_order_sum(reused, ring))
+    assert _bits(total.coeffs) == _bits(_cut(_table_order_sum(reused, ring), total.valid))
 
 
 def test_a_refused_pack_stays_refused_and_folds(monkeypatch):

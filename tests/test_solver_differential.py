@@ -15,6 +15,8 @@ The same problems in float mode must track the exact jet within the float
 bound that SCHEMAS.md states, and so must regular problems whose F0 has
 Gaussian rational entries.  With F0 nudged off the degree-0 constraint,
 the oracle must reject F0 exactly when the solver calls it infeasible.
+On both exact routes, the order-(K + 1) jet through degree K is the
+order-K jet.
 """
 
 from fractions import Fraction
@@ -38,9 +40,9 @@ _NONZERO = _SMALL.filter(bool)
 
 
 @st.composite
-def _problems(draw, n: int, coalescent: bool, gaussian: bool = False):
+def _problems(draw, n: int, coalescent: bool, gaussian: bool = False, max_order: int = 4):
     d = draw(st.integers(1, 3))
-    K = draw(st.integers(1, 4))
+    K = draw(st.integers(1, max_order))
     x0 = draw(st.lists(_SMALL, min_size=d, max_size=d))
     if coalescent:
         v = draw(_SMALL)
@@ -102,6 +104,22 @@ def _check(case):
 def test_exact_routes_agree(n, coalescent, examples):
     run = settings(max_examples=examples, deadline=None, derandomize=True)(
         given(_problems(n, coalescent))(_check))
+    run()
+
+
+def _check_prefix(case):
+    problem, F0, K = case
+    for solve in (lambda k: de_solve_jet(problem, F0, k)[0], lambda k: de_oracle_solve(problem, F0, k)):
+        low, high = solve(K), solve(K + 1)
+        assert _coeffs(low) == {kh: dict(high.entry(*kh).items(K)) for kh in _coeffs(low)}
+
+
+@pytest.mark.parametrize("n, coalescent", [(2, False), (3, False), (2, True), (3, True)])
+def test_a_longer_jet_extends_the_shorter_one(n, coalescent):
+    # the degree-K rows read f's weights at degree K, which an order-K
+    # engine must hold as an order-(K + 1) one does
+    run = settings(max_examples=8, deadline=None, derandomize=True)(
+        given(_problems(n, coalescent, max_order=3))(_check_prefix))
     run()
 
 
