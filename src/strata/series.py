@@ -180,7 +180,7 @@ def _pack(c: dict, ring):
     return bytes(on), re, im if any(im) else None, den
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128)  # a ring's products read one entry per validity v and count m
 def _flat_pairs(d: int, v: int, m: int, stride: int):
     """(i, j, t): the pairs of the (d, v) table once for each of m products,
     product by product, with product l's operand slots moved to

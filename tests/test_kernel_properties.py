@@ -610,6 +610,23 @@ def test_products_valid_nowhere_form_nothing(monkeypatch, exact):
         assert result.valid == -1 and result.coeffs == {}
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_sparse_routes_stop_at_the_validity(monkeypatch, exact):
+    # a refused pack and a ring past the pair cap take _mul and the fold,
+    # which stop at the validity too
+    ring, s = _prime_series()
+    cases = [(ring, [(s, TruncatedSeries(ring, dict(s.items()), 3))])] if exact else []
+    ring = SeriesRing(10, 10, [0] * 10, exact=exact)
+    s = ring.var(0) + ring.var(9).scale(Fraction(5, 2)) + ring.one()
+    t = TruncatedSeries(ring, dict((s * s * s).items()), 2)
+    cases += [(ring, [(s, t)]), (ring, [(s, t), (t, s), (s, s)])]
+    monkeypatch.setattr(series, "_pair_table", _no_table)
+    for ring, pairs in cases:
+        total = series.dot(pairs)
+        assert total.valid < ring.K and total.coeffs == _cut(_fold(pairs, ring.K), total.valid)
+        assert max(map(sum, _fold(pairs, ring.K))) > total.valid
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_dot_case(False))
 def test_one_pair_float_dot_is_the_product(case):
