@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ExactnessError,
     GenericityError,
     OracleError,
     ResonanceError,
@@ -132,7 +133,7 @@ class DEProblem:
         try:
             for v in tuple(x0) + tuple(b):
                 coerce(v, True)
-        except Exception:
+        except (ExactnessError, ValueError, ZeroDivisionError):
             return False
         return True
 
@@ -248,7 +249,7 @@ def _coerce_initial(problem: DEProblem, F0):
     if exact:
         try:
             rows = [[coerce(v, True) for v in r] for r in rows]
-        except Exception:
+        except (ExactnessError, ValueError, ZeroDivisionError):
             exact = False
     if not exact:
         rows = [[coerce(v, False) for v in r] for r in rows]
@@ -262,13 +263,14 @@ class _Engine:
     """Coefficient store plus single-coefficient evaluators for DE1/DE2.
 
     Every equation coefficient is linear in the top-degree jet
-    coefficients.  A level recursion snapshots the store (load), which
-    then holds none of the unknowns it solves for, and reads each equation
-    coefficient as a row: de1_row and de2_row return the multipliers of
-    pair kh's own unknowns, keyed by exponent, and the coefficient read
-    from the snapshot, de1_coeff or de2_coeff, which is the row's value
-    with those unknowns at zero.  They are the only place a multiplier is
-    formed, for the recursion and the oracle alike:
+    coefficients.  At level m, load holds the store as series valid through
+    m, which hold none of the unknowns the level solves for, and each
+    equation coefficient is read as a row: de1_row and de2_row return the
+    multipliers of pair kh's own unknowns, keyed by exponent, and the
+    coefficient read from the loaded series, de1_coeff or de2_coeff, which
+    is the row's value with those unknowns at zero.  They and de2_links
+    are the only place a multiplier is formed, for the recursion and the
+    oracle alike:
 
       DE1 at beta:  D_j (beta_i + 1) at beta + e_i, -D_i (beta_j + 1) at beta + e_j;
       DE2 at e, regular pair:  d0 (e_i + 1) at e + e_i, with d0 = Df at the base point;
@@ -286,11 +288,11 @@ class _Engine:
         self.d, self.n = problem.d, problem.n
         self.ring = SeriesRing(problem.d, self.K, problem.x0, exact)
         self.zero = self.ring.zero_scalar()
-        # the rows read f's first derivatives through degree K, so f is
-        # expanded through K + 1 and its derivatives held in the engine ring
-        fc = problem.f_series(self.ring)
-        df = [[TruncatedSeries(self.ring, dict(f.diff(a).items())) for a in range(self.d)]
-              for f in problem.f_series(SeriesRing(self.d, self.K + 1, problem.x0, exact))]
+        # the rows read f's first derivatives through degree K, so f is expanded
+        # once, through K + 1, and it and its derivatives held in the engine ring
+        fs = problem.f_series(SeriesRing(self.d, self.K + 1, problem.x0, exact))
+        fc = [TruncatedSeries(self.ring, dict(f.items())) for f in fs]
+        df = [[TruncatedSeries(self.ring, dict(f.diff(a).items())) for a in range(self.d)] for f in fs]
         self.b = [self.ring.scalar(v) for v in problem.b]
         self.pairs = [(k, h) for k in range(self.n) for h in range(self.n) if k != h]
         self.delta, self.d0, self.ddelta, self.D, self.kappa, self.bdiff = {}, {}, {}, {}, {}, {}
@@ -328,39 +330,33 @@ class _Engine:
             v = F0[k][h]
             self.C[kh] = {} if v == 0 else {(0,) * self.d: v}
 
-    # -- snapshot and single-coefficient evaluator ---------------------------------
+    # -- loaded store and single-coefficient evaluator --------------------------------
 
     def load(self, m: int):
-        """Snapshot the store through degree m, the highest an evaluator
-        reads at level m: each F_kh, its partials, and each F_kl F_lh from
-        the series kernel, as exponent -> coefficient dicts."""
-        ring = SeriesRing(self.d, m, self.ring.center, self.exact)
-        F = {kh: TruncatedSeries(ring, c) for kh, c in self.C.items()}
-        self.F = {kh: dict(s.items()) for kh, s in F.items()}
-        self.dF = {kh: [dict(s.diff(a).items()) for a in range(self.d)] for kh, s in F.items()}
-        self.FF = {(k, l, h): dict((F[k, l] * F[l, h]).items())
+        """The store as series valid through degree m, the highest an
+        evaluator reads at level m: each F_kh, its partials, and each
+        F_kl F_lh, which the kernel forms through degree m."""
+        self.F = {kh: TruncatedSeries(self.ring, c, m) for kh, c in self.C.items()}
+        self.dF = {kh: [s.diff(a) for a in range(self.d)] for kh, s in self.F.items()}
+        self.FF = {(k, l, h): self.F[k, l] * self.F[l, h]
                    for k, h in self.pairs for l in range(self.n) if l != k and l != h}
 
-    def _at(self, P: TruncatedSeries, Q: dict, beta: tuple):
-        """Coefficient at beta of P * Q, with Q a snapshot dict."""
-        return _product_coeff(P.items(), Q, beta, self.zero)
-
     def de1_coeff(self, i: int, j: int, kh, beta: tuple):
-        k, h = kh
-        acc = self._at(self.ddelta[kh][j], self.dF[kh][i], beta)
-        acc = acc - self._at(self.ddelta[kh][i], self.dF[kh][j], beta)
+        k, h, zero = *kh, self.zero
+        acc = _product_coeff(self.ddelta[kh][j], self.dF[kh][i], beta, zero)
+        acc = acc - _product_coeff(self.ddelta[kh][i], self.dF[kh][j], beta, zero)
         for l in range(self.n):
             if l != k and l != h:
-                acc = acc - self._at(self.q1[i, j, l, k, h], self.FF[k, l, h], beta)
+                acc = acc - _product_coeff(self.q1[i, j, l, k, h], self.FF[k, l, h], beta, zero)
         return acc
 
     def de2_coeff(self, i: int, kh, beta: tuple):
-        k, h = kh
-        acc = self._at(self.delta[kh], self.dF[kh][i], beta)
-        acc = acc - self.kappa[kh] * self._at(self.ddelta[kh][i], self.F[kh], beta)
+        k, h, zero = *kh, self.zero
+        acc = _product_coeff(self.delta[kh], self.dF[kh][i], beta, zero)
+        acc = acc - self.kappa[kh] * _product_coeff(self.ddelta[kh][i], self.F[kh], beta, zero)
         for l in range(self.n):
             if l != k and l != h:
-                acc = acc - self._at(self.q2[i, l, k, h], self.FF[k, l, h], beta)
+                acc = acc - _product_coeff(self.q2[i, l, k, h], self.FF[k, l, h], beta, zero)
         return acc
 
     def de1_row(self, i: int, j: int, kh, beta: tuple):
@@ -379,6 +375,21 @@ class _Engine:
         else:
             mults = {_bump(e, i): self.d0[kh] * (e[i] + 1)}
         return mults, self.de2_coeff(i, kh, e)
+
+    def de2_links(self, i: int, kh, e: tuple):
+        """The multipliers of other pairs' unknowns in a coalescent pair's DE2
+        coefficient at e, keyed by (pair, e): F_kl F_lh names F_kl's and F_lh's
+        coefficients at e, weighted by q2 and the other factor at the base point."""
+        k, h = kh
+        links = {}
+        for l in range(self.n):
+            if l == k or l == h:
+                continue
+            q0 = self.q2[i, l, k, h].constant_term()
+            if q0 != 0:
+                for pair, other in (((k, l), (l, h)), ((l, h), (k, l))):
+                    links[pair, e] = self.zero - q0 * self.F[other].constant_term()
+        return links
 
     # -- base point constraint -------------------------------------------------------
 
@@ -557,12 +568,10 @@ def de_solve_jet(problem: DEProblem, F0, K: int, tol: float = _FEASIBLE_TOL):
         raise ValidationError("jet order must be nonnegative")
     F0s, exact = _coerce_initial(problem, F0)
     eng = _Engine(problem, K, exact, F0s)
-    report = eng.base_point_residual()
     for level in range(1, K + 1):
         eng.advance_level(level)
     jet = eng.to_jet()
-    if K >= 1:
-        report = de_residual(problem, jet, K - 1)
+    report = de_residual(problem, jet, K - 1) if K else eng.base_point_residual()
     return jet, _feasible(report, jet, tol), report
 
 
@@ -740,8 +749,7 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
     admissible = _feasible(eng.base_point_residual(), eng.to_jet())
     if K == 0 and not admissible:
         raise OracleError("inconsistent linear system at degree 0")
-    d, n = problem.d, problem.n
-    zexp = (0,) * d
+    d = problem.d
     for m in range(1, K + 1):
         eng.load(m)
         exps_m = exponents_of_degree(d, m)
@@ -750,7 +758,6 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
         col_index = {key: idx for idx, key in enumerate(cols)}
         rows = []
         for kh in eng.pairs:
-            k, h = kh
             own = {a: col_index[kh, a] for a in exps_m}
             keyed = [eng.de1_row(i, j, kh, beta)
                      for i in range(d) for j in range(i + 1, d) for beta in exps_prev]
@@ -763,16 +770,7 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                 for e in exps_m:
                     mults, val = eng.de2_row(i, kh, e)
                     entries = {own[t]: v for t, v in mults.items()}
-                    # F_kl F_lh at degree m names other pairs' degree-m unknowns
-                    for l in range(n):
-                        if l == k or l == h:
-                            continue
-                        q0 = eng.q2[i, l, k, h].constant_term()
-                        if q0 != 0:
-                            for pair, other in (((k, l), (l, h)), ((l, h), (k, l))):
-                                ci = col_index[(pair, e)]
-                                f0 = eng.F[other].get(zexp, eng.zero)
-                                entries[ci] = entries.get(ci, eng.zero) - q0 * f0
+                    entries.update((col_index[key], v) for key, v in eng.de2_links(i, kh, e).items())
                     rows.append((entries, val))
 
         sol = _solve(rows, len(cols), exact) if admissible or m > 1 else "inconsistent"
@@ -782,6 +780,5 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
                     eng._resonance_guard(kh, m)
             raise OracleError(f"{sol} linear system at degree {m}")
         for (kh, a), v in zip(cols, sol):
-            if v != 0:
-                eng.C[kh][a] = v
+            eng._store(kh, a, v)
     return eng.to_jet()

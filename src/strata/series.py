@@ -355,13 +355,14 @@ def dot(terms) -> "TruncatedSeries":
     return first._like(_dot(terms, ring, valid), valid)
 
 
-def _product_coeff(items, Q: dict, beta: tuple, acc):
-    """acc plus the coefficient at beta of P * Q, for items the stored
-    (exponent, coefficient) pairs of P: each P_g Q_{beta - g} with beta - g
-    stored in Q is added in the order of items.  A difference with a
-    negative entry is never a stored exponent, so it needs no test of its own."""
-    for g, c in items:
-        v = Q.get(tuple(map(sub, beta, g)))
+def _product_coeff(P: "TruncatedSeries", Q: "TruncatedSeries", beta: tuple, acc):
+    """acc plus the coefficient at beta of the stored terms of P times those
+    of Q, whatever either's validity: each P_g Q_{beta - g} with beta - g
+    stored in Q is added in P's storage order.  A difference with a negative
+    entry is never a stored exponent, so it needs no test of its own."""
+    q = Q.coeffs
+    for g, c in P.coeffs.items():
+        v = q.get(tuple(map(sub, beta, g)))
         if v is not None:
             acc = acc + c * v
     return acc
@@ -554,12 +555,12 @@ class TruncatedSeries:
             raise NotInvertibleError("series vanishes at the center")
         inv0 = self.ring.scalar(1) / c0
         neg_inv0, zero = -inv0, self.ring.zero_scalar()
-        d, K = self.ring.d, self.ring.K
-        out = {(0,) * d: inv0}
-        for deg in range(1, min(self.valid, K) + 1):
-            for alpha in exponents_of_degree(d, deg):
-                # out[alpha] is not stored yet, so the constant term adds nothing
-                acc = _product_coeff(self.coeffs.items(), out, alpha, zero)
+        out = {(0,) * self.ring.d: inv0}
+        for deg in range(1, self.valid + 1):
+            # the terms below deg as one series, so the constant term adds nothing
+            known, out = self._like(out, deg - 1), dict(out)
+            for alpha in exponents_of_degree(self.ring.d, deg):
+                acc = _product_coeff(self, known, alpha, zero)
                 if acc:
                     out[alpha] = neg_inv0 * acc
         return TruncatedSeries(self.ring, out, self.valid)

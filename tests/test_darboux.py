@@ -74,6 +74,24 @@ class TestProblemValidation:
         with pytest.raises(Exception):
             DEProblem(2, 2, ["0", "1"], [X(2, 0)], ["0", "0"])
 
+    def test_only_inexact_data_switches_to_float(self, monkeypatch):
+        # an input that cannot be made exact (1.5, 1+2.5j, nan, ...) selects
+        # float mode; any other error in the exact coercion surfaces
+        args = (2, 2, [0, 1], [X(2, 0), X(2, 1)], [0, Fraction(1, 2)])
+        p, real = DEProblem(*args), darboux.coerce
+        assert p.exact and not DEProblem(2, 2, ["0", 1.5], *args[3:]).exact
+
+        def broken(v, exact):
+            if exact:
+                raise RuntimeError("coercion bug")
+            return real(v, exact)
+
+        monkeypatch.setattr(darboux, "coerce", broken)
+        with pytest.raises(RuntimeError, match="coercion bug"):
+            DEProblem(*args)
+        with pytest.raises(RuntimeError, match="coercion bug"):
+            de_solve_jet(p, [[0, 1], [1, 0]], 2)
+
 
 class TestSolver:
     def test_zero_seed_gives_zero_jet(self):
@@ -416,6 +434,55 @@ class TestRowMultipliers:
                     del eng.C[kh][u]
             eng.advance_level(m)
         assert checked == count
+
+    def test_unit_unknown_of_another_pair_changes_coalescent_de2_by_its_link(self):
+        # a coalescent pair's DE2 coefficient at degree m also names other
+        # pairs' degree-m unknowns, through F_kl F_lh; de2_links states them
+        K = 3
+        p, F0 = decode_de_problem(json.loads((GOLDEN / "de_coalescent_exact.json").read_text()))
+        F0s, exact = darboux._coerce_initial(p, F0)
+        eng = darboux._Engine(p, K, exact, F0s)
+        one, checked, linked = eng.ring.scalar(1), 0, 0
+        for m in range(1, K + 1):
+            exps = exponents_of_degree(p.d, m)
+            eng.load(m)
+            rows = {(kh, i, e): (eng.de2_links(i, kh, e), eng.de2_coeff(i, kh, e))
+                    for kh in eng.pairs if eng.coalescent[kh] for i in range(p.d) for e in exps}
+            for pair in eng.pairs:
+                for u in exps:
+                    eng.C[pair][u] = one
+                    eng.load(m)
+                    for (kh, i, e), (links, const) in rows.items():
+                        if kh != pair:
+                            change = eng.de2_coeff(i, kh, e) - const
+                            assert change == links.get((pair, u), eng.zero), (kh, i, e, pair, u)
+                            checked, linked = checked + 1, linked + ((pair, u) in links)
+                    del eng.C[pair][u]
+            eng.advance_level(m)
+        assert (checked, linked) == (4350, 152)
+
+
+class TestLoadedStore:
+    # load(m) holds the store as series of the engine ring valid through
+    # m, and the kernel forms each F_kl F_lh through degree m only
+    @pytest.mark.parametrize("name", ["de_coalescent_exact.json", "de_regular_exact.json"])
+    def test_loaded_series_stop_at_the_level(self, name):
+        K = 4
+        p, F0 = decode_de_problem(json.loads((GOLDEN / name).read_text()))
+        F0s, exact = darboux._coerce_initial(p, F0)
+        eng = darboux._Engine(p, K, exact, F0s)
+        cut = 0
+        for m in range(K + 1):
+            eng.load(m)
+            assert all(s.ring is eng.ring and s.valid == m for s in eng.F.values())
+            jet = eng.to_jet()
+            for (k, l, h), FF in eng.FF.items():
+                full = list((jet.entry(k, l) * jet.entry(l, h)).items())
+                assert FF.valid == m and list(FF.items()) == [(e, c) for e, c in full if sum(e) <= m]
+                cut += any(sum(e) > m for e, _ in full)
+            if m:
+                eng.advance_level(m)
+        assert cut > 0
 
 
 class TestResidualFaultDetection:

@@ -8,7 +8,8 @@ The results of series arithmetic keep the storage contract: no stored
 zero and no stored degree above K, also where float products underflow;
 and the solvers, the gauge ladder and the CLI never read that storage.
 The jet recursion and the oracle read the multipliers of their unknowns
-only through the engine's row builders.
+only through the engine's row builders, and never read its loaded series
+or its store.
 No module imports sympy, and the series kernel does not import fractions.
 The dense float product agrees with the sparse reference ``_mul``: within
 the rounding of a reordered sum everywhere, and bit for bit when both
@@ -24,7 +25,9 @@ float mode, is the product itself for one pair, and folds its single
 products where the combined denominator or the pair cap is passed.
 Products and sums store no term above their validity; within it they
 equal the fold exactly and the unbounded route bit for bit, and a result
-valid nowhere is empty.
+valid nowhere is empty.  A single product coefficient, ``_product_coeff``,
+reads the stored terms above their validity too and equals the fold's, and
+a series times its inverse is one through its validity.
 A series packs its table form once and keeps it, so nothing may write its
 coefficients after construction: a kept form equals a fresh pack, a sum
 over kept forms equals one over fresh operands (in float mode bit for bit,
@@ -174,14 +177,16 @@ def test_solver_gauge_and_cli_code_never_read_series_storage():
 
 
 def test_jet_solvers_read_multipliers_only_through_the_rows():
-    # _Engine.de1_row and de2_row own the multipliers of the unknowns; the
-    # recursion and the oracle never read the data they are formed from
+    # _Engine.de1_row, de2_row and de2_links own the multipliers of the
+    # unknowns; the recursion and the oracle never read the data they are
+    # formed from, nor the loaded series or the store, which _store writes
     tree = ast.parse(Path(darboux.__file__).read_text())
     engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Engine")
     solvers = [n for n in tree.body + engine.body if isinstance(n, ast.FunctionDef)
                and n.name in ("de_oracle_solve", "advance_level")]
     reads = [f"{f.name}:{n.lineno} {ast.unparse(n)}" for f in solvers for n in ast.walk(f)
-             if isinstance(n, ast.Attribute) and n.attr in ("D", "d0", "kappa", "delta")]
+             if isinstance(n, ast.Attribute)
+             and n.attr in ("D", "d0", "kappa", "delta", "q1", "q2", "F", "dF", "FF", "C")]
     assert len(solvers) == 2 and reads == []
 
 
@@ -597,6 +602,25 @@ def test_products_form_only_the_terms_within_their_validity(case):
         else:
             assert list(result.coeffs) == list(unbounded)
             assert _bits(result.coeffs) == _bits(unbounded)
+    # a single coefficient reads the stored terms whatever their validity
+    zero, fold = ring.zero_scalar(), _fold([(P, Q)], ring.K)
+    for beta in series._monomials(ring.d, ring.K)[0]:
+        if sum(beta) <= min(P.valid, Q.valid):
+            continue
+        got, want = series._product_coeff(P, Q, beta, zero), fold.get(beta, zero)
+        assert got == want if ring.exact else _bits({beta: got}) == _bits({beta: want})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_case(), st.data())
+def test_a_series_times_its_inverse_is_one_through_its_validity(case, data):
+    p, _, ring, _ = case
+    s = ring.from_poly(p)
+    s = TruncatedSeries(ring, dict((s if s.constant_term() else s + 1).items()),
+                        data.draw(st.integers(0, ring.K)))
+    inv = s.invert()
+    assert inv.valid == s.valid and all(sum(e) <= s.valid for e, _ in inv.items())
+    assert (s * inv - 1).is_zero()
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
