@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -83,8 +84,10 @@ def _coalescent_pairs(values, b, exact: bool, tol: float):
     (i, j) is coalescent when values i and j agree: exactly in exact mode,
     within tol * _fscale(values) in floating mode.  Returns the sorted
     tuple of pairs and the list of (i, j, m) for the coalescent pairs
-    whose b_i - b_j is a nonzero integer m.
+    whose b_i - b_j is a nonzero integer m.  tol must be a finite positive real.
     """
+    if not (isinstance(tol, Real) and 0 < tol < np.inf):
+        raise ValidationError(f"tol must be a finite positive number, got {tol!r}")
     n = len(values)
     agree = zero_test(exact, tol, lambda: _fscale(values))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j and agree(values[i] - values[j])]
@@ -115,7 +118,7 @@ class DEProblem:
             raise ShapeError("need exactly n functions and n constants")
         self.d = int(d)
         self.n = int(n)
-        self.tol = float(tol)
+        self.tol = tol
         self.f = list(f)
         for i, fi in enumerate(self.f):
             if not isinstance(fi, Poly):
@@ -279,7 +282,11 @@ class _Engine:
 
     Here D = d(Df) at the base point and kappa = b_h - b_k - 1.  The rows
     that name the degree-m unknowns are DE1 and a regular pair's DE2 at
-    degree m - 1, and a coalescent pair's DE2 at degree m.
+    degree m - 1, and a coalescent pair's DE2 at degree m, which also names
+    other pairs' degree-m unknowns through de2_links.  Both solvers call load
+    once per level, before it is solved; the oracle reads the links as
+    columns, and the recursion, which solves the regular pairs first, as
+    known values (de2_known_row).
     """
 
     def __init__(self, problem: DEProblem, K: int, exact: bool, F0):
@@ -324,11 +331,7 @@ class _Engine:
                     for j in range(i + 1, self.d):
                         w = kl[i] * lh[j] - kl[j] * lh[i]
                         self.q1[i, j, l, k, h], self.q1[j, i, l, k, h] = w, -w
-        self.C = {}
-        for kh in self.pairs:
-            k, h = kh
-            v = F0[k][h]
-            self.C[kh] = {} if v == 0 else {(0,) * self.d: v}
+        self.C = {(k, h): {} if F0[k][h] == 0 else {(0,) * self.d: F0[k][h]} for k, h in self.pairs}
 
     # -- loaded store and single-coefficient evaluator --------------------------------
 
@@ -379,7 +382,8 @@ class _Engine:
     def de2_links(self, i: int, kh, e: tuple):
         """The multipliers of other pairs' unknowns in a coalescent pair's DE2
         coefficient at e, keyed by (pair, e): F_kl F_lh names F_kl's and F_lh's
-        coefficients at e, weighted by q2 and the other factor at the base point."""
+        coefficients at e, weighted by q2 and the other factor at the base point.
+        The oracle reads them as columns, the recursion as known values."""
         k, h = kh
         links = {}
         for l in range(self.n):
@@ -390,6 +394,16 @@ class _Engine:
                 for pair, other in (((k, l), (l, h)), ((l, h), (k, l))):
                     links[pair, e] = self.zero - q0 * self.F[other].constant_term()
         return links
+
+    def de2_known_row(self, i: int, kh, e: tuple):
+        """de2_row of a coalescent pair, its value plus each de2_links multiplier
+        times the linked regular pair's coefficient, which the recursion has solved.
+        A link to a coalescent pair (float values within tol, not bit-equal) reads as zero."""
+        mults, val = self.de2_row(i, kh, e)
+        for (pair, t), w in self.de2_links(i, kh, e).items():
+            if not self.coalescent[pair] and t in self.C[pair]:
+                val = val + w * self.C[pair][t]
+        return mults, val
 
     # -- base point constraint -------------------------------------------------------
 
@@ -432,12 +446,7 @@ class _Engine:
                     a = _support(alpha)[0]
                     mults, val = self.de2_row(a, kh, _bump(alpha, a, -1))
                     self._store(kh, alpha, -val / mults[alpha])
-        coalescent = [kh for kh in self.pairs if self.coalescent[kh]]
-        if coalescent:
-            # the degree-level DE2 rows read the regular pairs' new
-            # coefficients through F_kl F_lh
-            self.load(level)
-        for kh in coalescent:
+        for kh in filter(self.coalescent.get, self.pairs):
             self._resonance_guard(kh, level)
             j0, zset = self.j0[kh], self.zero_dirs[kh]
             for alpha in exps:
@@ -455,7 +464,7 @@ class _Engine:
                 keys = [alpha] + [_bump(_bump(alpha, c, -1), j0) for c in cs]
                 col = {key: idx for idx, key in enumerate(keys)}
                 rows = [self.de1_row(c, j0, kh, _bump(alpha, c, -1)) for c in cs]
-                rows.append(self.de2_row(supp[0], kh, _bump(_bump(alpha, supp[0], -1), j0)))
+                rows.append(self.de2_known_row(supp[0], kh, _bump(_bump(alpha, supp[0], -1), j0)))
                 rows = [({col[t]: v for t, v in mults.items()}, val) for mults, val in rows]
                 sol = _solve(rows, len(keys), self.exact)
                 if isinstance(sol, str):
@@ -465,16 +474,8 @@ class _Engine:
                 self._store(kh, alpha, sol[0])
 
     def to_jet(self) -> DEJet:
-        entries = []
-        for k in range(self.n):
-            row = []
-            for h in range(self.n):
-                if k == h:
-                    row.append(self.ring.zero())
-                else:
-                    row.append(TruncatedSeries(self.ring, self.C[(k, h)]))
-            entries.append(row)
-        return DEJet(SeriesMatrix(entries))
+        return DEJet(SeriesMatrix([[self.ring.zero() if k == h else TruncatedSeries(self.ring, self.C[k, h])
+                                    for h in range(self.n)] for k in range(self.n)]))
 
 
 def de_residual(problem: DEProblem, jet, order: int) -> DEResidualReport:
@@ -758,20 +759,15 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
         col_index = {key: idx for idx, key in enumerate(cols)}
         rows = []
         for kh in eng.pairs:
-            own = {a: col_index[kh, a] for a in exps_m}
-            keyed = [eng.de1_row(i, j, kh, beta)
+            own, coalescent = {a: col_index[kh, a] for a in exps_m}, eng.coalescent[kh]
+            keyed = [(eng.de1_row(i, j, kh, beta), {})
                      for i in range(d) for j in range(i + 1, d) for beta in exps_prev]
-            if not eng.coalescent[kh]:
-                keyed += [eng.de2_row(i, kh, beta) for i in range(d) for beta in exps_prev]
-            rows += [({own[t]: v for t, v in mults.items()}, val) for mults, val in keyed]
-            if not eng.coalescent[kh]:
-                continue
-            for i in range(d):
-                for e in exps_m:
-                    mults, val = eng.de2_row(i, kh, e)
-                    entries = {own[t]: v for t, v in mults.items()}
-                    entries.update((col_index[key], v) for key, v in eng.de2_links(i, kh, e).items())
-                    rows.append((entries, val))
+            keyed += [(eng.de2_row(i, kh, e), eng.de2_links(i, kh, e) if coalescent else {})
+                      for i in range(d) for e in (exps_m if coalescent else exps_prev)]
+            for (mults, val), links in keyed:
+                entries = {own[t]: v for t, v in mults.items()}
+                entries.update((col_index[key], v) for key, v in links.items())
+                rows.append((entries, val))
 
         sol = _solve(rows, len(cols), exact) if admissible or m > 1 else "inconsistent"
         if isinstance(sol, str):

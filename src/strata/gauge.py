@@ -102,8 +102,6 @@ class FramedConnection:
             raise ShapeError("diagonal and off-diagonal parts live in different series rings")
         if len(bdiag) != n:
             raise ShapeError(f"exponent diagonal has length {len(bdiag)}, expected {n}")
-        if not (isinstance(tol, (int, float)) and tol > 0):
-            raise ValidationError("tol must be a positive real number")
         for i in range(n):
             if not L.entry(i, i).is_zero():
                 raise ShapeError(f"off-diagonal part has a nonzero diagonal entry at ({i},{i})")
@@ -116,7 +114,7 @@ class FramedConnection:
         self.d = ring.d
         self.exact = ring.exact
         self.center = ring.center
-        self.tol = float(tol)
+        self.tol = tol
         self.b = tuple(ring.scalar(v) for v in bdiag)
         self.f = [delta0.entry(i, i) for i in range(n)]
 

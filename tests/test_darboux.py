@@ -74,6 +74,12 @@ class TestProblemValidation:
         with pytest.raises(Exception):
             DEProblem(2, 2, ["0", "1"], [X(2, 0)], ["0", "0"])
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1, 0, float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a bad tol would classify the coalescent pair (0, 1) as regular
+        with pytest.raises(ValidationError, match="tol must be a finite positive number"):
+            DEProblem(3, 3, ["0", "0", "1"], [X(3, 0), X(3, 1), X(3, 2)], ["0", "0", "0"], tol=tol)
+
     def test_only_inexact_data_switches_to_float(self, monkeypatch):
         # an input that cannot be made exact (1.5, 1+2.5j, nan, ...) selects
         # float mode; any other error in the exact coercion surfaces
@@ -483,6 +489,21 @@ class TestLoadedStore:
             if m:
                 eng.advance_level(m)
         assert cut > 0
+
+    def test_the_recursion_loads_once_per_level(self, monkeypatch):
+        # the coalescent rows read the regular pairs' new coefficients
+        # through de2_links, so no level is loaded twice
+        K = 4
+        p, F0 = decode_de_problem(json.loads((GOLDEN / "de_coalescent_exact.json").read_text()))
+        levels, load = [], darboux._Engine.load
+
+        def counted(eng, m):
+            levels.append(m)
+            return load(eng, m)
+
+        monkeypatch.setattr(darboux._Engine, "load", counted)
+        de_solve_jet(p, F0, K)
+        assert levels == list(range(1, K + 1))
 
 
 class TestResidualFaultDetection:

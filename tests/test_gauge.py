@@ -22,7 +22,7 @@ from test_solver_differential import FLOAT_EXACT_BOUND, _problems
 
 from strata import schemas, series
 from strata.darboux import DEProblem, de_solve_jet
-from strata.errors import CoalescencePathError, GenericityError, ResonanceError
+from strata.errors import CoalescencePathError, GenericityError, ResonanceError, ValidationError
 from strata.gauge import (
     GaugeSeries,
     build_connection,
@@ -106,6 +106,11 @@ class TestBuildConnection:
         assert (conn.B.entry(0, 1) - (ring2.var(1) - ring2.var(0)).scale(c)).is_zero()
         assert (conn.omega[0].entry(0, 1) - ring2.const(c)).is_zero()
         assert (conn.omega[1].entry(0, 1) + ring2.const(c)).is_zero()
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1, 0, float("inf")])
+    def test_tol_must_be_finite_and_positive(self, ring2, delta2, tol):
+        with pytest.raises(ValidationError, match="tol must be a finite positive number"):
+            build_connection(delta2, ["0", "1/2"], ring2.zero_matrix(2), tol=tol)
 
     def test_restriction_evaluates_at_center(self, ring2, delta2):
         c = Fraction(3, 7)

@@ -9,7 +9,11 @@ gauge ladder built from that jet must leave no determined residual.
 Problems have n <= 3, d <= 3 and order K <= 4.  One draw in four is
 coalescent in the pair (0, 1), with a non-integer b_1 - b_0 there so that
 no order is resonant, and an F0 that meets the degree-0 constraint
-kappa_kh F_kh = sum_l (f_l - f_k)(x_o) F_kl F_lh of that pair.
+kappa_kh F_kh = sum_l (f_l - f_k)(x_o) F_kl F_lh of that pair.  Draws with
+complex data take Gaussian rational f values and gradients and, when
+coalescent, a non-real b_1 - b_0, so both solvers meet complex row
+multipliers and, at n = 3, complex links between coalescent and regular
+pairs.
 
 The same problems in float mode must track the exact jet within the float
 bound that SCHEMAS.md states, and so must regular problems whose F0 has
@@ -37,20 +41,23 @@ FLOAT_EXACT_BOUND = 1e-12
 
 _SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
 _NONZERO = _SMALL.filter(bool)
+_GAUSSIAN = st.builds(ComplexRational, _SMALL, _SMALL)
 
 
 @st.composite
-def _problems(draw, n: int, coalescent: bool, gaussian: bool = False, max_order: int = 4):
+def _problems(draw, n: int, coalescent: bool, gaussian: bool = False, max_order: int = 4,
+              complex_data: bool = False):
     d = draw(st.integers(1, 3))
     K = draw(st.integers(1, max_order))
     x0 = draw(st.lists(_SMALL, min_size=d, max_size=d))
+    data = _GAUSSIAN if complex_data else _SMALL
     if coalescent:
-        v = draw(_SMALL)
-        values = [v, v] + draw(st.lists(_SMALL.filter(lambda w: w != v), min_size=n - 2,
+        v = draw(data)
+        values = [v, v] + draw(st.lists(data.filter(lambda w: w != v), min_size=n - 2,
                                         max_size=n - 2))
     else:
-        values = draw(st.lists(_SMALL, min_size=n, max_size=n, unique=True))
-    grads = draw(st.lists(st.tuples(*[_SMALL] * d), min_size=n, max_size=n, unique=True))
+        values = draw(st.lists(data, min_size=n, max_size=n, unique=True))
+    grads = draw(st.lists(st.tuples(*[data] * d), min_size=n, max_size=n, unique=True))
     shifted = [Poly.variable(d, a, exact=True) - x0[a] for a in range(d)]
     f = []
     for i in range(n):
@@ -64,6 +71,8 @@ def _problems(draw, n: int, coalescent: bool, gaussian: bool = False, max_order:
         if num % den == 0:
             num += 1
         b[1] = b[0] + Fraction(num, den)
+        if complex_data:
+            b[1] += ComplexRational(0, draw(_NONZERO))
 
     def entry():
         return ComplexRational(draw(_SMALL), draw(_NONZERO)) if gaussian else draw(_NONZERO)
@@ -104,6 +113,18 @@ def _check(case):
 def test_exact_routes_agree(n, coalescent, examples):
     run = settings(max_examples=examples, deadline=None, derandomize=True)(
         given(_problems(n, coalescent))(_check))
+    run()
+
+
+# draws with Gaussian rational f values and gradients, and a non-real
+# b_1 - b_0 at coalescent ones
+COMPLEX_CASES = [(2, False, 6), (3, False, 6), (2, True, 4), (3, True, 4)]
+
+
+@pytest.mark.parametrize("n, coalescent, examples", COMPLEX_CASES)
+def test_exact_routes_agree_on_complex_data(n, coalescent, examples):
+    run = settings(max_examples=examples, deadline=None, derandomize=True)(
+        given(_problems(n, coalescent, complex_data=True))(_check))
     run()
 
 
@@ -157,6 +178,13 @@ FLOAT_CASES = [(2, False, 12, False), (3, False, 12, False), (2, True, 4, False)
 def test_float_routes_track_exact(n, coalescent, examples, gaussian):
     run = settings(max_examples=examples, deadline=None, derandomize=True)(
         given(_problems(n, coalescent, gaussian))(_check_float))
+    run()
+
+
+@pytest.mark.parametrize("n, coalescent, examples", COMPLEX_CASES)
+def test_float_routes_track_exact_on_complex_data(n, coalescent, examples):
+    run = settings(max_examples=examples, deadline=None, derandomize=True)(
+        given(_problems(n, coalescent, complex_data=True))(_check_float))
     run()
 
 
