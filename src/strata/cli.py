@@ -269,7 +269,8 @@ def _cmd_gap_report(args):
 
 
 def _de_inputs(args, need_f0: bool):
-    problem, f0 = schemas.decode_de_problem(_load_json(args.input), tol=_tol(args, 1e-10))
+    problem, f0 = schemas.decode_de_problem(_load_json(args.input),
+                                            tol=_tol(args, darboux._COALESCE_TOL))
     if need_f0 and f0 is None:
         raise ValidationError("the problem document must carry an F0 initial value")
     return problem, f0
@@ -305,7 +306,8 @@ def _cmd_de_residual(args):
 
 
 def _connection(args):
-    return schemas.decode_framed_connection(_load_json(args.input), tol=_tol(args, 1e-10))
+    return schemas.decode_framed_connection(_load_json(args.input),
+                                            tol=_tol(args, darboux._COALESCE_TOL))
 
 
 def _cmd_gauge_build(args):
@@ -335,7 +337,7 @@ def _cmd_gauge_residual(args):
 
 def _cmd_gauge_witness(args):
     delta0, bmat, varpi = schemas.decode_witness(_load_json(args.input))
-    report = dv_witness(delta0, bmat, varpi, tol=_tol(args, 1e-10))
+    report = dv_witness(delta0, bmat, varpi, tol=_tol(args, darboux._COALESCE_TOL))
     out = report.to_dict()
     if report.L is not None:
         out["L"] = schemas.encode_series_matrix(report.L)
@@ -379,7 +381,7 @@ def _cmd_appendix_curve(args):
         _parse_complex(args.gamma0),
         _parse_complex(args.c),
         tgrid=tgrid,
-        tol=_tol(args, 1e-10),
+        tol=_tol(args, appendix_mod._CURVE_TOL),
     )
     return report.to_dict()
 

@@ -51,6 +51,7 @@ from .subspaces import _cutoff_rank, _lapack
 _NEAR_COALESCENT = 1e-6
 _RANK_TOL = 1e-12  # a float linear system is singular when s_min <= _RANK_TOL * s_max
 _FEASIBLE_TOL = 1e-9  # float residual bound, relative to max(1, largest jet coefficient)
+_COALESCE_TOL = 1e-10  # float branch values agree within this share of _fscale
 
 
 def _bump(e: tuple, a: int, k: int = 1) -> tuple:
@@ -78,6 +79,13 @@ def _pivot(diffs, what: str) -> int:
     return mags.index(best)
 
 
+def _check_tol(tol) -> float:
+    """tol itself, when it is a finite positive real."""
+    if not (isinstance(tol, Real) and 0 < tol < np.inf):
+        raise ValidationError(f"tol must be a finite positive number, got {tol!r}")
+    return tol
+
+
 def _coalescent_pairs(values, b, exact: bool, tol: float):
     """Coalescent ordered pairs of branch values and the PNR violations.
 
@@ -86,10 +94,8 @@ def _coalescent_pairs(values, b, exact: bool, tol: float):
     tuple of pairs and the list of (i, j, m) for the coalescent pairs
     whose b_i - b_j is a nonzero integer m.  tol must be a finite positive real.
     """
-    if not (isinstance(tol, Real) and 0 < tol < np.inf):
-        raise ValidationError(f"tol must be a finite positive number, got {tol!r}")
     n = len(values)
-    agree = zero_test(exact, tol, lambda: _fscale(values))
+    agree = zero_test(exact, _check_tol(tol), lambda: _fscale(values))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j and agree(values[i] - values[j])]
     violations = []
     for i, j in pairs:
@@ -109,7 +115,7 @@ class DEProblem:
     at x_o.
     """
 
-    def __init__(self, d: int, n: int, x0, f, b, tol: float = 1e-10):
+    def __init__(self, d: int, n: int, x0, f, b, tol: float = _COALESCE_TOL):
         if d < 1 or n < 2:
             raise ValidationError("need d >= 1 and n >= 2")
         if len(x0) != d:

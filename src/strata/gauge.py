@@ -19,9 +19,10 @@ when the ladder identities
     [Delta0, F_{k+1}] + B F_k - F_k diag(b) + k F_k = 0,          k >= 0,
     d F_k = [F_1, dDelta0] F_k + [dDelta0, F_{k+1}],              k >= 0,
 
-hold with F_0 = Id.  formal_simplify builds the F_k order by order; at a
-center where branches of Delta0 coalesce, the off-diagonal entries of the
-coalescent pairs are continued through the derivative identity
+hold with F_0 = Id.  formal_simplify builds the F_k order by order, each
+off-diagonal entry on its own as one numerator times one inverse: (B F_k -
+F_k diag(b) + k F_k)_ij / (f_j - f_i), and at the pairs whose branches of
+Delta0 coalesce at the center the derivative identity
 
     (F_{k+1})_ij = ([F_1, d_h Delta0] F_k - d_h F_k)_ij / (d_h f_j - d_h f_i)
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .errors import (
     CoalescencePathError,
@@ -47,8 +49,8 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .darboux import _coalescent_pairs, _fscale, _pivot
-from .scalars import float_pair, nonzero_int, to_complex, zero_test
+from .darboux import _COALESCE_TOL, _check_tol, _coalescent_pairs, _fscale, _pivot
+from .scalars import float_pair, to_complex, zero_test
 from .series import SeriesMatrix, dot
 
 _HOLCON_FLOOR = 1e-8
@@ -93,7 +95,7 @@ class FramedConnection:
     in pnr_violations without raising.
     """
 
-    def __init__(self, delta0: SeriesMatrix, bdiag, L: SeriesMatrix, tol: float = 1e-10):
+    def __init__(self, delta0: SeriesMatrix, bdiag, L: SeriesMatrix, tol: float = _COALESCE_TOL):
         n = _check_diagonal(delta0)
         nl, ml = L.shape
         if (nl, ml) != (n, n):
@@ -144,7 +146,7 @@ class FramedConnection:
         return self.delta0.eval(self.center), self.B.eval(self.center)
 
 
-def build_connection(delta0: SeriesMatrix, bdiag, L: SeriesMatrix, tol: float = 1e-10) -> FramedConnection:
+def build_connection(delta0: SeriesMatrix, bdiag, L: SeriesMatrix, tol: float = _COALESCE_TOL) -> FramedConnection:
     return FramedConnection(delta0, bdiag, L, tol=tol)
 
 
@@ -194,28 +196,21 @@ class GaugeSeries:
         return GaugeSeries([M.to_float() for M in self.F])
 
 
-def _resonance_guard(conn: FramedConnection, k: int):
-    # division by b_i - b_j + k + 1 pins the coalescent entries of F_{k+1}
-    target = -(k + 1)
-    for (i, j) in conn.coalescent_pairs:
-        if nonzero_int(conn.b[i] - conn.b[j], conn.exact) == target:
-            raise ResonanceError(
-                f"coalescent pair ({i},{j}) is resonant at gauge order {k + 1}: "
-                f"b[{i}]-b[{j}] = {target}"
-            )
-
-
 def formal_simplify(conn: FramedConnection, K: int, mode: str = "regular") -> GaugeSeries:
     """Gauge terms F_1..F_K reducing the frame to normal form.
 
     One recursion serves every frame.  F_1'' = L, since the first ladder
-    rung reads B_ij = (f_j - f_i) L_ij off the diagonal.  Later off-diagonal
-    entries come from series division by f_j - f_i at pairs that stay
-    separated at the center, and at coalescent pairs from the
-    pivot-derivative identity; the resonance error is raised when
-    b_i - b_j + k + 1 vanishes for a coalescent pair at a computed order.
-    Diagonal entries come from the next ladder rung.  At a regular center
-    both modes give the same terms; regular mode refuses a coalescent one.
+    rung reads B_ij = (f_j - f_i) L_ij off the diagonal.  Each later
+    off-diagonal entry is its numerator times 1/(f_j - f_i) at pairs that
+    stay separated at the center, and at coalescent pairs that of the
+    pivot-derivative identity.  A numerator's products are the dots that
+    SeriesMatrix.__matmul__ forms for entry (i, j), a row i against a
+    column j, so values and validities are those of the matrix form; the
+    bracket [F_1, d_h Delta0] is the one matrix product, once per pivot.
+    The resonance error is raised when b_i - b_j + k + 1 vanishes for a
+    coalescent pair at a computed order.  Diagonal entries come from the
+    next ladder rung.  At a regular center both modes give the same terms;
+    regular mode refuses a coalescent one.
     """
     if mode not in ("regular", "coalescent"):
         raise ValidationError(f"unknown mode {mode!r}, expected 'regular' or 'coalescent'")
@@ -229,44 +224,36 @@ def formal_simplify(conn: FramedConnection, K: int, mode: str = "regular") -> Ga
         )
     pivots = {(i, j): conn.pivot(i, j) for (i, j) in conn.coalescent_pairs}
 
-    inv, dinv = {}, {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if (i, j) in pivots:
-                h = pivots[(i, j)]
-                dinv[(i, j)] = (conn.f[j].diff(h) - conn.f[i].diff(h)).invert()
-            else:
-                inv[(i, j)] = (conn.f[j] - conn.f[i]).invert()
+    inv = {}  # (i, j) -> 1/(f_j - f_i), or 1/(d_h f_j - d_h f_i) at a pivot h
+    for i, j in permutations(range(n), 2):
+        h = pivots.get((i, j))
+        gap = conn.f[j] - conn.f[i] if h is None else conn.f[j].diff(h) - conn.f[i].diff(h)
+        inv[(i, j)] = gap.invert()
 
     terms = []
-    brackets = {}  # pivot h -> [F_1, d_h Delta0], built at its first use
+    brackets = {}  # pivot h -> rows of [F_1, d_h Delta0], built at its first use
+    bcols = list(zip(*conn.bdiag_matrix.rows))
     Fk = ring.identity_matrix(n)
     for k in range(K):
-        _resonance_guard(conn, k)
+        for i, j, m in conn.pnr_violations:  # F_{k+1} there needs b_i - b_j + k + 1 != 0
+            if m == -(k + 1):
+                raise ResonanceError(f"coalescent pair ({i},{j}) is resonant at gauge order "
+                                     f"{k + 1}: b[{i}]-b[{j}] = {m}")
         rows = [[ring.zero() for _ in range(n)] for _ in range(n)]
-        if k == 0:
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        rows[i][j] = conn.L.entry(i, j)
-        else:
-            rhs = conn.B @ Fk - Fk @ conn.bdiag_matrix + Fk.scale(k)
-            dnum = {}
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    if (i, j) in pivots:
-                        h = pivots[(i, j)]
-                        if h not in dnum:
-                            if h not in brackets:
-                                brackets[h] = terms[0].commutator(conn.delta0.diff(h))
-                            dnum[h] = brackets[h] @ Fk - Fk.diff(h)
-                        rows[i][j] = dnum[h].entry(i, j) * dinv[(i, j)]
-                    else:
-                        rows[i][j] = rhs.entry(i, j) * inv[(i, j)]
+        cols = list(zip(*Fk.rows))
+        for (i, j), inv_ij in inv.items():
+            h = pivots.get((i, j))
+            if k == 0:
+                rows[i][j] = conn.L.entry(i, j)
+            elif h is None:
+                rows[i][j] = (dot(list(zip(conn.B.rows[i], cols[j])))
+                              - dot(list(zip(Fk.rows[i], bcols[j])))
+                              + Fk.entry(i, j).scale(k)) * inv_ij
+            else:
+                if h not in brackets:
+                    brackets[h] = terms[0].commutator(conn.delta0.diff(h)).rows
+                rows[i][j] = (dot(list(zip(brackets[h][i], cols[j])))
+                              - Fk.entry(i, j).diff(h)) * inv_ij
         for i in range(n):
             pairs = [(conn.B.entry(i, l), rows[l][i]) for l in range(n) if l != i]
             rows[i][i] = (dot(pairs) if pairs else ring.zero()).scale(Fraction(-1, k + 1))
@@ -511,16 +498,18 @@ class DvWitnessReport:
         }
 
 
-def dv_witness(delta0: SeriesMatrix, B: SeriesMatrix, varpi, tol: float = 1e-10) -> DvWitnessReport:
+def dv_witness(delta0: SeriesMatrix, B: SeriesMatrix, varpi, tol: float = _COALESCE_TOL) -> DvWitnessReport:
     """Extract L with B'' = [L, Delta0] and varpi'' = [dDelta0, L], if any.
 
     Where f_j - f_i is invertible at the center, L_ij = B_ij / (f_j - f_i)
     and the one-form consistency varpi_a,ij = (d_a f_i - d_a f_j) L_ij is
     verified.  Where it is not invertible, solvability requires B_ij and all
     varpi_a,ij to vanish identically; otherwise the pair is reported as an
-    obstruction.  Only off-diagonal data are consulted.
+    obstruction.  Only off-diagonal data are consulted.  tol must be a
+    finite positive real.
     """
     n = _check_frame(delta0, B, varpi)
+    tol = _check_tol(tol)
     ring = delta0.ring
     f = [delta0.entry(i, i) for i in range(n)]
     fvals = [s.constant_term() for s in f]
@@ -599,11 +588,13 @@ def holcon_check(conn: FramedConnection, pair, path, tol: float = 1e-8) -> Holco
     branches for t > 0; it is sampled at the dyadic points 2^-1 .. 2^-12.  The
     verdict is computed from the last four ratios: bounded when they are all
     tiny, vary by at most ten percent, or decrease in magnitude; divergence
-    otherwise.
+    otherwise.  tol, the endpoint's share of max(1, |f_i|, |f_j|), must be a
+    finite positive real.
     """
     i, j = pair
     if not (0 <= i < conn.n and 0 <= j < conn.n) or i == j:
         raise ValidationError(f"pair {pair!r} is not an off-diagonal index pair")
+    tol = _check_tol(tol)
     fF = [s.to_float() for s in conn.f]
     LF = conn.L.to_float()
     bF = [to_complex(v) for v in conn.b]

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .darboux import DEJet, DEProblem
+from .darboux import _COALESCE_TOL, DEJet, DEProblem
 from .errors import ShapeError, ValidationError
 from .families import MatrixFamily
 from .gauge import FramedConnection, GaugeSeries, build_connection
@@ -281,7 +281,7 @@ def encode_de_problem(problem: DEProblem, F0=None) -> dict:
     return out
 
 
-def decode_de_problem(obj, tol: float = 1e-10):
+def decode_de_problem(obj, tol: float = _COALESCE_TOL):
     """Returns (problem, F0) with F0 None when the document has none."""
     exact = document_is_exact(obj)
     d, n = _decode_int(obj["d"], "d"), _decode_int(obj["n"], "n")
@@ -348,7 +348,7 @@ def _decode_frame(obj):
     return ring, delta0, grid
 
 
-def decode_framed_connection(obj, tol: float = 1e-10) -> FramedConnection:
+def decode_framed_connection(obj, tol: float = _COALESCE_TOL) -> FramedConnection:
     ring, delta0, grid = _decode_frame(obj)
     bdiag = [coerce(decode_scalar(c), ring.exact) for c in obj["Bdiag"]]
     return build_connection(delta0, bdiag, grid(obj["L"]), tol=tol)

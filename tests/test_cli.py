@@ -591,9 +591,9 @@ class TestLibraryTolerances:
     def spy(monkeypatch, owner, name, seen):
         inner = getattr(owner, name)
 
-        def wrapped(*args, tol):
+        def wrapped(*args, tol, **kwargs):
             seen.append(tol)
-            return inner(*args, tol=tol)
+            return inner(*args, tol=tol, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapped)
 
@@ -619,6 +619,34 @@ class TestLibraryTolerances:
         self.spy(monkeypatch, appendix, "classify_2x2", seen)
         run_json(capsys, "appendix", "classify2x2", "--input", str(f))
         assert seen == [2.5e-7]
+
+    def test_appendix_curve_passes_the_curve_tolerance(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.delenv("STRATA_TOL", raising=False)
+        monkeypatch.setattr(appendix, "_CURVE_TOL", 2.5e-7)
+        self.spy(monkeypatch, appendix, "nonversal_curve", seen)
+        run_json(capsys, *CURVE, "--c", "2")
+        assert seen == [2.5e-7]
+
+    def test_commands_pass_the_coalescence_tolerance(self, capsys, de_fixture, tmp_path,
+                                                     monkeypatch):
+        conn = schemas.decode_framed_connection(json.loads(Path(de_fixture["conn"]).read_text()))
+        doc = schemas.encode_framed_connection(conn)
+        del doc["Bdiag"], doc["L"]
+        doc["B"] = schemas.encode_series_matrix(conn.B)["entries"]
+        doc["varpi"] = [schemas.encode_series_matrix(w)["entries"] for w in conn.omega]
+        witness = tmp_path / "wit.json"
+        witness.write_text(json.dumps(doc))
+        seen = []
+        monkeypatch.delenv("STRATA_TOL", raising=False)
+        monkeypatch.setattr(darboux, "_COALESCE_TOL", 2.5e-7)
+        self.spy(monkeypatch, schemas, "decode_de_problem", seen)
+        self.spy(monkeypatch, schemas, "decode_framed_connection", seen)
+        self.spy(monkeypatch, cli, "dv_witness", seen)
+        run_json(capsys, "de", "oracle", "--input", de_fixture["prob"], "--order", "2")
+        run_json(capsys, "gauge", "build", "--input", de_fixture["conn"])
+        run_json(capsys, "gauge", "witness", "--input", str(witness))
+        assert seen == [2.5e-7] * 3
 
 
 class TestDeterminism:

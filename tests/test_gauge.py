@@ -6,14 +6,17 @@ replaced, kept here as a reference: on the golden frames and on the drawn
 problems of test_solver_differential, exact coefficients agree through the
 reference's validity, no validity falls below the reference's, terms added
 to the gauge above its validity change nothing within the report's, and
-float twins stay within the SCHEMAS.md bound.  A sweep of single +1 faults in the
-gauge terms checks that only free data goes undetected, and one in the
-frame of a solved jet that integrability_residual misses only faults above
-omega's validity.
+float twins stay within the SCHEMAS.md bound.  formal_simplify, which
+also works entry by entry, is held to the matrix form of its ladder bit
+for bit, validities included, on the same draws and their float twins.
+A sweep of single +1 faults in the gauge terms checks that only free data
+goes undetected, and one in the frame of a solved jet that
+integrability_residual misses only faults above omega's validity.
 """
 
 import json
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -226,6 +229,17 @@ class TestDvWitness:
         rep = dv_witness(delta, ring.zero_matrix(2), [ring.zero_matrix(2)])
         assert rep.ok and rep.L.is_zero()
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1, 0, float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # inf took every gap as zero and returned L = 0; nan and -1 took no
+        # residual as zero and reported an obstruction at (0, 1)
+        ring = SeriesRing(1, 3, [0.0], exact=False)
+        L = SeriesMatrix([[ring.zero(), ring.one()], [ring.const(2.0), ring.zero()]])
+        conn = build_connection(diag_matrix(ring, [ring.zero(), ring.var(0) + 1.0]), [0.0, 0.0], L)
+        assert dv_witness(conn.delta0, conn.B, conn.omega).L.max_abs() == 2.0
+        with pytest.raises(ValidationError, match="tol must be a finite positive number"):
+            dv_witness(conn.delta0, conn.B, conn.omega, tol=tol)
+
     def test_witness_round_trip(self, ring2, delta2):
         B = SeriesMatrix([
             [ring2.zero(), ring2.var(1) - ring2.var(0)],
@@ -358,6 +372,15 @@ class TestHolcon:
         with pytest.raises(CoalescencePathError):
             holcon_check(conn, (0, 1), lambda t: (t / 2 + 1.0, -t / 2))
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1, 0, float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # an infinite or nan tol let an endpoint off the locus through
+        ring = SeriesRing(2, 2, ["0", "0"], exact=True)
+        delta = diag_matrix(ring, [ring.var(0), ring.var(1)])
+        conn = build_connection(delta, ["0", "0"], ring.zero_matrix(2))
+        with pytest.raises(ValidationError, match="tol must be a finite positive number"):
+            holcon_check(conn, (0, 1), lambda t: (t / 2 + 1.0, -t / 2), tol=tol)
+
     def test_zero_l_trivially_bounded(self):
         ring = SeriesRing(2, 4, ["0", "0"], exact=True)
         conn = build_connection(
@@ -370,7 +393,7 @@ class TestHolcon:
         assert max(abs(v) for v in rep.ratios) == 0.0
 
 
-# -- the verifier against its full-matrix expansion ----------------------------------
+# -- the solver and the verifier against their full-matrix expansions ------------------
 
 
 def _laurent_mul(A: dict, B: dict) -> dict:
@@ -410,6 +433,51 @@ def _reference_residual(conn, gs):
             _laurent_acc(ra, -k, gs.F[k - 1].diff(a))
         dx.append(ra)
     return dz, dx
+
+
+def _reference_ladder(conn, K):
+    """F_1..F_K of formal_simplify's recursion, formed from whole series
+    matrices: each rung reads its off-diagonal entries from B F_k - F_k
+    diag(b) + k F_k, or at a coalescent pair with pivot h from
+    [F_1, d_h Delta0] F_k - d_h F_k, and its diagonal from B F_{k+1}."""
+    n, ring, f = conn.n, conn.ring, conn.f
+    pivots = {(i, j): conn.pivot(i, j) for (i, j) in conn.coalescent_pairs}
+    terms, Fk = [], ring.identity_matrix(n)
+    for k in range(K):
+        rows = [[ring.zero() for _ in range(n)] for _ in range(n)]
+        if k == 0:
+            for i, j in permutations(range(n), 2):
+                rows[i][j] = conn.L.entry(i, j)
+        else:
+            rhs = conn.B @ Fk - Fk @ conn.bdiag_matrix + Fk.scale(k)
+            dnum = {h: terms[0].commutator(conn.delta0.diff(h)) @ Fk - Fk.diff(h)
+                    for h in set(pivots.values())}
+            for i, j in permutations(range(n), 2):
+                h = pivots.get((i, j))
+                if h is None:
+                    rows[i][j] = rhs.entry(i, j) * (f[j] - f[i]).invert()
+                else:
+                    rows[i][j] = dnum[h].entry(i, j) * (f[j].diff(h) - f[i].diff(h)).invert()
+        BF = conn.B @ SeriesMatrix(rows)
+        for i in range(n):
+            rows[i][i] = BF.entry(i, i).scale(Fraction(-1, k + 1))
+        Fk = SeriesMatrix(rows)
+        terms.append(Fk)
+    return terms
+
+
+def _bits(M):
+    """Each entry's validity and coefficients, floats by their hex digits."""
+    if M.ring.exact:
+        return [[(s.valid, dict(s.items())) for s in row] for row in M.rows]
+    return [[(s.valid, {e: (c.real.hex(), c.imag.hex()) for e, c in s.items()}) for s in row]
+            for row in M.rows]
+
+
+def _check_ladder(conn, K):
+    mode = "coalescent" if conn.coalescent_pairs else "regular"
+    got = formal_simplify(conn, K, mode=mode).F
+    assert [_bits(M) for M in got] == [_bits(M) for M in _reference_ladder(conn, K)]
 
 
 def _entries(parts):
@@ -523,6 +591,8 @@ class TestResidualAgainstReference:
             assert feasible
             conn = connection_from_de(problem, jet)
             gs = formal_simplify(conn, min(K, 3), mode="coalescent" if coalescent else "regular")
+            _check_ladder(conn, min(K, 3))
+            _check_ladder(_floated(conn), min(K, 3))
             for g in (gs, GaugeSeries([M.scale(2) for M in gs.F])):
                 _check_against_reference(conn, g)
                 _check_validity_is_sound(conn, g)
@@ -582,6 +652,27 @@ class TestResidualArithmetic:
         assert {id(c) for c in packed} == {id(c) for c in read}
         assert (len(packed), len(read)) == (172, 684)
         assert rep.is_zero_determined()
+
+
+class TestLadderArithmetic:
+    @pytest.mark.parametrize("name, products", [("conn_coalescent_exact.json", 2),
+                                                ("conn_regular_exact.json", 0)])
+    def test_only_the_bracket_is_a_matrix_product(self, monkeypatch, name, products):
+        # each off-diagonal entry of F_{k+1} is its own numerator times one
+        # inverse; the coalescent frame's one pivot forms [F_1, d_h Delta0]
+        conn = _golden_conn(name)
+        calls = []
+        matmul = SeriesMatrix.__matmul__
+
+        def counted_matmul(self, other):
+            calls.append(self.shape)
+            return matmul(self, other)
+
+        monkeypatch.setattr(SeriesMatrix, "__matmul__", counted_matmul)
+        gs = formal_simplify(conn, 3, mode="coalescent" if conn.coalescent_pairs else "regular")
+        monkeypatch.undo()
+        assert len(calls) == products
+        assert gauge_residual(conn, gs).is_zero_determined()
 
 
 # -- single faults in the gauge terms --------------------------------------------------
