@@ -38,6 +38,8 @@ from .errors import ShapeError, ValidationError
 from .partitions import Partition, SegreSymbol, enumerate_double_partitions, mu_string
 from .subspaces import _clusters, _lapack, _segre
 
+_CLASSIFY_TOL = 1e-8  # eigenvalue clustering and Segre rank threshold of classify_matrix
+
 
 def codimension(s: SegreSymbol) -> int:
     c = 0
@@ -205,7 +207,7 @@ class ClassificationResult:
                                       # None when there is only one cluster
 
 
-def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
+def classify_matrix_detailed(A, tol: float = _CLASSIFY_TOL) -> ClassificationResult:
     """Segre symbol of a constant matrix.
 
     Eigenvalues are clustered by single linkage at threshold tol * scale
@@ -253,5 +255,5 @@ def classify_matrix_detailed(A, tol: float = 1e-8) -> ClassificationResult:
     )
 
 
-def classify_matrix(A, tol: float = 1e-8) -> SegreSymbol:
+def classify_matrix(A, tol: float = _CLASSIFY_TOL) -> SegreSymbol:
     return classify_matrix_detailed(A, tol).symbol

@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import appendix as appendix_mod
-from . import darboux, schemas
+from . import bundles, darboux, families, gauge, schemas, subspaces
 from .bundles import (
     classify_matrix_detailed,
     closure_leq,
@@ -216,7 +216,7 @@ def _cmd_bundles_hasse(args):
 def _cmd_bundles_classify(args):
     doc = _load_json(args.input)
     mat = schemas.decode_const_matrix(doc, exact=False)
-    result = classify_matrix_detailed(np.array(mat, dtype=complex), tol=_tol(args, 1e-8))
+    result = classify_matrix_detailed(np.array(mat, dtype=complex), tol=_tol(args, bundles._CLASSIFY_TOL))
     return {
         "symbol": result.symbol.to_lists(),
         "label": mu_string(result.symbol),
@@ -238,7 +238,7 @@ def _vectors_to_subspace(doc, tol: float) -> Subspace:
 
 def _cmd_gap_distance(args):
     doc = _load_json(args.input)
-    tol = _tol(args, 1e-10)
+    tol = _tol(args, subspaces._SV_TOL)
     a = _vectors_to_subspace(doc["a"], tol)
     b = _vectors_to_subspace(doc["b"], tol)
     return {"distance": gap_distance(a, b), "dim_a": a.dim, "dim_b": b.dim}
@@ -247,7 +247,7 @@ def _cmd_gap_distance(args):
 def _cmd_gap_kernel(args):
     doc = _load_json(args.input)
     mat = schemas.decode_const_matrix(doc, exact=False)
-    sub = kernel_subspace(np.array(mat, dtype=complex), tol=_tol(args, 1e-10))
+    sub = kernel_subspace(np.array(mat, dtype=complex), tol=_tol(args, subspaces._SV_TOL))
     basis = [[float_pair(z) for z in sub.basis[:, k]] for k in range(sub.dim)]
     return {"dim": sub.dim, "basis": basis}
 
@@ -259,7 +259,7 @@ def _cmd_gap_report(args):
     if args.paths is not None:
         paths = [schemas.decode_path(p, family.d) for p in _load_json(args.paths)]
     report = jordanizability_report(
-        family, point, paths=paths, tol=_tol(args, 1e-8),
+        family, point, paths=paths, tol=_tol(args, families._GAP_TOL),
         sep_tol=_positive(args.sep_tol, "--sep-tol"),
     )
     return report.to_dict()
@@ -351,7 +351,7 @@ def _cmd_gauge_holcon(args):
     def path(t):
         return tuple(c.eval([t]) for c in curves)
 
-    report = holcon_check(conn, tuple(args.pair), path, tol=_tol(args, 1e-8))
+    report = holcon_check(conn, tuple(args.pair), path, tol=_tol(args, gauge._HOLCON_TOL))
     return report.to_dict()
 
 

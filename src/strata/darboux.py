@@ -704,34 +704,41 @@ def _solve(rows, ncols: int, exact: bool):
     """Solve the rows sum(coeff * u) + const = 0 of _exact_solve for u.
 
     Exact mode eliminates exactly.  Floating mode splits the system into
-    _blocks and takes each block's least-squares solution on its own; a row
-    with no entries cannot change a least-squares solution and is dropped.
-    The rank rule is the whole system's: its singular values are the union
-    of its blocks', and it is singular when fewer than ncols of them exceed
-    _RANK_TOL times the largest.  A block with fewer rows than columns, or
-    a column that no row names, therefore makes it singular.  lstsq's own
-    per-block cut, eps * max(rows, cols) of the block's largest value,
-    stays below that global cut for blocks under about 4,500 rows, so it
-    never drops a value the rule accepts.  Returns the values list or the
+    _blocks and solves each block A x = b by least squares on its own, with
+    one QR of [A | b], or of [Re A | Re b | Im b] in real arithmetic when A
+    is real: the leading n x n triangle R11 has A's singular values, and
+    x = R11^-1 R12 (Golub & Van Loan, Matrix Computations, 5.3).  A row with
+    no entries cannot change the solution and is dropped.  The rank rule is
+    the whole system's: its singular values are the union of its blocks',
+    and it is singular when fewer than ncols of them exceed _RANK_TOL times
+    the largest.  A block with fewer rows than columns, or a column that no
+    row names, therefore makes it singular.  Returns the values list or the
     failure string.
     """
     if exact:
         return _exact_solve(rows, ncols)
-    sol = np.zeros(ncols, dtype=complex)
-    svs = [np.zeros(0)]
+    tris, svs = [], [np.zeros(0)]
     for cols, brows in _blocks(rows, ncols):
-        local = {c: i for i, c in enumerate(cols)}
-        A = np.zeros((len(brows), len(cols)), dtype=complex)
-        bvec = np.zeros(len(brows), dtype=complex)
+        n, local = len(cols), {c: i for i, c in enumerate(cols)}
+        if len(brows) < n:
+            return "singular"
+        M = np.zeros((len(brows), n + 1), dtype=complex)
         for rid, (entries, const) in enumerate(brows):
             for cidx, v in entries.items():
-                A[rid, local[cidx]] = complex(v)
-            bvec[rid] = -complex(const)
-        x, _, _, sv = _lapack(np.linalg.lstsq, A, bvec, rcond=None, what="the linear system")
-        sol[cols] = x
-        svs.append(sv)
-    sv = np.sort(np.concatenate(svs))[::-1]
-    return "singular" if _cutoff_rank(sv, _RANK_TOL) < ncols else list(sol)
+                M[rid, local[cidx]] = complex(v)
+            M[rid, n] = -complex(const)
+        if not M[:, :n].imag.any():
+            M = np.column_stack((M.real, M[:, n].imag))
+        R = _lapack(np.linalg.qr, M, mode="r", what="the linear system")
+        svs.append(_lapack(np.linalg.svd, R[:n, :n], compute_uv=False, what="the linear system"))
+        tris.append((cols, R[:n, :n], R[:n, n:]))
+    if _cutoff_rank(np.sort(np.concatenate(svs))[::-1], _RANK_TOL) < ncols:
+        return "singular"
+    sol = np.zeros(ncols, dtype=complex)
+    for cols, R11, R12 in tris:
+        x = _lapack(np.linalg.solve, R11, R12, what="the linear system")
+        sol[cols] = x[:, 0] + 1j * x[:, 1] if x.shape[1] == 2 else x[:, 0]
+    return list(sol)
 
 
 def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:

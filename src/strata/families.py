@@ -55,6 +55,7 @@ _BRANCH_CHECK_POINTS = 20
 _BRANCH_CHECK_TOL = 1e-6
 # tolerance of the Segre rank sequences in jordanizability_report
 _SEGRE_TOL = 1e-8
+_GAP_TOL = 1e-8  # jordanizability_report's default gap tolerance of the path limits
 
 
 class MatrixFamily:
@@ -397,7 +398,7 @@ def jordanizability_report(
     family: MatrixFamily,
     x0,
     paths=None,
-    tol: float = 1e-8,
+    tol: float = _GAP_TOL,
     sep_tol: float = DEFAULT_SEP_TOL,
 ) -> JordanizabilityReport:
     """Probe the three holomorphic-Jordanizability conditions at a point.

@@ -54,6 +54,7 @@ from .scalars import float_pair, to_complex, zero_test
 from .series import SeriesMatrix, dot
 
 _HOLCON_FLOOR = 1e-8
+_HOLCON_TOL = 1e-8  # holcon_check's endpoint tolerance
 _HOLCON_SAMPLES = tuple(2.0 ** -m for m in range(1, 13))
 
 
@@ -581,7 +582,7 @@ class HolconReport:
         }
 
 
-def holcon_check(conn: FramedConnection, pair, path, tol: float = 1e-8) -> HolconReport:
+def holcon_check(conn: FramedConnection, pair, path, tol: float = _HOLCON_TOL) -> HolconReport:
     """Ratio test for the frame's compatibility with a coalescence point.
 
     path maps t to a parameter point with f_i = f_j at t = 0 and separated

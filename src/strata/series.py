@@ -33,9 +33,8 @@ are those of the (d, K) table that land in them, in the same order.  It
 reads the operands' table forms, which are laid out over the ring's
 (d, K) monomials, in place, and each coefficient through v sums the same
 pairs in the same order as a product through K would.  A floating
-operand's table form is a complex vector over the ring's monomials; a
-pair with an empty slot adds an exact zero, and where an operand holds
-inf or NaN such terms are set to zero outright, so no 0 * inf makes a
+operand's table form is a complex vector over the ring's monomials, and
+a pass reads only the pairs of two occupied slots, so no 0 * inf makes a
 NaN.  An exact operand's is its occupied slots and its Gaussian-integer
 numerators over one common denominator, placed in lists of ints; products
 sum them over their occupied pairs as Python ints and bring each
@@ -198,18 +197,17 @@ def _float_sum(forms: list, ijt, monos: list) -> dict:
     """The sum coefficients: each slot's sum of x_i y_j over the pairs
     ijt = (i, j, t), in pair order, as complex floats, for x and y the
     vectors of the forms' left and right operands laid end to end.  A pair
-    with an empty slot adds a zero, which changes no nonzero sum; if an
-    operand holds inf or NaN, those terms are zeroed first, so no 0 * inf
-    makes a NaN that _mul would not."""
-    n, (i, j, t) = len(monos), ijt
+    with an empty slot would add a zero, which changes no sum, so only the
+    pairs of two occupied slots enter the pass, and no 0 * inf makes a NaN
+    that _mul would not."""
+    n = len(monos)
     xv, yv = (side[0] if len(side) == 1 else np.concatenate(side) for side in zip(*forms))
+    live = (xv != 0)[ijt[0]] & (yv != 0)[ijt[1]]
+    i, j, t = (a[live] for a in ijt)
     xr, xi, yr, yi = xv.real[i], xv.imag[i], yv.real[j], yv.imag[j]
     out = np.empty(n, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as Python makes them
         re, im = xr * yr - xi * yi, xr * yi + xi * yr
-        if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-            empty = (xv == 0)[i] | (yv == 0)[j]
-            re[empty], im[empty] = 0.0, 0.0
         out.real = np.bincount(t, re, n)
         out.imag = np.bincount(t, im, n)
     keep = np.flatnonzero(out).tolist()

@@ -8,7 +8,7 @@ dimensions.  The module also owns the spectral decisions on numeric
 matrices: numerical rank, eigenvalue clusters and Segre data.
 
 It owns every LAPACK call in strata as well: each SVD, eigenvalue, solve,
-least-squares and matrix 2-norm goes through _lapack, which refuses a
+QR and matrix 2-norm goes through _lapack, which refuses a
 non-finite matrix before LAPACK sees it (LAPACK may print to fd 1 or not
 return on one) and a non-finite result after, as ValidationError.  The
 SVDs behind rank and kernel decisions go through _svd, which answers a
@@ -24,6 +24,7 @@ from .errors import ShapeError, ValidationError
 from .partitions import Partition
 
 _ORTHO_TOL = 1e-10
+_SV_TOL = 1e-10  # a singular value counts in a rank when above this share of the largest
 
 
 def _lapack(routine, a, *args, what: str = "the matrix", **kw):
@@ -89,7 +90,7 @@ class Subspace:
         self.basis = basis
 
     @staticmethod
-    def from_spanning(vectors: np.ndarray, tol: float = 1e-10) -> "Subspace":
+    def from_spanning(vectors: np.ndarray, tol: float = _SV_TOL) -> "Subspace":
         """Orthonormalize a (possibly dependent) spanning set via SVD; its
         dimension is the _cutoff_rank of the singular values at tol."""
         vectors = np.asarray(vectors, dtype=complex)
@@ -165,7 +166,7 @@ def sum_subspace(parts: list) -> Subspace:
     return Subspace.from_spanning(np.hstack([p.basis for p in parts]))
 
 
-def kernel_subspace(a: np.ndarray, tol: float = 1e-10) -> Subspace:
+def kernel_subspace(a: np.ndarray, tol: float = _SV_TOL) -> Subspace:
     """Numerical kernel via the small right singular vectors."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:

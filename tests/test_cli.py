@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from strata import appendix, cli, darboux, schemas
+from strata import appendix, bundles, cli, darboux, families, gauge, schemas, subspaces
 from strata.darboux import DEProblem, de_solve_jet
 from strata.families import MatrixFamily, jordanizability_report
-from strata.gauge import connection_from_de, formal_simplify
+from strata.gauge import build_connection, connection_from_de, formal_simplify
 from strata.polynomials import Poly
 from strata.series import SeriesRing
 
@@ -332,23 +332,7 @@ class TestGauge:
         assert out["ok"] is True and "L" in out
 
     def test_holcon_divergent(self, capsys, tmp_path):
-        ring = SeriesRing(2, 2, ["0", "0"], exact=True)
-        delta = ring.matrix([
-            [ring.var(0), ring.zero()],
-            [ring.zero(), ring.var(1)],
-        ])
-        L = ring.matrix([[ring.zero(), ring.one()], [ring.one(), ring.zero()]])
-        from strata.gauge import build_connection
-
-        conn = build_connection(delta, ["0", "0"], L)
-        cf = tmp_path / "conn.json"
-        cf.write_text(json.dumps(schemas.encode_framed_connection(conn)))
-        t = X(1, 0)
-        half = Poly.constant(1, Fraction(1, 2), True)
-        pf = tmp_path / "path.json"
-        pf.write_text(json.dumps(schemas.encode_path([t * half, -(t * half)])))
-        doc = run_json(capsys, "gauge", "holcon", "--input", str(cf),
-                       "--pair", "0", "1", "--path", str(pf))
+        doc = run_json(capsys, "gauge", "holcon", *_holcon_args(tmp_path))
         assert doc["bounded"] is False
 
 
@@ -583,6 +567,18 @@ class TestTolerancePrecedence:
         assert json.loads(err.strip())["error"] == "invalid-input"
 
 
+def _holcon_args(tmp_path):
+    """The input arguments of a gauge holcon run on a two-point coalescence."""
+    ring = SeriesRing(2, 2, ["0", "0"], exact=True)
+    delta = ring.matrix([[ring.var(0), ring.zero()], [ring.zero(), ring.var(1)]])
+    L = ring.matrix([[ring.zero(), ring.one()], [ring.one(), ring.zero()]])
+    cf, pf = tmp_path / "conn.json", tmp_path / "path.json"
+    cf.write_text(json.dumps(schemas.encode_framed_connection(build_connection(delta, ["0", "0"], L))))
+    half = Poly.constant(1, Fraction(1, 2), True)
+    pf.write_text(json.dumps(schemas.encode_path([X(1, 0) * half, -(X(1, 0) * half)])))
+    return ["--input", str(cf), "--pair", "0", "1", "--path", str(pf)]
+
+
 class TestLibraryTolerances:
     """A command whose default tolerance is a library constant hands the
     library that constant, read when the command runs."""
@@ -647,6 +643,39 @@ class TestLibraryTolerances:
         run_json(capsys, "gauge", "build", "--input", de_fixture["conn"])
         run_json(capsys, "gauge", "witness", "--input", str(witness))
         assert seen == [2.5e-7] * 3
+
+    # (command, module and name of the library default, owner and name of the
+    # function the command hands it to, input document or input arguments)
+    DEFAULTS = [
+        (["bundles", "classify"], bundles, "_CLASSIFY_TOL", cli, "classify_matrix_detailed",
+         [[2, 1], [0, 2]]),
+        (["gap", "distance"], subspaces, "_SV_TOL", subspaces.Subspace, "from_spanning",
+         {"a": [[1, 0]], "b": [[0, 1]]}),
+        (["gap", "kernel"], subspaces, "_SV_TOL", cli, "kernel_subspace", [[0, 1], [0, 0]]),
+        (["gap", "report", "--point", "[0]"], families, "_GAP_TOL", cli, "jordanizability_report",
+         Path(__file__).parent / "data" / "golden" / "family_upper_3x3.json"),
+        (["gauge", "holcon"], gauge, "_HOLCON_TOL", cli, "holcon_check", _holcon_args),
+    ]
+
+    @pytest.mark.parametrize("argv, module, const, owner, name, doc", DEFAULTS,
+                             ids=[" ".join(case[0][:2]) for case in DEFAULTS])
+    def test_command_passes_the_library_default(self, capsys, tmp_path, monkeypatch,
+                                                argv, module, const, owner, name, doc):
+        if callable(doc):
+            extra = doc(tmp_path)
+        else:
+            if not isinstance(doc, Path):
+                content, doc = doc, tmp_path / "doc.json"
+                doc.write_text(json.dumps(content))
+            extra = ["--input", str(doc)]
+        seen = []
+        monkeypatch.delenv("STRATA_TOL", raising=False)
+        monkeypatch.setattr(module, const, 2.5e-7)
+        self.spy(monkeypatch, owner, name, seen)
+        run_json(capsys, *argv, *extra)
+        run_json(capsys, *argv, *extra, "--tol", "1e-6")
+        calls = len(seen) // 2
+        assert calls and seen == [2.5e-7] * calls + [1e-6] * calls
 
 
 class TestDeterminism:

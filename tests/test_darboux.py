@@ -314,18 +314,19 @@ class TestExactElimination:
         assert _exact_solve([({0: Q(0)}, Q(1))], 1) == "inconsistent"
 
 
-def _block_system(scales, shapes, extra_cols=0, seed=7):
+def _block_system(scales, shapes, extra_cols=0, seed=7, real=False):
     """A float block-diagonal system, block i of shape shapes[i] scaled by
     scales[i], with its rows and columns shuffled and extra_cols columns no
     row names: the sparse rows of _solve, the assembled matrix and its
-    right-hand side, and the column count."""
+    right-hand side, and the column count.  The blocks are real when real
+    is set; the right-hand side is always complex."""
     rng = np.random.default_rng(seed)
     m, n = (sum(s[i] for s in shapes) for i in (0, 1))
     A = np.zeros((m, n + extra_cols), dtype=complex)
     r = c = 0
     for scale, (bm, bn) in zip(scales, shapes):
         A[r:r + bm, c:c + bn] = scale * (rng.standard_normal((bm, bn))
-                                         + 1j * rng.standard_normal((bm, bn)))
+                                         + (0 if real else 1j) * rng.standard_normal((bm, bn)))
         r, c = r + bm, c + bn
     A = A[rng.permutation(m)][:, rng.permutation(n + extra_cols)]
     b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -355,6 +356,24 @@ class TestFloatSolve:
             for extra in (0, 1):
                 rows, _, _, ncols = _block_system([1.0, 1.0], [(4, 3), (4, 3)], extra_cols=extra)
                 assert (_solve(rows, ncols, False) == "singular") == bool(extra)
+
+    @pytest.mark.parametrize("real, dtype", [(True, np.float64), (False, np.complex128)])
+    def test_one_qr_per_block(self, monkeypatch, real, dtype):
+        # a real block is factored in real arithmetic, with the real and
+        # imaginary parts of its right-hand side as two columns
+        rows, A, b, ncols = _block_system([1.0, 3.0], [(9, 4), (6, 3)], real=real)
+        seen = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        got = np.array(_solve(rows, ncols, False))
+        assert seen == [dtype, dtype]
+        want = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestNonzeroInt:

@@ -651,6 +651,44 @@ def test_sparse_routes_stop_at_the_validity(monkeypatch, exact):
         assert max(map(sum, _fold(pairs, ring.K))) > total.valid
 
 
+def _all_pairs_float_sum(forms, ijt, monos):
+    """series._float_sum over every table pair, empty slots included: where
+    an operand holds inf or NaN, the terms of pairs with an empty slot are
+    zeroed after they are formed, so no 0 * inf makes a NaN."""
+    n, (i, j, t) = len(monos), ijt
+    xv, yv = (np.concatenate(side) for side in zip(*forms))
+    xr, xi, yr, yi = xv.real[i], xv.imag[i], yv.real[j], yv.imag[j]
+    out = np.empty(n, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = xr * yr - xi * yi, xr * yi + xi * yr
+        if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+            empty = (xv == 0)[i] | (yv == 0)[j]
+            re[empty], im[empty] = 0.0, 0.0
+        out.real = np.bincount(t, re, n)
+        out.imag = np.bincount(t, im, n)
+    keep = np.flatnonzero(out).tolist()
+    return dict(zip(map(monos.__getitem__, keep), out[keep].tolist()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_dot_case(False))
+def test_float_pass_over_occupied_pairs_is_the_all_pairs_pass(case):
+    # leaving out the pairs with an empty slot changes no bit of any sum,
+    # the sign of a zero part included, with or without inf and NaN
+    ring, pairs = case
+    pairs = [(P, Q) for P, Q in pairs if P.coeffs and Q.coeffs]
+    v = min([min(P.valid, Q.valid) for P, Q in pairs], default=-1)
+    if v < 0:
+        return
+    forms = [(P._table(), Q._table()) for P, Q in pairs]
+    monos = series._monomials(ring.d, v)[0]
+    ijt = series._flat_pairs(ring.d, v, len(pairs), len(series._monomials(ring.d, ring.K)[0]))
+    got, want = series._float_sum(forms, ijt, monos), _all_pairs_float_sum(forms, ijt, monos)
+    assert list(got) == list(want)
+    assert [(z.real.hex(), z.imag.hex()) for z in got.values()] == [
+        (z.real.hex(), z.imag.hex()) for z in want.values()]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_dot_case(False))
 def test_one_pair_float_dot_is_the_product(case):

@@ -21,6 +21,10 @@ Gaussian rational entries.  With F0 nudged off the degree-0 constraint,
 the oracle must reject F0 exactly when the solver calls it infeasible.
 On both exact routes, the order-(K + 1) jet through degree K is the
 order-K jet.
+
+A fourth route states the paper's theorem at jet level: every jet is the
+jet of the universal problem (d = n, f_i = u_i) at u_o = f(x_o), with the
+same b and F0, composed with f - f(x_o).
 """
 
 from fractions import Fraction
@@ -34,6 +38,7 @@ from strata.errors import OracleError
 from strata.gauge import connection_from_de, formal_simplify, gauge_residual
 from strata.polynomials import Poly
 from strata.scalars import ComplexRational, to_complex
+from strata.series import SeriesRing, exponents_of_degree
 
 # SCHEMAS.md, "Float mode against exact mode": the largest float/exact
 # coefficient distance, relative to max(1, max |exact coefficient|)
@@ -125,6 +130,64 @@ COMPLEX_CASES = [(2, False, 6), (3, False, 6), (2, True, 4), (3, True, 4)]
 def test_exact_routes_agree_on_complex_data(n, coalescent, examples):
     run = settings(max_examples=examples, deadline=None, derandomize=True)(
         given(_problems(n, coalescent, complex_data=True))(_check))
+    run()
+
+
+def _compose(G, ws, ring):
+    """The coefficients of G's off-diagonal entries composed with the series
+    ws of ring: each G_kh = sum_beta g_beta (u - u_o)^beta becomes sum_beta
+    g_beta w^beta, the powers w^beta formed by repeated products.  Each w_a
+    has no constant term, so G's terms through degree K give the jet
+    through K."""
+    n, K = len(ws), ring.K
+    powers = {(0,) * n: ring.one()}
+    for deg in range(1, K + 1):
+        for beta in exponents_of_degree(n, deg):
+            a = next(a for a, e in enumerate(beta) if e)
+            powers[beta] = powers[beta[:a] + (beta[a] - 1,) + beta[a + 1:]] * ws[a]
+    out = {}
+    for k, h in _coeffs(G):
+        total = ring.zero()
+        for beta, g in G.entry(k, h).items():
+            total = total + powers[beta].scale(g)
+        out[k, h] = dict(total.items())
+    return out
+
+
+def _universal(problem, F0, K, shift=0):
+    """The jet of the universal problem (d = n, f_i = u_i) at u_o = f(x_o),
+    with problem's b and F0 and b_0 moved by shift, composed with
+    f - f(x_o)."""
+    ring = SeriesRing(problem.d, K, problem.x0, exact=True)
+    fs = problem.f_series(ring)
+    n, uo = problem.n, [s.constant_term() for s in fs]
+    b = [problem.b[0] + shift] + list(problem.b[1:])
+    universal = DEProblem(n, n, uo, [Poly.variable(n, i, exact=True) for i in range(n)], b)
+    G = de_solve_jet(universal, F0, K)[0]
+    return _compose(G, [s - u for s, u in zip(fs, uo)], ring)
+
+
+def _check_universal(case):
+    # the paper's universality at jet level: DE1 and DE2 are the pullbacks
+    # along f of the universal system, and the jet is unique given F0
+    problem, F0, K = case
+    jet = _coeffs(de_solve_jet(problem, F0, K)[0])
+    assert _universal(problem, F0, K) == jet
+    if any(jet.values()):
+        assert _universal(problem, F0, K, Fraction(1, 7)) != jet
+
+
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n, coalescent", [(2, False), (3, False), (2, True), (3, True)])
+def test_every_jet_is_the_universal_jet_composed_with_f(n, coalescent, complex_data):
+    """Exact equality through K, and a universal b_0 moved by 1/7 breaks it.
+
+    The n = 2 coalescent draws have F0 = 0: the degree-0 constraint at the
+    pair (0, 1) has no third index to sum over.  So their jets vanish, and
+    only the regular and the n = 3 draws can tell a moved b_0 apart.
+    """
+    run = settings(max_examples=6, deadline=None, derandomize=True)(
+        given(_problems(n, coalescent, complex_data=complex_data))(_check_universal))
     run()
 
 
