@@ -291,8 +291,8 @@ class _Engine:
     degree m - 1, and a coalescent pair's DE2 at degree m, which also names
     other pairs' degree-m unknowns through de2_links.  Both solvers call load
     once per level, before it is solved; the oracle reads the links as
-    columns, and the recursion, which solves the regular pairs first, as
-    known values (de2_known_row).
+    columns, and the recursion reads de1_known_row and de2_known_row, which
+    fold the unknowns it has stored into the value, and divides.
     """
 
     def __init__(self, problem: DEProblem, K: int, exact: bool, F0):
@@ -309,7 +309,7 @@ class _Engine:
         self.b = [self.ring.scalar(v) for v in problem.b]
         self.pairs = [(k, h) for k in range(self.n) for h in range(self.n) if k != h]
         self.delta, self.d0, self.ddelta, self.D, self.kappa, self.bdiff = {}, {}, {}, {}, {}, {}
-        self.j0, self.zero_dirs, self.coalescent = {}, {}, {}
+        self.j0, self.coalescent = {}, {}
         one = self.ring.scalar(1)
         for kh in self.pairs:
             k, h = kh
@@ -321,9 +321,7 @@ class _Engine:
             self.bdiff[kh] = self.b[h] - self.b[k]
             self.kappa[kh] = self.bdiff[kh] - one
             self.coalescent[kh] = problem.is_coalescent(k, h)
-            j0 = self.j0[kh] = _pivot(D, f"pair ({k},{h})")
-            flat = zero_test(exact, problem.tol, lambda: max(1.0, scalar_abs2(D[j0]) ** 0.5))
-            self.zero_dirs[kh] = {a for a in range(self.d) if flat(D[a])}
+            self.j0[kh] = _pivot(D, f"pair ({k},{h})")
         # coefficients of F_kl F_lh: q1[i, j, l, k, h] in DE1, q2[i, l, k, h] in DE2
         self.q1, self.q2 = {}, {}
         for k, h in self.pairs:
@@ -401,6 +399,15 @@ class _Engine:
                     links[pair, e] = self.zero - q0 * self.F[other].constant_term()
         return links
 
+    def de1_known_row(self, i: int, j: int, kh, beta: tuple):
+        """de1_row, its value plus each multiplier times pair kh's coefficient
+        that the recursion has stored."""
+        mults, val = self.de1_row(i, j, kh, beta)
+        for t, w in mults.items():
+            if t in self.C[kh]:
+                val = val + w * self.C[kh][t]
+        return mults, val
+
     def de2_known_row(self, i: int, kh, e: tuple):
         """de2_row of a coalescent pair, its value plus each de2_links multiplier
         times the linked regular pair's coefficient, which the recursion has solved.
@@ -444,6 +451,11 @@ class _Engine:
             )
 
     def advance_level(self, level: int):
+        """Store the degree-level coefficients, one row and one division each.
+        A coalescent pair is swept in decreasing alpha[j0]: level e_j0 from
+        its DE2 row (multiplier D_j0 (level - kappa), nonzero by
+        _resonance_guard), any other alpha from the DE1 row (c, j0) at
+        alpha - e_c, c in supp(alpha) - {j0} (multiplier D_j0 alpha_c)."""
         exps = exponents_of_degree(self.d, level)
         self.load(level)
         for kh in self.pairs:
@@ -454,30 +466,15 @@ class _Engine:
                     self._store(kh, alpha, -val / mults[alpha])
         for kh in filter(self.coalescent.get, self.pairs):
             self._resonance_guard(kh, level)
-            j0, zset = self.j0[kh], self.zero_dirs[kh]
-            for alpha in exps:
-                supp = _support(alpha)
-                flat = [a for a in supp if a in zset]
-                if flat:
-                    # at a flat direction a the swap's multiplier -D_a (beta_j0 + 1)
-                    # is zero, or below tolerance, and is ignored
-                    mults, val = self.de1_row(flat[0], j0, kh, _bump(alpha, flat[0], -1))
-                    self._store(kh, alpha, -val / mults[alpha])
-                    continue
-                # one small solve couples alpha with its pivot-direction swaps
-                # alpha - e_c + e_j0: their DE1 rows and one DE2 row of degree level
-                cs = [c for c in supp if c != j0]
-                keys = [alpha] + [_bump(_bump(alpha, c, -1), j0) for c in cs]
-                col = {key: idx for idx, key in enumerate(keys)}
-                rows = [self.de1_row(c, j0, kh, _bump(alpha, c, -1)) for c in cs]
-                rows.append(self.de2_known_row(supp[0], kh, _bump(_bump(alpha, supp[0], -1), j0)))
-                rows = [({col[t]: v for t, v in mults.items()}, val) for mults, val in rows]
-                sol = _solve(rows, len(keys), self.exact)
-                if isinstance(sol, str):
-                    raise ResonanceError(
-                        f"singular linear step for pair ({kh[0]},{kh[1]}) at degree {level}"
-                    )
-                self._store(kh, alpha, sol[0])
+            j0 = self.j0[kh]
+            # the DE1 row also names alpha - e_c + e_j0, which is stored already
+            for alpha in sorted(exps, key=lambda e: -e[j0]):
+                c = next((a for a in _support(alpha) if a != j0), None)
+                if c is None:
+                    mults, val = self.de2_known_row(j0, kh, alpha)
+                else:
+                    mults, val = self.de1_known_row(c, j0, kh, _bump(alpha, c, -1))
+                self._store(kh, alpha, -val / mults[alpha])
 
     def to_jet(self) -> DEJet:
         return DEJet(SeriesMatrix([[self.ring.zero() if k == h else TruncatedSeries(self.ring, self.C[k, h])
@@ -563,12 +560,13 @@ def de_residual(problem: DEProblem, jet, order: int) -> DEResidualReport:
 def de_solve_jet(problem: DEProblem, F0, K: int, tol: float = _FEASIBLE_TOL):
     """Taylor jet of the solution with value F0 at the base point.
 
-    Returns (jet, feasible, residual report).  The jet always exists and
-    is unique given F0; feasibility records whether F0 is admissible,
-    which fails exactly when some residual survives (for example the
-    degree-0 constraint at a coalescent pair); _feasible states the float
-    rule.  Raises ResonanceError when b_h - b_k hits {2, ..., K+1} at a
-    coalescent pair.
+    Returns (jet, feasible, residual report).  feasible records whether F0
+    is admissible, which fails exactly when some residual survives (for
+    example the degree-0 constraint at a coalescent pair); _feasible states
+    the float rule.  When F0 is admissible the jet is the solution's, unique
+    given F0.  When it is not, no solution exists, and the jet is the one
+    that _Engine.advance_level's rows give.  Raises ResonanceError when
+    b_h - b_k hits {2, ..., K+1} at a coalescent pair.
     """
     K = int(K)
     if K < 0:
@@ -701,7 +699,8 @@ def _blocks(rows, ncols: int):
 
 
 def _solve(rows, ncols: int, exact: bool):
-    """Solve the rows sum(coeff * u) + const = 0 of _exact_solve for u.
+    """Solve the rows sum(coeff * u) + const = 0 of _exact_solve for u: the
+    oracle's linear solve, as the recursion only divides.
 
     Exact mode eliminates exactly.  Floating mode splits the system into
     _blocks and solves each block A x = b by least squares on its own, with

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_solver_differential import FLOAT_EXACT_BOUND
 
 from strata import darboux
 from strata.darboux import (
@@ -22,7 +23,7 @@ from strata.darboux import (
 from strata.errors import OracleError, ResonanceError, ValidationError
 from strata.gauge import connection_from_de
 from strata.polynomials import Poly
-from strata.scalars import ComplexRational, nonzero_int
+from strata.scalars import ComplexRational, nonzero_int, to_complex
 from strata.schemas import decode_de_problem
 from strata.series import SeriesMatrix, SeriesRing, TruncatedSeries, exponents_of_degree
 
@@ -252,6 +253,60 @@ class TestSolver:
                 for e, cv in jet.F.entry(k, h).coeffs.items():
                     worst = max(worst, abs(complex(cv) - complex(jf.F.entry(k, h).coeff(e))))
         assert worst < 1e-9
+
+
+def _gap_problem(gap, exact: bool):
+    """A d = 2, n = 3 problem coalescent in (0, 1) at the origin, whose
+    differential gap there is D = (1, gap), and an admissible F0."""
+    x = [X(2, a) for a in range(2)]
+    f = [x[1] + x[0] * x[0] * Fraction(1, 2),
+         x[0] + (1 + gap) * x[1] + x[0] * x[1] * Fraction(1, 3),
+         1 + 2 * x[0] - x[1] - x[1] * x[1] * Fraction(1, 4)]
+    b = [Fraction(0), Fraction(1, 3), Fraction(-1, 2)]
+    F0 = [[0, 0, Fraction(1, 2)], [0, 0, Fraction(-2, 3)], [Fraction(3, 5), Fraction(1, 4), 0]]
+    for k, h in ((0, 1), (1, 0)):
+        # the degree-0 constraint, f_2 - f_k = 1 at the origin
+        F0[k][h] = F0[k][2] * F0[2][h] / (b[h] - b[k] - 1)
+    if exact:
+        return DEProblem(2, 3, [0, 0], f, b), F0
+    return (DEProblem(2, 3, [0.0, 0.0], [fi.to_float() for fi in f], [float(v) for v in b]),
+            [[float(v) for v in row] for row in F0])
+
+
+def _coeffs(jet):
+    return {(k, h): {e: to_complex(c) for e, c in jet.entry(k, h).items()}
+            for k in range(jet.n) for h in range(jet.n) if k != h}
+
+
+class TestCoalescentSweep:
+    """The recursion reaches each coalescent coefficient by one row and one
+    division: it solves no linear system, and ignores no multiplier."""
+
+    @pytest.mark.parametrize("name", ["de_coalescent_exact.json", "de_coalescent_float.json"])
+    def test_solver_calls_no_linear_solve(self, name, monkeypatch):
+        calls, solve = [], darboux._solve
+        monkeypatch.setattr(darboux, "_solve", lambda *args: calls.append(args) or solve(*args))
+        p, F0 = decode_de_problem(json.loads((GOLDEN / name).read_text()))
+        assert p.coalescent
+        assert de_solve_jet(p, F0, 3)[1] and calls == []
+        de_oracle_solve(p, F0, 3)
+        assert calls
+
+    @pytest.mark.parametrize("gap", [Fraction(1, 10**13), Fraction(5, 10**11)],
+                             ids=["1e-13", "5e-11"])
+    def test_a_tiny_differential_gap_is_not_ignored(self, gap):
+        # both gaps lie below the coalescence tolerance, 1e-10 of D_j0 = 1; the
+        # DE1 rows name them as multipliers of already stored coefficients
+        want = _coeffs(de_solve_jet(*_gap_problem(gap, True), 5)[0])
+        scale = max([1.0] + [abs(c) for cs in want.values() for c in cs.values()])
+        p, F0 = _gap_problem(gap, False)
+        jet, feasible, _ = de_solve_jet(p, F0, 5)
+        assert feasible and not jet.F.ring.exact
+        got = _coeffs(jet)
+        for other in (want, _coeffs(de_oracle_solve(p, F0, 5))):
+            worst = max(abs(got[kh].get(e, 0j) - other[kh].get(e, 0j))
+                        for kh in got for e in set(got[kh]) | set(other[kh]))
+            assert worst <= FLOAT_EXACT_BOUND * scale
 
 
 class TestResidualReport:
