@@ -16,7 +16,8 @@ stdout.
 Inputs are JSON documents in the shapes described in ``schemas``; outputs are
 JSON on stdout (DOT text for ``bundles hasse --format dot``).  Exit status is
 0 on success and 2 on any validation or usage failure, with a one-line
-``{"error": code, "detail": text}`` object on stderr.  The STRATA_TOL
+``{"error": code, "detail": text}`` object on stderr, which holds nothing
+else: ``main`` keeps Python warnings off it.  The STRATA_TOL
 environment variable overrides built-in tolerance defaults; explicit --tol
 flags win over the environment.  Output is deterministic byte for byte for
 identical inputs and flags.
@@ -30,6 +31,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -528,7 +530,10 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        result = args.func(args)
+        with warnings.catch_warnings():
+            # stderr holds the one error line or nothing
+            warnings.simplefilter("ignore")
+            result = args.func(args)
         if isinstance(result, str):
             sys.stdout.write(result)
         else:

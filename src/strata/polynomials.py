@@ -87,7 +87,10 @@ def _eval(c: dict, pt, exact: bool):
         term = to_complex(v)
         for x, k in zip(pt, e):
             if k:
-                term *= x ** k
+                try:
+                    term *= x ** k
+                except OverflowError:
+                    raise ValidationError("a polynomial value is beyond the float range") from None
         acc += term
     return acc
 

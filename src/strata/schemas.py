@@ -85,7 +85,10 @@ def decode_scalar(obj):
         im, im_exact = _decode_part(obj[1])
         if re_exact and im_exact:
             return ComplexRational(re, im)
-        return complex(re, im)
+        try:
+            return complex(re, im)
+        except OverflowError:
+            raise ValidationError("an exact value is beyond the float range") from None
     re, re_exact = _decode_part(obj)
     return ComplexRational(re) if re_exact else complex(re, 0.0)
 
@@ -130,6 +133,9 @@ def encode_poly(p: Poly) -> list:
     return _encode_terms(p.coeffs.items())
 
 
+MAX_DEGREE = 64  # the highest total degree of a term in a document
+
+
 def _decode_terms(obj, d: int, exact: bool) -> dict:
     coeffs = {}
     for term in obj:
@@ -138,6 +144,8 @@ def _decode_terms(obj, d: int, exact: bool) -> dict:
         exps = tuple(_decode_int(e, "an exponent", low=0) for e in term["exps"])
         if len(exps) != d:
             raise ShapeError(f"term exponents {exps} do not match d={d}")
+        if sum(exps) > MAX_DEGREE:
+            raise ValidationError(f"a term's total degree is capped at {MAX_DEGREE}")
         c = decode_scalar([term.get("re", 0), term.get("im", 0)])
         coeffs[exps] = coerce(c, exact)
     return coeffs

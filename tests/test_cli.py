@@ -9,10 +9,14 @@ import pytest
 
 from strata import appendix, bundles, cli, darboux, families, gauge, schemas, subspaces
 from strata.darboux import DEProblem, de_solve_jet
+from strata.errors import ValidationError
 from strata.families import MatrixFamily, jordanizability_report
 from strata.gauge import build_connection, connection_from_de, formal_simplify
 from strata.polynomials import Poly
 from strata.series import SeriesRing
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def X(d, a):
@@ -46,6 +50,18 @@ def run_json(capsys, *argv):
 
 def refuse_constant(name):
     raise ValueError(f"non-finite constant {name} in stdout")
+
+
+def golden_with(name, path, value):
+    """The golden document name with its leaf at path, a sequence of keys
+    and indices, set to value."""
+    doc = json.loads((GOLDEN / name).read_text())
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +225,35 @@ class TestWeightCap:
         assert len(counts) == 1 and int(counts.pop()) > 0
 
 
+class TestDegreeCap:
+    """A document term's total degree is capped at schemas.MAX_DEGREE."""
+
+    @pytest.mark.parametrize("name, exponent", [
+        ("de_regular_float.json", 10**400),
+        ("de_regular_exact.json", 10**6),
+        ("de_regular_exact.json", schemas.MAX_DEGREE + 1),
+    ], ids=["float-beyond-float-range", "exact-million", "exact-above-cap"])
+    def test_refused_above_cap(self, capsys, tmp_path, name, exponent):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(golden_with(name, ("f", 0, 0, "exps", 0), exponent)))
+        start = time.perf_counter()
+        obj = assert_refused(capsys, "de", "oracle", "--input", str(f), "--order", "3")
+        assert time.perf_counter() - start < 1.0
+        assert obj["error"] == "invalid-input"
+
+    def test_cap_is_inclusive(self, capsys, tmp_path):
+        f = tmp_path / "doc.json"
+        doc = golden_with("de_regular_exact.json", ("f", 0, 0, "exps", 0), schemas.MAX_DEGREE)
+        f.write_text(json.dumps(doc))
+        assert run_json(capsys, "de", "oracle", "--input", str(f), "--order", "3")
+
+    def test_cap_is_on_total_degree(self):
+        half = schemas.MAX_DEGREE // 2
+        assert schemas.decode_poly([{"exps": [half, schemas.MAX_DEGREE - half], "re": "1"}], 2)
+        with pytest.raises(ValidationError, match="capped"):
+            schemas.decode_poly([{"exps": [half, schemas.MAX_DEGREE - half + 1], "re": "1"}], 2)
+
+
 class TestGap:
     def test_distance_exact_one(self, capsys, tmp_path):
         f = tmp_path / "pair.json"
@@ -247,7 +292,7 @@ class TestGap:
 
     def test_report_is_the_library_report(self, capsys):
         # the CLI's default tolerances are the library's, so both probe the same samples
-        path = Path(__file__).parent / "data" / "golden" / "family_upper_3x3.json"
+        path = GOLDEN / "family_upper_3x3.json"
         family = schemas.decode_matrix_family(json.loads(path.read_text()))
         library = json.loads(json.dumps(jordanizability_report(family, [0]).to_dict()))
         doc = run_json(capsys, "gap", "report", "--input", str(path), "--point", "[0]")
@@ -450,9 +495,15 @@ class TestOutOfFloatRange:
         (["gap", "kernel", "--tol", "-inf"], [[1, 0], [0, 1]]),
         (["gap", "report", "--point", "[0]", "--sep-tol", "nan"], None),
         (["gap", "report", "--point", "[0]", "--sep-tol", "0"], None),
+        # an exact part beside a float one must convert to a float
+        (["de", "solve", "--order", "3"],
+         golden_with("de_regular_float.json", ("f", 0, 0, "im"), 10**400)),
+        # f[2] holds x0^2, which overflows at x0 = 1e308 i
+        (["de", "oracle", "--order", "3"],
+         golden_with("de_regular_exact.json", ("x0", 0), ["0", 1e308])),
     ], ids=["classify-huge", "classify-huge-shift", "classify-nan", "kernel-nan",
             "distance-inf", "tol-nan", "tol-inf", "tol-minus-inf", "sep-tol-nan",
-            "sep-tol-zero"])
+            "sep-tol-zero", "de-huge-integer-part", "de-f-beyond-float-range"])
     def test_document_refused(self, capsys, tmp_path, argv, doc):
         if doc is None:
             x = X(1, 0)
@@ -653,7 +704,7 @@ class TestLibraryTolerances:
          {"a": [[1, 0]], "b": [[0, 1]]}),
         (["gap", "kernel"], subspaces, "_SV_TOL", cli, "kernel_subspace", [[0, 1], [0, 0]]),
         (["gap", "report", "--point", "[0]"], families, "_GAP_TOL", cli, "jordanizability_report",
-         Path(__file__).parent / "data" / "golden" / "family_upper_3x3.json"),
+         GOLDEN / "family_upper_3x3.json"),
         (["gauge", "holcon"], gauge, "_HOLCON_TOL", cli, "holcon_check", _holcon_args),
     ]
 

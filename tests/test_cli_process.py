@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 # matrix documents, written to files; NaN and Infinity are JSON tokens here
 DOCS = {
@@ -201,3 +202,19 @@ def test_huge_entries_give_the_true_answer_or_a_refusal(tmp_path):
     assert classify.returncode == 0, classify.stderr
     doc = json.loads(classify.stdout)
     assert (doc["symbol"], doc["eigenvalues"]) == ([[1, 1]], [[1e308, 0.0]])
+
+
+def test_a_library_warning_stays_off_stderr(tmp_path):
+    # at x0 = (1e-9, 0, 1) the pair (0, 1) is near-coalescent, and DEProblem
+    # warns before it treats the pair as regular; a process shows the warning
+    # on every run, where an in-process run shows it only once
+    doc = json.loads((GOLDEN / "de_coalescent_float.json").read_text())
+    doc["x0"][0] = [1e-9, 0.0]
+    argvs = []
+    for name, F0 in (("good", doc["F0"]), ("bad", "bad")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(doc, F0=F0)))
+        argvs.append(["de", "solve", "--input", str(tmp_path / f"{name}.json"), "--order", "3"])
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        good, bad = pool.map(_run, argvs)
+    assert (good.returncode, bad.returncode) == (0, 2)
+    assert [_breach(argv, proc) for argv, proc in zip(argvs, (good, bad))] == [None, None]
