@@ -24,7 +24,8 @@ order-K jet.
 
 A fourth route states the paper's theorem at jet level: every jet is the
 jet of the universal problem (d = n, f_i = u_i) at u_o = f(x_o), with the
-same b and F0, composed with f - f(x_o).
+same b and F0, composed with f - f(x_o).  So is every gauge ladder entry,
+through its validity, and in float mode within the float bound.
 """
 
 from fractions import Fraction
@@ -133,38 +134,47 @@ def test_exact_routes_agree_on_complex_data(n, coalescent, examples):
     run()
 
 
-def _compose(G, ws, ring):
-    """The coefficients of G's off-diagonal entries composed with the series
-    ws of ring: each G_kh = sum_beta g_beta (u - u_o)^beta becomes sum_beta
-    g_beta w^beta, the powers w^beta formed by repeated products.  Each w_a
-    has no constant term, so G's terms through degree K give the jet
-    through K."""
+def _powers(ws, ring):
+    """The products w^beta of the series ws of ring through degree ring.K,
+    formed by repeated products."""
     n, K = len(ws), ring.K
     powers = {(0,) * n: ring.one()}
     for deg in range(1, K + 1):
         for beta in exponents_of_degree(n, deg):
             a = next(a for a, e in enumerate(beta) if e)
             powers[beta] = powers[beta[:a] + (beta[a] - 1,) + beta[a + 1:]] * ws[a]
-    out = {}
-    for k, h in _coeffs(G):
-        total = ring.zero()
-        for beta, g in G.entry(k, h).items():
-            total = total + powers[beta].scale(g)
-        out[k, h] = dict(total.items())
-    return out
+    return powers
+
+
+def _compose(s, powers, ring):
+    """The series s of the universal ring composed with the series ws of
+    _powers: each term g_beta (u - u_o)^beta through s's validity becomes
+    g_beta w^beta.  Each w_a has no constant term, so the terms through
+    degree v give the composition through v, and it keeps s's validity."""
+    total = ring.zero()
+    for beta, g in s.items(s.valid):
+        total = total + powers[beta].scale(g)
+    return total
+
+
+def _universal_frame(problem, K, shift=0):
+    """The universal problem (d = n, f_i = u_i) at u_o = f(x_o), in
+    problem's mode, with problem's b and b_0 moved by shift; the _powers of
+    w = f - f(x_o) and problem's order-K ring that holds them."""
+    ring = SeriesRing(problem.d, K, problem.x0, problem.exact)
+    fs = problem.f_series(ring)
+    n, uo = problem.n, [s.constant_term() for s in fs]
+    u = [Poly.variable(n, i, exact=problem.exact) for i in range(n)]
+    universal = DEProblem(n, n, uo, u, [problem.b[0] + shift] + list(problem.b[1:]))
+    return universal, _powers([s - c for s, c in zip(fs, uo)], ring), ring
 
 
 def _universal(problem, F0, K, shift=0):
-    """The jet of the universal problem (d = n, f_i = u_i) at u_o = f(x_o),
-    with problem's b and F0 and b_0 moved by shift, composed with
-    f - f(x_o)."""
-    ring = SeriesRing(problem.d, K, problem.x0, exact=True)
-    fs = problem.f_series(ring)
-    n, uo = problem.n, [s.constant_term() for s in fs]
-    b = [problem.b[0] + shift] + list(problem.b[1:])
-    universal = DEProblem(n, n, uo, [Poly.variable(n, i, exact=True) for i in range(n)], b)
+    """The jet of the universal problem at u_o = f(x_o), with problem's b
+    and F0 and b_0 moved by shift, composed with f - f(x_o)."""
+    universal, powers, ring = _universal_frame(problem, K, shift)
     G = de_solve_jet(universal, F0, K)[0]
-    return _compose(G, [s - u for s, u in zip(fs, uo)], ring)
+    return {kh: dict(_compose(G.entry(*kh), powers, ring).items()) for kh in _coeffs(G)}
 
 
 def _check_universal(case):
@@ -188,6 +198,48 @@ def test_every_jet_is_the_universal_jet_composed_with_f(n, coalescent, complex_d
     """
     run = settings(max_examples=6, deadline=None, derandomize=True)(
         given(_problems(n, coalescent, complex_data=complex_data))(_check_universal))
+    run()
+
+
+def _ladders(problem, F0, K):
+    """(entry, composed entry, lesser validity) for each entry of the gauge
+    ladder of problem's frame to order min(K, 3): the composed entry is the
+    same entry of the universal frame's ladder composed with f - f(x_o)."""
+    universal, powers, ring = _universal_frame(problem, K)
+    mode = "coalescent" if problem.coalescent else "regular"
+    entries = []
+    for p in (problem, universal):
+        conn = connection_from_de(p, de_solve_jet(p, F0, K)[0])
+        gs = formal_simplify(conn, min(K, 3), mode=mode)
+        entries.append([s for M in gs.F for row in M.rows for s in row])
+    return [(s, _compose(t, powers, ring), min(s.valid, t.valid)) for s, t in zip(*entries)]
+
+
+def _check_universal_ladder(case):
+    # the ladder reads only Delta0 = diag(f), b and the jet, each of them the
+    # universal one composed with f - f(x_o); so is each ladder entry
+    problem, F0, K = case
+    pairs = [(dict(s.items(v)), dict(t.items(v))) for s, t, v in _ladders(problem, F0, K)]
+    assert all(a == b for a, b in pairs)
+    scale = max([1.0] + [abs(to_complex(c)) for a, _ in pairs for c in a.values()])
+    for s, t, v in _ladders(*_floated(problem, F0), K):
+        a, b = dict(s.items(v)), dict(t.items(v))
+        assert max([0.0] + [abs(a.get(e, 0j) - b.get(e, 0j)) for e in set(a) | set(b)]) \
+            <= FLOAT_EXACT_BOUND * scale
+
+
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n, coalescent", [(2, False), (3, False), (2, True), (3, True)])
+def test_every_ladder_is_the_universal_ladder_composed_with_f(n, coalescent, complex_data):
+    """Exact equality through the lesser validity of the two ladders, and
+    the float ladders within the float bound of each other.
+
+    In coalescent mode the two ladders divide along pivot coordinates of
+    different spaces, an x_h on one side and a u_h on the other, and still
+    agree.
+    """
+    run = settings(max_examples=6, deadline=None, derandomize=True)(
+        given(_problems(n, coalescent, complex_data=complex_data))(_check_universal_ladder))
     run()
 
 
