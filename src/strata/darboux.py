@@ -15,8 +15,8 @@ n constants b_i.  Writing Df = f_h - f_k for a pair (k, h), they are
 Under the genericity condition (pairwise distinct differentials of the
 f_i at the base point) the Taylor jet of a solution at the base point is
 uniquely determined by its value there.  de_solve_jet reproduces that
-recursion order by order; de_oracle_solve independently solves a stacked
-linear system per degree; de_residual substitutes any jet back into both
+recursion order by order; de_oracle_solve independently solves stacked
+linear systems per degree; de_residual substitutes any jet back into both
 families.  Indices are 0-based throughout.
 """
 
@@ -66,13 +66,13 @@ def _support(e: tuple) -> list:
 
 def _fscale(values) -> float:
     """max(1, |v|) over branch values: the scale of coalescence tolerances."""
-    return max([1.0] + [scalar_abs2(v) ** 0.5 for v in values])
+    return max([1.0] + [magnitude(v) for v in values])
 
 
 def _pivot(diffs, what: str) -> int:
     """The pivot coordinate of a branch pair whose differentials differ by
-    diffs at the center: the first a of largest |diffs[a]|^2."""
-    mags = [scalar_abs2(v) for v in diffs]
+    diffs at the center: the first a of largest |diffs[a]|, compared exactly in exact mode."""
+    mags = [scalar_abs2(v) if isinstance(v, ComplexRational) else magnitude(v) for v in diffs]
     best = max(mags)
     if best == 0:
         raise GenericityError(f"{what} has equal differentials at the center")
@@ -162,7 +162,7 @@ class DEProblem:
         pairs, self.pnr_violations = _coalescent_pairs(vals, self.b, self.exact, self.tol)
         self.coalescent = set(pairs)
         flat = zero_test(self.exact, self.tol,
-                         lambda: max(1.0, max(scalar_abs2(g) ** 0.5 for gr in grads for g in gr)))
+                         lambda: max(1.0, max(magnitude(g) for gr in grads for g in gr)))
         for k in range(self.n):
             for h in range(k + 1, self.n):
                 if not self.exact and (k, h) not in self.coalescent:
@@ -277,9 +277,9 @@ class _Engine:
     equation coefficient is read as a row: de1_row and de2_row return the
     multipliers of pair kh's own unknowns, keyed by exponent, and the
     coefficient read from the loaded series, de1_coeff or de2_coeff, which
-    is the row's value with those unknowns at zero.  They and de2_links
-    are the only place a multiplier is formed, for the recursion and the
-    oracle alike:
+    is the row's value with those unknowns at zero.  They and de2_links, whose
+    weights F0 fixes at construction, are the only source of multipliers, for
+    the recursion and the oracle alike:
 
       DE1 at beta:  D_j (beta_i + 1) at beta + e_i, -D_i (beta_j + 1) at beta + e_j;
       DE2 at e, regular pair:  d0 (e_i + 1) at e + e_i, with d0 = Df at the base point;
@@ -290,9 +290,9 @@ class _Engine:
     that name the degree-m unknowns are DE1 and a regular pair's DE2 at
     degree m - 1, and a coalescent pair's DE2 at degree m, which also names
     other pairs' degree-m unknowns through de2_links.  Both solvers call load
-    once per level, before it is solved; the oracle reads the links as
-    columns, and the recursion reads de1_known_row and de2_known_row, which
-    fold the unknowns it has stored into the value, and divides.
+    once per level, store the regular pairs first and read a coalescent DE2
+    row through de2_known_row; the recursion also reads de1_known_row, which
+    folds the unknowns it has stored into the value, and divides.
     """
 
     def __init__(self, problem: DEProblem, K: int, exact: bool, F0):
@@ -322,8 +322,10 @@ class _Engine:
             self.kappa[kh] = self.bdiff[kh] - one
             self.coalescent[kh] = problem.is_coalescent(k, h)
             self.j0[kh] = _pivot(D, f"pair ({k},{h})")
-        # coefficients of F_kl F_lh: q1[i, j, l, k, h] in DE1, q2[i, l, k, h] in DE2
+        # coefficients of F_kl F_lh: q1[i, j, l, k, h] in DE1, q2[i, l, k, h] in DE2, and the
+        # de2_links weights, fixed by F0: -q2(x_o) times F_lh(x_o) for F_kl, F_kl(x_o) for F_lh
         self.q1, self.q2 = {}, {}
+        self.links = {(i, kh): [] for i in range(self.d) for kh in self.pairs}
         for k, h in self.pairs:
             for l in range(self.n):
                 if l == k or l == h:
@@ -332,6 +334,10 @@ class _Engine:
                 for i in range(self.d):
                     p1 = kl[i] * self.delta[l, h]
                     self.q2[i, l, k, h] = p1 - self.delta[k, l] * lh[i]
+                    q0 = self.q2[i, l, k, h].constant_term()
+                    if q0 != 0:
+                        self.links[i, (k, h)] += [((k, l), self.zero - q0 * F0[l][h]),
+                                                  ((l, h), self.zero - q0 * F0[k][l])]
                     for j in range(i + 1, self.d):
                         w = kl[i] * lh[j] - kl[j] * lh[i]
                         self.q1[i, j, l, k, h], self.q1[j, i, l, k, h] = w, -w
@@ -387,17 +393,8 @@ class _Engine:
         """The multipliers of other pairs' unknowns in a coalescent pair's DE2
         coefficient at e, keyed by (pair, e): F_kl F_lh names F_kl's and F_lh's
         coefficients at e, weighted by q2 and the other factor at the base point.
-        The oracle reads them as columns, the recursion as known values."""
-        k, h = kh
-        links = {}
-        for l in range(self.n):
-            if l == k or l == h:
-                continue
-            q0 = self.q2[i, l, k, h].constant_term()
-            if q0 != 0:
-                for pair, other in (((k, l), (l, h)), ((l, h), (k, l))):
-                    links[pair, e] = self.zero - q0 * self.F[other].constant_term()
-        return links
+        de2_known_row folds in the links to regular pairs; the oracle keeps the rest as columns."""
+        return {(pair, e): w for pair, w in self.links[i, kh]}
 
     def de1_known_row(self, i: int, j: int, kh, beta: tuple):
         """de1_row, its value plus each multiplier times pair kh's coefficient
@@ -410,8 +407,8 @@ class _Engine:
 
     def de2_known_row(self, i: int, kh, e: tuple):
         """de2_row of a coalescent pair, its value plus each de2_links multiplier
-        times the linked regular pair's coefficient, which the recursion has solved.
-        A link to a coalescent pair (float values within tol, not bit-equal) reads as zero."""
+        times the linked regular pair's coefficient, which the solver has stored.  A link
+        to a coalescent pair (float values within tol, not bit-equal) is left out."""
         mults, val = self.de2_row(i, kh, e)
         for (pair, t), w in self.de2_links(i, kh, e).items():
             if not self.coalescent[pair] and t in self.C[pair]:
@@ -426,9 +423,7 @@ class _Engine:
         zexp = (0,) * self.d
         worst, exact_zero = 0.0, self.exact
         self.load(0)
-        for kh in self.pairs:
-            if not self.coalescent[kh]:
-                continue
+        for kh in filter(self.coalescent.get, self.pairs):
             for i in range(self.d):
                 r = self.de2_coeff(i, kh, zexp)
                 if r != 0:
@@ -711,8 +706,9 @@ def _solve(rows, ncols: int, exact: bool):
     the whole system's: its singular values are the union of its blocks',
     and it is singular when fewer than ncols of them exceed _RANK_TOL times
     the largest.  A block with fewer rows than columns, or a column that no
-    row names, therefore makes it singular.  Returns the values list or the
-    failure string.
+    row names, therefore makes it singular.  The oracle solves a degree as
+    two systems, so the rule holds per system.  Returns the values list or
+    the failure string.
     """
     if exact:
         return _exact_solve(rows, ncols)
@@ -743,16 +739,22 @@ def _solve(rows, ncols: int, exact: bool):
 def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
     """Degree-by-degree stacked linear solve for the same jet.
 
-    Degree m's linear system in all degree-m jet coefficients holds the
-    degree m-1 DE1 coefficients, the degree m-1 DE2 coefficients of regular
-    pairs and the degree-m DE2 coefficients of coalescent pairs (the only
-    equations reaching their pure pivot coefficients).  The degree-0 DE2
+    Degree m is solved as two systems, as only the coalescent pairs' rows
+    name other pairs' degree-m unknowns (de2_links).  First the regular
+    pairs' DE1 and DE2 rows at degree m-1, in their own columns: each
+    unknown alpha has a DE2 row naming it alone, with multiplier
+    d0 alpha_i != 0, so this system has full column rank.  Then the
+    coalescent pairs' DE1 rows at degree m-1 and DE2 rows at degree m (the
+    only equations reaching their pure pivot coefficients), read by
+    de2_known_row with the regular values stored; a link between coalescent
+    pairs (float values within tol, not bit-equal) stays a column.  The two
+    are singular exactly when the stacked system is.  The degree-0 DE2
     coefficients at coalescent pairs name no unknown; base_point_residual
     and _feasible judge them as de_solve_jet does, and a violation makes
     degree 1 inconsistent, or degree 0 when K = 0.  Exact mode solves
-    exactly, floating mode by least squares after a numerical rank check.  A
-    singular or inconsistent system raises ResonanceError at a resonant
-    coalescent pair, else OracleError.
+    exactly, floating mode by least squares after a numerical rank check
+    per system.  A singular or inconsistent system raises ResonanceError at
+    a resonant coalescent pair, else OracleError.
     """
     K = int(K)
     if K < 0:
@@ -767,26 +769,28 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
         eng.load(m)
         exps_m = exponents_of_degree(d, m)
         exps_prev = exponents_of_degree(d, m - 1)
-        cols = [(kh, a) for kh in eng.pairs for a in exps_m]
-        col_index = {key: idx for idx, key in enumerate(cols)}
-        rows = []
-        for kh in eng.pairs:
-            own, coalescent = {a: col_index[kh, a] for a in exps_m}, eng.coalescent[kh]
-            keyed = [(eng.de1_row(i, j, kh, beta), {})
-                     for i in range(d) for j in range(i + 1, d) for beta in exps_prev]
-            keyed += [(eng.de2_row(i, kh, e), eng.de2_links(i, kh, e) if coalescent else {})
-                      for i in range(d) for e in (exps_m if coalescent else exps_prev)]
-            for (mults, val), links in keyed:
-                entries = {own[t]: v for t, v in mults.items()}
-                entries.update((col_index[key], v) for key, v in links.items())
-                rows.append((entries, val))
-
-        sol = _solve(rows, len(cols), exact) if admissible or m > 1 else "inconsistent"
-        if isinstance(sol, str):
-            for kh in eng.pairs:
-                if eng.coalescent[kh]:
+        for coalescent in sorted(set(eng.coalescent.values())):  # the regular pairs first
+            group = [kh for kh in eng.pairs if eng.coalescent[kh] == coalescent]
+            cols = [(kh, a) for kh in group for a in exps_m]
+            col_index = {key: idx for idx, key in enumerate(cols)}
+            rows = []
+            for kh in group:
+                own = {a: col_index[kh, a] for a in exps_m}
+                keyed = [(eng.de1_row(i, j, kh, beta), {})
+                         for i in range(d) for j in range(i + 1, d) for beta in exps_prev]
+                keyed += [(eng.de2_known_row(i, kh, e), eng.de2_links(i, kh, e)) if coalescent
+                          else (eng.de2_row(i, kh, e), {})
+                          for i in range(d) for e in (exps_m if coalescent else exps_prev)]
+                for (mults, val), links in keyed:
+                    entries = {own[t]: v for t, v in mults.items()}
+                    # val holds the links to regular pairs; those to coalescent pairs are columns
+                    entries.update((col_index[key], v) for key, v in links.items() if key in col_index)
+                    rows.append((entries, val))
+            sol = _solve(rows, len(cols), exact) if admissible or m > 1 else "inconsistent"
+            if isinstance(sol, str):
+                for kh in filter(eng.coalescent.get, eng.pairs):
                     eng._resonance_guard(kh, m)
-            raise OracleError(f"{sol} linear system at degree {m}")
-        for (kh, a), v in zip(cols, sol):
-            eng._store(kh, a, v)
+                raise OracleError(f"{sol} linear system at degree {m}")
+            for (kh, a), v in zip(cols, sol):
+                eng._store(kh, a, v)
     return eng.to_jet()

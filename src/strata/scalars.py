@@ -191,22 +191,19 @@ def coerce(x, exact: bool):
     return to_exact(x) if exact else complex(x)
 
 
-def scalar_abs2(x):
-    """|x|^2, exact Fraction in exact mode, float otherwise."""
-    if isinstance(x, ComplexRational):
-        return Fraction(x.a * x.a + x.b * x.b, x.q * x.q)
-    z = complex(x)
-    return z.real * z.real + z.imag * z.imag
+def scalar_abs2(x: ComplexRational) -> Fraction:
+    """|x|^2 as an exact Fraction; a float |x|^2 would overflow where |x| does not."""
+    return Fraction(x.a * x.a + x.b * x.b, x.q * x.q)
 
 
 def magnitude(x) -> float:
-    """|x| as a float, taken from |x|^2 (exact in exact mode).
+    """|x| as a float: the root of the exact |x|^2 of a ComplexRational, else abs(complex(x)).
 
     An exact value whose modulus is beyond the float range raises
     ValidationError: it has no float to report.
     """
     try:
-        return scalar_abs2(x) ** 0.5
+        return scalar_abs2(x) ** 0.5 if isinstance(x, ComplexRational) else abs(complex(x))
     except OverflowError:
         # an exact |x|^2 can overflow while |x| is still a float
         m = abs(complex(x))

@@ -49,12 +49,15 @@ from .series import SeriesMatrix, SeriesRing, TruncatedSeries
 
 
 def encode_scalar(v) -> list:
-    if isinstance(v, ComplexRational):
-        return [str(v.re), str(v.im)]
     if isinstance(v, bool):
         raise ValidationError("booleans are not scalars")
-    if isinstance(v, (int, Fraction)):
-        return [str(Fraction(v)), "0"]
+    try:
+        if isinstance(v, ComplexRational):
+            return [str(v.re), str(v.im)]
+        if isinstance(v, (int, Fraction)):
+            return [str(Fraction(v)), "0"]
+    except ValueError as exc:  # an integer beyond Python's string conversion limit
+        raise ValidationError(f"an exact value is too long to print: {exc}") from None
     return float_pair(v)
 
 

@@ -474,6 +474,16 @@ class TestErrorContract:
         assert code == 2
         assert json.loads(err.strip())["error"] == "invalid-input"
 
+    def test_exact_value_beyond_the_digit_limit(self, capsys, tmp_path):
+        # f[0] holds x0^64, so at x0 = 1/77...7 (70 sevens) the order-1 jet has
+        # a denominator of about 4,480 digits, past the 4,300 that Python prints
+        doc = golden_with("de_regular_exact.json", ("x0", 0), "1/" + "7" * 70)
+        doc["f"][0][0]["exps"][0] = 64
+        f = tmp_path / "digits.json"
+        f.write_text(json.dumps(doc))
+        obj = assert_refused(capsys, "de", "oracle", "--input", str(f), "--order", "1")
+        assert obj["error"] == "invalid-input" and "too long to print" in obj["detail"]
+
 
 NAN_MATRIX = [[float("nan"), 1], [1, 1]]
 CURVE = ["appendix", "curve", "--alpha0", "1", "--beta0", "1", "--gamma0", "1"]
@@ -524,6 +534,19 @@ class TestOutOfFloatRange:
     def test_curve_refused(self, capsys, extra):
         obj = assert_refused(capsys, *CURVE, *extra)
         assert obj["error"] == "invalid-input"
+
+    @pytest.mark.parametrize("cmd", ["solve", "oracle"])
+    def test_differential_whose_square_overflows(self, capsys, tmp_path, cmd):
+        # f_0 - f_1 = (1e160 + 1e160 i - 1) x: |D|^2 overflows, |D| does not,
+        # and the pair is regular with distinct differentials
+        terms = [[{"exps": [1], "re": 1e160, "im": 1e160}], [{"exps": [1], "re": 1.0, "im": 0.0}]]
+        doc = {"d": 1, "n": 2, "x0": [[1.0, 0.0]], "f": terms, "b": [[0.0, 0.0], [0.5, 0.0]],
+               "F0": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "de", cmd, "--input", str(f), "--order", "3")
+        assert code == 0 and err == ""
+        assert json.loads(out, parse_constant=refuse_constant)["jet"]["K"] == 3
 
     def test_env_tol_must_be_finite(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "m.json"

@@ -278,6 +278,58 @@ def _coeffs(jet):
             for k in range(jet.n) for h in range(jet.n) if k != h}
 
 
+class TestOracleOrder:
+    """The oracle solves each degree as two systems: the regular pairs' in
+    their own columns, then the coalescent pairs' with the regular values known."""
+
+    @staticmethod
+    def systems(name, monkeypatch, K=3):
+        """(degree, pairs with rows in it, ncols) of each system the oracle solves."""
+        E, solve, state, systems = darboux._Engine, darboux._solve, {"pairs": set()}, []
+        load, de1_row, de2_row = E.load, E.de1_row, E.de2_row
+
+        def spy_load(eng, m):
+            state["m"] = m
+            return load(eng, m)
+
+        def spy_de1_row(eng, i, j, kh, beta):
+            state["pairs"].add(kh)
+            return de1_row(eng, i, j, kh, beta)
+
+        def spy_de2_row(eng, i, kh, e):
+            state["pairs"].add(kh)
+            return de2_row(eng, i, kh, e)
+
+        def spy_solve(rows, ncols, exact):
+            systems.append((state["m"], state["pairs"], ncols))
+            state["pairs"] = set()
+            return solve(rows, ncols, exact)
+
+        for attr, spy in (("load", spy_load), ("de1_row", spy_de1_row), ("de2_row", spy_de2_row)):
+            monkeypatch.setattr(E, attr, spy)
+        monkeypatch.setattr(darboux, "_solve", spy_solve)
+        p, F0 = decode_de_problem(json.loads((GOLDEN / name).read_text()))
+        de_oracle_solve(p, F0, K)
+        return p, systems
+
+    @pytest.mark.parametrize("name", ["de_coalescent_exact.json", "de_coalescent_float.json"])
+    def test_regular_system_first_and_no_mixed_columns(self, name, monkeypatch):
+        p, systems = self.systems(name, monkeypatch)
+        pairs = [(k, h) for k in range(p.n) for h in range(p.n) if k != h]
+        regular = {kh for kh in pairs if not p.is_coalescent(*kh)}
+        coalescent = set(pairs) - regular
+        assert regular and coalescent
+        # each system's columns are the degree-m unknowns of its own pairs
+        assert systems == [(m, group, len(group) * len(exponents_of_degree(p.d, m)))
+                           for m in (1, 2, 3) for group in (regular, coalescent)]
+
+    def test_regular_problem_has_one_system_per_degree(self, monkeypatch):
+        p, systems = self.systems("de_regular_exact.json", monkeypatch)
+        pairs = {(k, h) for k in range(p.n) for h in range(p.n) if k != h}
+        assert not p.coalescent
+        assert systems == [(m, pairs, len(pairs) * len(exponents_of_degree(p.d, m))) for m in (1, 2, 3)]
+
+
 class TestCoalescentSweep:
     """The recursion reaches each coalescent coefficient by one row and one
     division: it solves no linear system, and ignores no multiplier."""
