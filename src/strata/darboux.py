@@ -15,9 +15,9 @@ n constants b_i.  Writing Df = f_h - f_k for a pair (k, h), they are
 Under the genericity condition (pairwise distinct differentials of the
 f_i at the base point) the Taylor jet of a solution at the base point is
 uniquely determined by its value there.  de_solve_jet reproduces that
-recursion order by order; de_oracle_solve independently solves stacked
-linear systems per degree; de_residual substitutes any jet back into both
-families.  Indices are 0-based throughout.
+recursion order by order; de_oracle_solve independently solves one
+linear system per pair and degree; de_residual substitutes any jet back
+into both families.  Indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -393,7 +393,8 @@ class _Engine:
         """The multipliers of other pairs' unknowns in a coalescent pair's DE2
         coefficient at e, keyed by (pair, e): F_kl F_lh names F_kl's and F_lh's
         coefficients at e, weighted by q2 and the other factor at the base point.
-        de2_known_row folds in the links to regular pairs; the oracle keeps the rest as columns."""
+        de2_known_row, which both solvers read, folds in the links to regular
+        pairs and leaves out those to coalescent pairs."""
         return {(pair, e): w for pair, w in self.links[i, kh]}
 
     def de1_known_row(self, i: int, j: int, kh, beta: tuple):
@@ -662,99 +663,58 @@ def _exact_solve(rows, ncols: int):
     return [exprs[c][None] for c in range(ncols)]
 
 
-def _blocks(rows, ncols: int):
-    """The connected blocks of the rows: a list of (columns, rows).
-
-    Two columns are connected when one row's entries name both (union-find
-    over the named columns).  A block holds its columns in ascending order
-    and the rows that touch them in their given order.  A row with no
-    entries belongs to no block, and neither does a column no row names.
-    """
-    parent = list(range(ncols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    rows = [row for row in rows if row[0]]
-    for entries, _ in rows:
-        root = find(next(iter(entries)))
-        for c in entries:
-            parent[find(c)] = root
-    roots = [find(c) for c in range(ncols)]
-    blocks = {}
-    for row in rows:
-        blocks.setdefault(roots[next(iter(row[0]))], ([], []))[1].append(row)
-    for c, root in enumerate(roots):
-        if root in blocks:
-            blocks[root][0].append(c)
-    return list(blocks.values())
-
-
 def _solve(rows, ncols: int, exact: bool):
     """Solve the rows sum(coeff * u) + const = 0 of _exact_solve for u: the
     oracle's linear solve, as the recursion only divides.
 
-    Exact mode eliminates exactly.  Floating mode splits the system into
-    _blocks and solves each block A x = b by least squares on its own, with
-    one QR of [A | b], or of [Re A | Re b | Im b] in real arithmetic when A
-    is real: the leading n x n triangle R11 has A's singular values, and
-    x = R11^-1 R12 (Golub & Van Loan, Matrix Computations, 5.3).  A row with
-    no entries cannot change the solution and is dropped.  The rank rule is
-    the whole system's: its singular values are the union of its blocks',
-    and it is singular when fewer than ncols of them exceed _RANK_TOL times
-    the largest.  A block with fewer rows than columns, or a column that no
-    row names, therefore makes it singular.  The oracle solves a degree as
-    two systems, so the rule holds per system.  Returns the values list or
-    the failure string.
+    Exact mode eliminates exactly.  Floating mode solves A x = b by least
+    squares with one QR of [A | b], or of [Re A | Re b | Im b] in real
+    arithmetic when A is real: the leading n x n triangle R11 has A's
+    singular values, and x = R11^-1 R12 (Golub & Van Loan, Matrix
+    Computations, 5.3).  The system is singular when fewer than ncols of
+    them exceed _RANK_TOL times the largest, so fewer rows than columns, or
+    a column that no row names, makes it singular.  Returns the values list
+    or the failure string.
     """
     if exact:
         return _exact_solve(rows, ncols)
-    tris, svs = [], [np.zeros(0)]
-    for cols, brows in _blocks(rows, ncols):
-        n, local = len(cols), {c: i for i, c in enumerate(cols)}
-        if len(brows) < n:
-            return "singular"
-        M = np.zeros((len(brows), n + 1), dtype=complex)
-        for rid, (entries, const) in enumerate(brows):
-            for cidx, v in entries.items():
-                M[rid, local[cidx]] = complex(v)
-            M[rid, n] = -complex(const)
-        if not M[:, :n].imag.any():
-            M = np.column_stack((M.real, M[:, n].imag))
-        R = _lapack(np.linalg.qr, M, mode="r", what="the linear system")
-        svs.append(_lapack(np.linalg.svd, R[:n, :n], compute_uv=False, what="the linear system"))
-        tris.append((cols, R[:n, :n], R[:n, n:]))
-    if _cutoff_rank(np.sort(np.concatenate(svs))[::-1], _RANK_TOL) < ncols:
+    if len(rows) < ncols:
         return "singular"
-    sol = np.zeros(ncols, dtype=complex)
-    for cols, R11, R12 in tris:
-        x = _lapack(np.linalg.solve, R11, R12, what="the linear system")
-        sol[cols] = x[:, 0] + 1j * x[:, 1] if x.shape[1] == 2 else x[:, 0]
-    return list(sol)
+    M = np.zeros((len(rows), ncols + 1), dtype=complex)
+    for rid, (entries, const) in enumerate(rows):
+        for cidx, v in entries.items():
+            M[rid, cidx] = complex(v)
+        M[rid, ncols] = -complex(const)
+    if not M[:, :ncols].imag.any():
+        M = np.column_stack((M.real, M[:, ncols].imag))
+    R = _lapack(np.linalg.qr, M, mode="r", what="the linear system")
+    R11 = R[:ncols, :ncols]
+    svs = _lapack(np.linalg.svd, R11, compute_uv=False, what="the linear system")
+    if _cutoff_rank(svs, _RANK_TOL) < ncols:
+        return "singular"
+    x = _lapack(np.linalg.solve, R11, R[:ncols, ncols:], what="the linear system")
+    return list(x[:, 0] + 1j * x[:, 1] if x.shape[1] == 2 else x[:, 0])
 
 
 def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
-    """Degree-by-degree stacked linear solve for the same jet.
+    """Degree-by-degree linear solve for the same jet, one system per pair.
 
-    Degree m is solved as two systems, as only the coalescent pairs' rows
-    name other pairs' degree-m unknowns (de2_links).  First the regular
-    pairs' DE1 and DE2 rows at degree m-1, in their own columns: each
-    unknown alpha has a DE2 row naming it alone, with multiplier
-    d0 alpha_i != 0, so this system has full column rank.  Then the
-    coalescent pairs' DE1 rows at degree m-1 and DE2 rows at degree m (the
-    only equations reaching their pure pivot coefficients), read by
-    de2_known_row with the regular values stored; a link between coalescent
-    pairs (float values within tol, not bit-equal) stays a column.  The two
-    are singular exactly when the stacked system is.  The degree-0 DE2
-    coefficients at coalescent pairs name no unknown; base_point_residual
-    and _feasible judge them as de_solve_jet does, and a violation makes
-    degree 1 inconsistent, or degree 0 when K = 0.  Exact mode solves
-    exactly, floating mode by least squares after a numerical rank check
-    per system.  A singular or inconsistent system raises ResonanceError at
-    a resonant coalescent pair, else OracleError.
+    A pair's system at degree m has its degree-m unknowns as columns, and
+    its DE1 rows at degree m-1 and DE2 rows as rows.  A regular pair's DE2
+    rows are at degree m-1: each unknown alpha has one naming it alone, with
+    multiplier d0 alpha_i != 0, so its system has full column rank.  A
+    coalescent pair's DE2 rows are at degree m (the only equations reaching
+    its pure pivot coefficients), and name other pairs' degree-m unknowns
+    (de2_links); the regular pairs are solved first, and de2_known_row reads
+    their stored values and leaves out a link between coalescent pairs
+    (float values within tol, not bit-equal), as the recursion does.  So no
+    row names another pair's unknown.  The degree-0 DE2 coefficients at
+    coalescent pairs name no unknown; base_point_residual and _feasible
+    judge them as de_solve_jet does, and a violation makes degree 1
+    inconsistent, or degree 0 when K = 0.  Exact mode solves exactly,
+    floating mode by least squares after a numerical rank check per system.
+    A singular or inconsistent system raises ResonanceError at a resonant
+    coalescent pair, else OracleError.
     """
     K = int(K)
     if K < 0:
@@ -769,28 +729,20 @@ def de_oracle_solve(problem: DEProblem, F0, K: int) -> DEJet:
         eng.load(m)
         exps_m = exponents_of_degree(d, m)
         exps_prev = exponents_of_degree(d, m - 1)
-        for coalescent in sorted(set(eng.coalescent.values())):  # the regular pairs first
-            group = [kh for kh in eng.pairs if eng.coalescent[kh] == coalescent]
-            cols = [(kh, a) for kh in group for a in exps_m]
-            col_index = {key: idx for idx, key in enumerate(cols)}
-            rows = []
-            for kh in group:
-                own = {a: col_index[kh, a] for a in exps_m}
-                keyed = [(eng.de1_row(i, j, kh, beta), {})
-                         for i in range(d) for j in range(i + 1, d) for beta in exps_prev]
-                keyed += [(eng.de2_known_row(i, kh, e), eng.de2_links(i, kh, e)) if coalescent
-                          else (eng.de2_row(i, kh, e), {})
-                          for i in range(d) for e in (exps_m if coalescent else exps_prev)]
-                for (mults, val), links in keyed:
-                    entries = {own[t]: v for t, v in mults.items()}
-                    # val holds the links to regular pairs; those to coalescent pairs are columns
-                    entries.update((col_index[key], v) for key, v in links.items() if key in col_index)
-                    rows.append((entries, val))
-            sol = _solve(rows, len(cols), exact) if admissible or m > 1 else "inconsistent"
+        col = {a: idx for idx, a in enumerate(exps_m)}
+        for kh in sorted(eng.pairs, key=eng.coalescent.get):  # the regular pairs first
+            keyed = [eng.de1_row(i, j, kh, beta)
+                     for i in range(d) for j in range(i + 1, d) for beta in exps_prev]
+            if eng.coalescent[kh]:
+                keyed += [eng.de2_known_row(i, kh, e) for i in range(d) for e in exps_m]
+            else:
+                keyed += [eng.de2_row(i, kh, e) for i in range(d) for e in exps_prev]
+            rows = [({col[t]: v for t, v in mults.items()}, val) for mults, val in keyed]
+            sol = _solve(rows, len(exps_m), exact) if admissible or m > 1 else "inconsistent"
             if isinstance(sol, str):
-                for kh in filter(eng.coalescent.get, eng.pairs):
-                    eng._resonance_guard(kh, m)
+                for pair in filter(eng.coalescent.get, eng.pairs):
+                    eng._resonance_guard(pair, m)
                 raise OracleError(f"{sol} linear system at degree {m}")
-            for (kh, a), v in zip(cols, sol):
+            for a, v in zip(exps_m, sol):
                 eng._store(kh, a, v)
     return eng.to_jet()

@@ -13,6 +13,7 @@ through ``series.dot``).
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from math import gcd
 
@@ -92,6 +93,8 @@ def _eval(c: dict, pt, exact: bool):
                 except OverflowError:
                     raise ValidationError("a polynomial value is beyond the float range") from None
         acc += term
+    if not cmath.isfinite(acc):  # a complex x ** k can overflow to nan without raising
+        raise ValidationError("a polynomial value is beyond the float range")
     return acc
 
 

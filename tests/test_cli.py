@@ -548,6 +548,18 @@ class TestOutOfFloatRange:
         assert code == 0 and err == ""
         assert json.loads(out, parse_constant=refuse_constant)["jet"]["K"] == 3
 
+    def test_complex_power_beyond_the_float_range(self, capsys, tmp_path):
+        # (1e160 (1 + i))^2 is nan+nanj in Python, where a real square raises
+        # OverflowError; f is refused at the base point, before any solve
+        doc = {"d": 1, "n": 2, "x0": [[1e160, 1e160]],
+               "f": [[{"exps": [2], "re": 1.0, "im": 0.0}], [{"exps": [1], "re": 1.0, "im": 0.0}]],
+               "b": [[0.0, 0.0], [0.5, 0.0]],
+               "F0": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+        f = tmp_path / "nan.json"
+        f.write_text(json.dumps(doc))
+        obj = assert_refused(capsys, "de", "solve", "--input", str(f), "--order", "2")
+        assert obj == {"error": "invalid-input", "detail": "a polynomial value is beyond the float range"}
+
     def test_env_tol_must_be_finite(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "m.json"
         f.write_text(json.dumps([[1, 0], [0, 1]]))

@@ -12,7 +12,6 @@ from strata import darboux
 from strata.darboux import (
     DEJet,
     DEProblem,
-    _blocks,
     _exact_solve,
     _solve,
     de_closed_form_n2,
@@ -278,9 +277,16 @@ def _coeffs(jet):
             for k in range(jet.n) for h in range(jet.n) if k != h}
 
 
+def _relative_distance(want, got):
+    """The largest coefficient distance, relative to max(1, max |want coefficient|)."""
+    scale = max([1.0] + [abs(c) for cs in want.values() for c in cs.values()])
+    return max(abs(got[kh].get(e, 0j) - want[kh].get(e, 0j))
+               for kh in want for e in set(got[kh]) | set(want[kh])) / scale
+
+
 class TestOracleOrder:
-    """The oracle solves each degree as two systems: the regular pairs' in
-    their own columns, then the coalescent pairs' with the regular values known."""
+    """The oracle solves each degree as one system per pair, in that pair's
+    own columns, the regular pairs first so the coalescent ones read their values."""
 
     @staticmethod
     def systems(name, monkeypatch, K=3):
@@ -312,22 +318,52 @@ class TestOracleOrder:
         de_oracle_solve(p, F0, K)
         return p, systems
 
-    @pytest.mark.parametrize("name", ["de_coalescent_exact.json", "de_coalescent_float.json"])
-    def test_regular_system_first_and_no_mixed_columns(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", ["de_coalescent_exact.json", "de_coalescent_float.json",
+                                      "de_regular_exact.json"])
+    def test_one_system_per_pair(self, name, monkeypatch):
         p, systems = self.systems(name, monkeypatch)
         pairs = [(k, h) for k in range(p.n) for h in range(p.n) if k != h]
-        regular = {kh for kh in pairs if not p.is_coalescent(*kh)}
-        coalescent = set(pairs) - regular
-        assert regular and coalescent
-        # each system's columns are the degree-m unknowns of its own pairs
-        assert systems == [(m, group, len(group) * len(exponents_of_degree(p.d, m)))
-                           for m in (1, 2, 3) for group in (regular, coalescent)]
+        regular = [kh for kh in pairs if not p.is_coalescent(*kh)]
+        coalescent = [kh for kh in pairs if p.is_coalescent(*kh)]
+        assert regular and bool(coalescent) == ("coalescent" in name)
+        # each system's columns are the degree-m unknowns of its one pair
+        assert systems == [(m, {kh}, len(exponents_of_degree(p.d, m)))
+                           for m in (1, 2, 3) for kh in regular + coalescent]
 
-    def test_regular_problem_has_one_system_per_degree(self, monkeypatch):
-        p, systems = self.systems("de_regular_exact.json", monkeypatch)
-        pairs = {(k, h) for k in range(p.n) for h in range(p.n) if k != h}
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_one_pairs_scale_leaves_another_pairs_system_regular(self, scale):
+        # every pair is regular; the pairs' differentials differ in size by
+        # about scale, which made a system holding all of them singular
+        x = [Poly.variable(2, a, exact=False) for a in range(2)]
+        f = [scale * x[0], Poly.constant(2, 2e-10, exact=False) + scale * x[0] + x[1],
+             Poly.constant(2, 0.5, exact=False) + x[1]]
+        with pytest.warns(UserWarning, match="near-coalescent"):
+            p = DEProblem(2, 3, [0.0, 0.0], f, [0.0, 0.3, -0.45])
+        F0 = [[0, 0.5, 0.7], [0.2, 0, 0.3], [0.4, 0.1, 0]]
         assert not p.coalescent
-        assert systems == [(m, pairs, len(pairs) * len(exponents_of_degree(p.d, m))) for m in (1, 2, 3)]
+        jet, feasible, _ = de_solve_jet(p, F0, 3)
+        assert feasible
+        assert _relative_distance(_coeffs(jet), _coeffs(de_oracle_solve(p, F0, 3))) <= FLOAT_EXACT_BOUND
+
+    def test_links_between_coalescent_pairs_are_left_out(self):
+        # the branch values 0, 9e-11 and 1.8e-10 agree within tol in (0, 1)
+        # and (1, 2) but not in (0, 2), so four links join coalescent pairs
+        x = [Poly.variable(2, a, exact=False) for a in range(2)]
+        f = [x[0], Poly.constant(2, 9e-11, exact=False) + x[1],
+             Poly.constant(2, 1.8e-10, exact=False) + x[0] + 2 * x[1]]
+        with pytest.warns(UserWarning, match="near-coalescent"):
+            p = DEProblem(2, 3, [0.0, 0.0], f, [0.0, 1.0, 2.0])
+        F0 = [[0, 0.5, 0], [0, 0, 0.3], [0.4, 0, 0]]
+        assert p.coalescent == {(0, 1), (1, 0), (1, 2), (2, 1)}
+        eng = darboux._Engine(p, 4, False, F0)
+        links = {(kh, pair) for i in range(2) for kh in p.coalescent
+                 for pair, _ in eng.links[i, kh] if pair in p.coalescent}
+        assert len(links) == 4
+        jet, feasible, _ = de_solve_jet(p, F0, 4)
+        oracle = de_oracle_solve(p, F0, 4)
+        assert feasible and darboux._feasible(de_residual(p, oracle, 3), oracle)
+        # the near-coalescent regular pair (0, 2) is ill-conditioned
+        assert _relative_distance(_coeffs(jet), _coeffs(oracle)) <= 1e-9
 
 
 class TestCoalescentSweep:
@@ -448,7 +484,6 @@ class TestFloatSolve:
             rows, A, b, ncols = _block_system([1.0, 3.0, 0.5], [(7, 3), (5, 4), (6, 2)])
             # a row with no entries leaves the least-squares solution as it is
             rows.append(({}, 1.0))
-            assert sorted(len(c) for c, _ in _blocks(rows, ncols)) == [2, 3, 4]
             A, b = np.vstack([A, np.zeros(ncols)]), np.append(b, -1.0)
             want = np.linalg.lstsq(A, b, rcond=None)[0]
             got = np.array(_solve(rows, ncols, False))
@@ -465,8 +500,8 @@ class TestFloatSolve:
                 assert (_solve(rows, ncols, False) == "singular") == bool(extra)
 
     @pytest.mark.parametrize("real, dtype", [(True, np.float64), (False, np.complex128)])
-    def test_one_qr_per_block(self, monkeypatch, real, dtype):
-        # a real block is factored in real arithmetic, with the real and
+    def test_one_qr_per_system(self, monkeypatch, real, dtype):
+        # a real system is factored in real arithmetic, with the real and
         # imaginary parts of its right-hand side as two columns
         rows, A, b, ncols = _block_system([1.0, 3.0], [(9, 4), (6, 3)], real=real)
         seen = []
@@ -478,7 +513,7 @@ class TestFloatSolve:
 
         monkeypatch.setattr(np.linalg, "qr", spy)
         got = np.array(_solve(rows, ncols, False))
-        assert seen == [dtype, dtype]
+        assert seen == [dtype]
         want = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
